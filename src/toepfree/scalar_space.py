@@ -4,20 +4,26 @@ A distribution is specified by a table of joint free cumulants per family
 (cross-family cumulants are identically zero, so distinct families are free
 by construction). Moments are derived from cumulants by the lattice sum
 
-    phi(a_1 ... a_n) = sum over pi in NC(n) of prod over blocks V of kappa(V)
+    phi(a_1 ... a_n) = sum over pi in NC(n) of prod over blocks V of kappa(V).
 
-and multilinear cumulants are recovered from moments by Möbius inversion
+Multilinear cumulants are read off the table without going through moments.
+A cumulant whose slots hold words (products of generators) is a cumulant
+with products as arguments (Krawczyk-Speicher; Nica-Speicher, Thm 11.12):
+if sigma is the interval partition that the slots cut out of the m
+concatenated letters, then
 
-    c(a_1, ..., a_n) = sum over pi in NC(n) of phi_pi(a_1,...,a_n) mu(pi, 1_n).
+    kappa(w_1, ..., w_n) = sum over pi in NC(m) with pi v sigma = 1_m
+                           of prod over blocks V of kappa(V).
 
-Block products inside phi_pi are plain scalar products, which is valid
-because scalars are central.
+For one letter per slot, sigma = 0_m and the only term is pi = 1_m: a
+single table lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -232,7 +238,8 @@ class MomentFunctional:
     # -- cumulants --------------------------------------------------------
 
     def cumulant(self, args: Sequence[NcPolynomial]) -> Fraction:
-        """The multilinear free cumulant k_n(args) by Möbius inversion."""
+        """The multilinear free cumulant k_n(args), expanded into word
+        cumulants."""
         args = tuple(args)
         n = len(args)
         if n == 0:
@@ -245,39 +252,53 @@ class MomentFunctional:
         if cached is not None:
             return cached
         # multilinear expansion: every slot splits into its terms, and the
-        # cumulant of each word combination is shared across calls
+        # cumulant of each word combination is shared across calls; most
+        # combinations mix families and read 0, so their weights are skipped
         total = Fraction(0)
         for combo in product(*(p.terms for p in args)):
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
-            total += coeff * self.cumulant_words(
-                tuple(word for word, _ in combo)
-            )
+            value = self.cumulant_words(tuple(word for word, _ in combo))
+            if value:
+                for _, c in combo:
+                    value *= c
+                total += value
         self._cumulant_memo[args] = total
         return total
 
     def cumulant_words(self, words: tuple[Word, ...]) -> Fraction:
-        """The cumulant with one plain word per slot, memoized."""
+        """The cumulant with one plain word per slot, memoized.
+
+        Products as arguments: the sum over the pi that link all slots of
+        the block cumulants of the concatenated letters. An empty word is
+        the constant 1: kappa_1(1) = 1, and kappa_n(..., 1, ...) = 0 for
+        n >= 2.
+        """
         cached = self._word_cumulant_memo.get(words)
         if cached is not None:
             return cached
-        lat = nc_lattice.lattice(len(words))
-        mu_top = lat.mu_to_top()
-        total = Fraction(0)
-        for idx, pi in enumerate(lat.elements):
-            weight = mu_top[idx]
-            if not weight:
-                continue
-            value = weight
-            for block in pi.blocks:
-                letters: list[str] = []
-                for i in block:
-                    letters.extend(words[i - 1])
-                value *= self.phi_word(tuple(letters))
-                if not value:
-                    break
-            total += value
+        if not words:
+            raise ValueError("cumulant needs at least one argument")
+        letters = tuple(gen_id for word in words for gen_id in word)
+        if len(letters) > self.degree_cap:
+            raise DegreeCapExceeded(
+                f"word of length {len(letters)} exceeds degree cap "
+                f"{self.degree_cap}"
+            )
+        for gen_id in letters:
+            if gen_id not in self.generators:
+                raise ValueError(f"undeclared generator {gen_id!r} in word")
+        if not all(words):
+            total = Fraction(len(words) == 1)
+        else:
+            total = Fraction(0)
+            for blocks in _linking_partitions(tuple(map(len, words))):
+                value = Fraction(1)
+                for block in blocks:
+                    value *= self._block_cumulant(
+                        tuple(letters[i] for i in block)
+                    )
+                    if not value:
+                        break
+                total += value
         self._word_cumulant_memo[words] = total
         return total
 
@@ -286,6 +307,40 @@ class MomentFunctional:
         return self.cumulant(
             tuple(NcPolynomial.generator(g) for g in ids)
         )
+
+
+@lru_cache(maxsize=None)
+def _linking_partitions(
+    lengths: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The pi in NC(m) with pi v sigma = 1_m, as blocks of 0-based letter
+    positions, where sigma cuts m = sum(lengths) letters into consecutive
+    slots of these lengths.
+
+    The join is 1_m exactly when the blocks of pi link the slots into one
+    component. There are at most 2^(m-1) length tuples for each m.
+    """
+    m = sum(lengths)
+    if all(length == 1 for length in lengths):
+        return ((tuple(range(m)),),)
+    slot_of = [s for s, length in enumerate(lengths) for _ in range(length)]
+    linking = []
+    for pi in nc_lattice.enumerate_nc(m, cap=nc_lattice.HARD_DEGREE_CAP):
+        components: list[set[int]] = []
+        for block in pi.blocks:
+            merged = {slot_of[i - 1] for i in block}
+            apart = []
+            for component in components:
+                if component & merged:
+                    merged |= component
+                else:
+                    apart.append(component)
+            components = [*apart, merged]
+        if len(components) == 1:
+            linking.append(
+                tuple(tuple(i - 1 for i in block) for block in pi.blocks)
+            )
+    return tuple(linking)
 
 
 def build_space(

@@ -224,6 +224,39 @@ def _resolve_degree(functional: MomentFunctional, degree: int | None) -> int:
     return resolved
 
 
+def _require_word_cap(
+    functional: MomentFunctional, vars_: Sequence[TVariable], degree: int
+) -> None:
+    """Refuse a series whose scalar words would outgrow the degree cap,
+    before any NC(n) sum.
+
+    The longest word behind entry j of a degree-n coefficient follows the
+    product recursion on entry degrees, over nonzero entries only:
+    L_n[j] = max over k <= j of L_{n-1}[k] + max_i deg x^(i)_{j-k}. The
+    bound ignores cancellation between terms.
+    """
+    absent = float("-inf")  # an entry that is zero in every variable
+    entry = [
+        max(
+            (x.entries[j].degree() for x in vars_ if x.entries[j]),
+            default=absent,
+        )
+        for j in range(vars_[0].order)
+    ]
+    lengths, longest = entry, max(entry)
+    for _ in range(degree - 1):
+        lengths = [
+            max(lengths[k] + entry[j - k] for k in range(j + 1))
+            for j in range(len(entry))
+        ]
+        longest = max(longest, *lengths)
+    if longest > functional.degree_cap:
+        raise DegreeCapExceeded(
+            f"degree {degree} needs scalar words of length {longest}, "
+            f"over the degree cap {functional.degree_cap}"
+        )
+
+
 def moment_series(
     functional: MomentFunctional,
     vars_: Sequence[TVariable],
@@ -232,6 +265,7 @@ def moment_series(
     """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment."""
     order = _check_vars(vars_)
     d = _resolve_degree(functional, degree)
+    _require_word_cap(functional, vars_, d)
     coeffs = {
         w: t_moment(functional, vars_, w)
         for w in all_index_words(len(vars_), d)
@@ -247,6 +281,7 @@ def r_transform(
     """R(z_1..z_s): coefficient at (i_1..i_n) is the tuple cumulant."""
     order = _check_vars(vars_)
     d = _resolve_degree(functional, degree)
+    _require_word_cap(functional, vars_, d)
     coeffs = {
         w: t_cumulant(functional, vars_, w)
         for w in all_index_words(len(vars_), d)
@@ -552,6 +587,7 @@ def symm_r_transform(
             f"b0 has order {b0.order}, variables have order {order}"
         )
     d = _resolve_degree(functional, degree)
+    _require_word_cap(functional, vars_, d)
     coeffs: dict[IndexWord, BScalar] = {}
     for word in all_index_words(len(vars_), d):
         coeffs[word] = b_mul(

@@ -7,11 +7,13 @@ is commutative. A TVariable is an N-tuple of noncommutative polynomials
 with the same product shape; the conditional expectation E applies phi
 entrywise.
 
-Cumulants of tuples come in two independently computed flavors: the
-primary path evaluates scalar multilinear cumulants on the Q-tuples of the
-product recursion, and the oracle path runs Möbius inversion over NC(n)
-with per-block B-products of moments (valid because every BScalar is
-central). The two must always agree; tests enforce it.
+Cumulants of tuples come in two independently computed flavors. The
+primary path follows the product recursion: entry j (0-based) of
+K_n(X_1, ..., X_n) is the sum, over the compositions k_1 + ... + k_n = j,
+of the scalar cumulants kappa_n(x^(1)_{k_1}, ..., x^(n)_{k_n}). The oracle
+path runs Möbius inversion over NC(n) with per-block B-products of moments
+(valid because every BScalar is central). The two must always agree; tests
+enforce it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -291,78 +293,31 @@ def t_moment(
     return expect(functional, chain_product(chosen))
 
 
-@dataclass(frozen=True)
-class QTuple:
-    """A formal sum of n-sequences of polynomials with rational weights.
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
 
-    The sum is formal: sequences are never added pointwise. Appending a
-    polynomial maps each summand to a longer sequence; equal sequences
-    merge by adding their weights.
+
+def composition_terms(
+    chain: Sequence[TVariable], j: int
+) -> Iterator[tuple[NcPolynomial, ...]]:
+    """The argument sequences behind entry j (0-based) of a product chain.
+
+    One sequence (x^(1)_{k_1}, ..., x^(n)_{k_n}) per composition
+    k_1 + ... + k_n = j, skipping those with a zero entry: the terms of the
+    formal sum Q_j of the product recursion. Multiplying out each sequence
+    and summing gives entry j of ``chain_product(chain)``.
     """
-
-    n: int
-    terms: tuple[tuple[Fraction, tuple[NcPolynomial, ...]], ...]
-
-    @staticmethod
-    def single(poly: NcPolynomial) -> "QTuple":
-        return QTuple(1, ((Fraction(1), (poly,)),))
-
-    @staticmethod
-    def combine(
-        parts: Iterable[tuple[Fraction, tuple[NcPolynomial, ...]]],
-        n: int,
-    ) -> "QTuple":
-        merged: dict[tuple[NcPolynomial, ...], Fraction] = {}
-        for coeff, seq in parts:
-            merged[seq] = merged.get(seq, Fraction(0)) + coeff
-        terms = tuple(
-            (coeff, seq) for seq, coeff in merged.items() if coeff
-        )
-        return QTuple(n, terms)
-
-    def appended(self, poly: NcPolynomial) -> Iterable[
-        tuple[Fraction, tuple[NcPolynomial, ...]]
-    ]:
-        for coeff, seq in self.terms:
-            yield coeff, seq + (poly,)
-
-
-def build_q(
-    vars_: Sequence[TVariable], idx: Sequence[int]
-) -> tuple[QTuple, ...]:
-    """The formal-sum tuples (Q_1, ..., Q_N) of the product recursion.
-
-    Q_j for one factor is the single entry a_j; appending a factor maps
-    Q_j to the formal sum over k of Q_k extended by entry (j+1)-k of the
-    new factor. Flattening (multiplying out each sequence) recovers the
-    entries of the product chain exactly.
-    """
-    chosen = _select(vars_, idx)
-    order = chosen[0].order
-    current: list[QTuple] = [
-        QTuple.single(chosen[0].entries[j]) for j in range(order)
-    ]
-    for factor in chosen[1:]:
-        nxt: list[QTuple] = []
-        arity = current[0].n + 1
-        for j in range(order):
-            parts: list[tuple[Fraction, tuple[NcPolynomial, ...]]] = []
-            for k in range(j + 1):
-                parts.extend(current[k].appended(factor.entries[j - k]))
-            nxt.append(QTuple.combine(parts, arity))
-        current = nxt
-    return tuple(current)
-
-
-def flatten_q(q: QTuple) -> NcPolynomial:
-    """Multiply out each sequence of a QTuple and sum with its weights."""
-    total = NcPolynomial.zero()
-    for coeff, seq in q.terms:
-        product = NcPolynomial.one()
-        for poly in seq:
-            product = poly_mul(product, poly)
-        total = poly_add(total, poly_scale(coeff, product))
-    return total
+    for ks in compositions(j, len(chain)):
+        seq = tuple(x.entries[k] for x, k in zip(chain, ks))
+        if all(seq):
+            yield seq
 
 
 def t_cumulant(
@@ -370,20 +325,22 @@ def t_cumulant(
     vars_: Sequence[TVariable],
     idx: Sequence[int],
 ) -> BScalar:
-    """The (i_1, ..., i_n)-th cumulant, via scalar cumulants of Q-tuples.
+    """The (i_1, ..., i_n)-th cumulant, summed over compositions.
 
-    Entry j is the scalar multilinear cumulant applied to each sequence of
-    Q_j, summed with the formal weights. This is the primary code path;
+    Entry j is the sum of the scalar multilinear cumulants of the
+    ``composition_terms`` of entry j. This is the primary code path;
     ``t_cumulant_mobius`` computes the same value independently.
     """
-    qs = build_q(vars_, idx)
-    out: list[Fraction] = []
-    for q in qs:
-        acc = Fraction(0)
-        for coeff, seq in q.terms:
-            acc += coeff * functional.cumulant(seq)
-        out.append(acc)
-    return BScalar(tuple(out))
+    chosen = _select(vars_, idx)
+    return BScalar(
+        tuple(
+            sum(
+                map(functional.cumulant, composition_terms(chosen, j)),
+                Fraction(0),
+            )
+            for j in range(chosen[0].order)
+        )
+    )
 
 
 def t_cumulant_mobius(

@@ -53,8 +53,9 @@ from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
     b_mul,
-    build_q,
     centrality_commutes,
+    chain_product,
+    composition_terms,
     expect,
     t_add,
     t_cumulant,
@@ -359,14 +360,19 @@ def test_criterion_4_dual_cumulant_routes(capsys):
             TVariable.of([gen(f"a1{k}"), gen(f"a2{k}")]) for k in (1, 2, 3)
         ]
 
-        q1, q2 = build_q(a_vars, (1, 2, 3))
-        assert q1.terms == ((F(1), (gen("a11"), gen("a12"), gen("a13"))),)
-        assert {seq for _, seq in q2.terms} == {
+        q1, q2 = (list(composition_terms(a_vars, j)) for j in (0, 1))
+        assert q1 == [(gen("a11"), gen("a12"), gen("a13"))]
+        assert q2 == [
             (gen("a11"), gen("a12"), gen("a23")),
             (gen("a11"), gen("a22"), gen("a13")),
             (gen("a21"), gen("a12"), gen("a13")),
-        }
-        assert all(c == 1 for c, _ in q2.terms)
+        ]
+        chain = chain_product(a_vars)
+        for j, terms in enumerate((q1, q2)):
+            total = zero
+            for seq in terms:
+                total = poly_add(total, seq[0] * seq[1] * seq[2])
+            assert total == chain.entries[j]
 
         got = t_cumulant(fn3, a_vars, (1, 2, 3))
         assert got == BScalar.of([F(1, 2), F(1, 3) + F(1, 5) + F(1, 7)])

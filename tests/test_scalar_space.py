@@ -1,8 +1,10 @@
 """Scalar-model tests: the functional phi, free cumulants, and builders.
 
-The moment side and the cumulant side are built as mutually inverse lattice
-sums, so the central test is the roundtrip: feed in a cumulant table,
-compute moments, recover every cumulant exactly. Named laws are pinned
+Moments are a lattice sum over the cumulant table, and cumulants of words
+are read off the same table by the products-as-arguments sum. The central
+tests are the roundtrip (feed in a cumulant table, recover every cumulant
+exactly) and the comparison of the cumulant of random word tuples with
+Möbius inversion of moments (``oracles.cumulant_words_mobius``). Named laws are pinned
 against their textbook moment sequences, and cross-family cumulants are
 checked to vanish together with the product factorizations that freeness
 forces.
@@ -25,6 +27,8 @@ from toepfree.scalar_space import (
     builtin_distribution,
     build_space,
 )
+
+from oracles import cumulant_words_mobius
 
 F = Fraction
 gen = NcPolynomial.generator
@@ -227,6 +231,60 @@ def test_cumulant_agrees_with_word_path(mixed):
     words = (("s",), ("p", "p"), ("s", "s"))
     args = tuple(NcPolynomial.from_word(w) for w in words)
     assert mixed.cumulant(args) == mixed.cumulant_words(words)
+
+
+def test_cumulant_words_match_mobius_oracle():
+    """Products as arguments against Möbius inversion of moments, on
+    random word tuples over a custom joint family, a free-Poisson, a
+    semicircular and a constant generator, with empty words (constants)
+    and letters from several families in one slot."""
+    rng = random.Random(2031)
+    cap = 6
+    joint = random_joint_spec(rng, ("g1", "g2"), cap)
+    fn = build_space(
+        {
+            "joint": {
+                "g1": {"kind": "custom", "cumulants": joint},
+                "g2": {"kind": "custom", "cumulants": {}},
+            },
+            "pf": {"p": {"kind": "free_poisson", "rate": F(2, 3)}},
+            "sf": {"s": {"kind": "semicircular", "variance": F(3, 2)}},
+            "cf": {"c": {"kind": "constant", "value": F(-1, 2)}},
+        },
+        degree_cap=cap,
+    )
+    ids = ("g1", "g2", "p", "s", "c")
+    seen = set()
+    while len(seen) < 150:
+        arity = rng.randint(1, 4)
+        lengths = [rng.randint(0, 3) for _ in range(arity)]
+        if sum(lengths) > cap:
+            continue
+        words = tuple(
+            tuple(rng.choice(ids) for _ in range(length)) for length in lengths
+        )
+        seen.add(words)
+        assert fn.cumulant_words(words) == cumulant_words_mobius(fn, words), (
+            words
+        )
+    # the draw covers products, constants and single letters throughout
+    assert any(len(w) > 1 for ws in seen for w in ws)
+    assert any(not w for ws in seen if len(ws) > 1 for w in ws)
+    assert any(all(len(w) == 1 for w in ws) for ws in seen if len(ws) > 1)
+
+
+def test_cumulant_words_edges(mixed):
+    assert mixed.cumulant_words(((),)) == 1
+    assert mixed.cumulant_words((("s",), ())) == 0
+    # letters s p | p s: pi = {1,4}{2,3} and {1,4}{2}{3} link both slots,
+    # so the value is k2(s,s) (k2(p,p) + k1(p)^2) = 2
+    assert mixed.cumulant_words((("s", "p"), ("p", "s"))) == 2
+    with pytest.raises(DegreeCapExceeded):
+        mixed.cumulant_words((("s",) * 4, ("s",) * 3))
+    with pytest.raises(DegreeCapExceeded):
+        mixed.cumulant_words((("s",) * 4, (), ("s",) * 3))
+    with pytest.raises(ValueError):
+        mixed.cumulant_words((("nope",),))
 
 
 def test_cumulant_of_ids_matches_cumulant(mixed):

@@ -8,6 +8,7 @@ code paths; the sparsity, evenness, and compression results each get their
 own oracle-backed suite.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toepfree import cli, nc_lattice
 from toepfree.errors import (
     DegreeCapExceeded,
     DimensionMismatch,
@@ -24,7 +26,7 @@ from toepfree.errors import (
     ZeroTrace,
 )
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_scale
-from toepfree.scalar_space import build_space
+from toepfree.scalar_space import MomentFunctional, build_space
 from toepfree.series import (
     BSeries,
     FreenessReport,
@@ -48,6 +50,7 @@ from toepfree.series import (
 from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
+    b_mul,
     t_cumulant,
     t_cumulant_mobius,
     t_mul,
@@ -221,6 +224,110 @@ def test_degree_resolution(fn_semi):
 # --------------------------------------------------------------------------
 # the two lattice directions
 # --------------------------------------------------------------------------
+
+
+def test_word_cap_is_checked_before_any_sum(monkeypatch):
+    """The pre-flight bound follows entry degrees through the product
+    recursion: for X = (s, s*p) the longest scalar word at degree n is
+    n + 1, not n times the largest entry degree."""
+    fn = build_space(
+        {
+            "sf": {"s": {"kind": "semicircular", "variance": 1}},
+            "pf": {"p": {"kind": "free_poisson", "rate": F(1, 2)}},
+        },
+        degree_cap=8,
+    )
+    x = TVariable.of([gen("s"), gen("s") * gen("p")])
+    r = r_transform(fn, [x], 7)  # 7 * 2 = 14 > 8, yet every word fits
+    for n in range(1, 5):
+        assert r.coef((1,) * n) == t_cumulant_mobius(fn, [x], (1,) * n)
+    assert moment_series(fn, [x], 7).degree == 7
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computed past the pre-flight check")
+
+    monkeypatch.setattr(MomentFunctional, "cumulant", boom)
+    monkeypatch.setattr(MomentFunctional, "phi_word", boom)
+    for build in (r_transform, moment_series):
+        with pytest.raises(DegreeCapExceeded) as err:
+            build(fn, [x], 8)
+        assert str(err.value) == (
+            "degree 8 needs scalar words of length 9, over the degree cap 8"
+        )
+    with pytest.raises(DegreeCapExceeded, match="length 9"):
+        symm_r_transform(fn, [x], BScalar.of([1, 1]), 8)
+
+
+def test_cumulant_path_never_inverts_moments(monkeypatch, tmp_path, capsys):
+    """With phi_word, lattice and mu_to_top disabled, r_transform, the
+    cumulants table and check_freeness still give the closed form of
+    X = c + s*alpha + p*beta: K_1 = c + r*beta and, for n >= 2,
+    K_n = v*alpha_1*alpha_2 [n = 2] + r*beta_1*...*beta_n."""
+    v, rate = F(3, 2), F(2, 3)
+    config = {
+        "N": 3,
+        "degree_cap": 6,
+        "families": [
+            {"name": "semi", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": "3/2"}}]},
+            {"name": "pois", "generators": [{"id": "p", "distribution": {
+                "kind": "free_poisson", "rate": "2/3"}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["1 + s", "2*p", "1/2*s"]},
+            {"name": "Y", "entries": ["p", "-1*s", "3 + p"]},
+            {"name": "A", "entries": ["s", "2*s", "0"]},
+            {"name": "B", "entries": ["p", "0", "1/3*p"]},
+        ],
+    }
+    # (c, alpha, beta) of each variable
+    parts = {
+        "X": ([1, 0, 0], [1, 0, F(1, 2)], [0, 2, 0]),
+        "Y": ([0, 0, 3], [0, -1, 0], [1, 0, 1]),
+    }
+    parts = {
+        name: tuple(BScalar.of(b) for b in bs) for name, bs in parts.items()
+    }
+
+    def closed_form(names):
+        beta = BScalar.one(3)
+        for name in names:
+            beta = b_mul(beta, parts[name][2])
+        value = beta.scale(rate)
+        if len(names) == 1:
+            value = value + parts[names[0]][0]
+        if len(names) == 2:
+            alpha = b_mul(parts[names[0]][1], parts[names[1]][1])
+            value = value + alpha.scale(v)
+        return value
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the cumulant path went through moments")
+
+    monkeypatch.setattr(nc_lattice, "lattice", boom)
+    monkeypatch.setattr(nc_lattice.NcLattice, "mu_to_top", boom)
+    monkeypatch.setattr(MomentFunctional, "phi_word", boom)
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(
+        ["cumulants", "--vars", "X,Y", "--degree", "4", "--config", str(path)]
+    ) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert len(table["rows"]) == 16
+    for row in table["rows"]:
+        names = tuple("XY"[i - 1] for i in row["word"])
+        assert row["value"] == closed_form(names).to_json_obj(), names
+
+    model = cli.load_config(str(path))
+    fn, named = model.functional, model.variables
+    r = r_transform(fn, [named["X"], named["Y"]], 4)
+    for word in all_index_words(2, 4):
+        assert r.coef(word) == closed_form(tuple("XY"[i - 1] for i in word))
+
+    assert check_freeness(fn, [named["A"]], [named["B"]], 5).free
+    report = check_freeness(fn, [named["X"]], [named["Y"]], 4)
+    assert report.witness == (1, 2)
 
 
 def test_directions_are_mutual_inverses_random():

@@ -1,7 +1,8 @@
-"""Toeplitz-algebra tests: products, inverses, Q-tuples, both cumulant paths.
+"""Toeplitz-algebra tests: products, inverses, compositions, both cumulant
+paths.
 
-The product is validated against an explicit matrix embedding, the Q-tuple
-recursion against direct multiplication of the product chain, and the
+The product is validated against an explicit matrix embedding, the
+composition terms against direct multiplication of the product chain, and the
 primary cumulant path against an independent Möbius-inversion path. The
 moment-cumulant lattice formula is then re-derived in the test itself as a
 third, engine-free reference.
@@ -16,21 +17,20 @@ from hypothesis import strategies as st
 
 from toepfree import nc_lattice
 from toepfree.errors import DimensionMismatch, NonInvertible
-from toepfree.ncpoly import NcPolynomial, poly_add, poly_scale
+from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul, poly_scale
 from toepfree.scalar_space import MomentFunctional, build_space
 from toepfree.toeplitz_core import (
     BScalar,
-    QTuple,
     TVariable,
     b_add,
     b_inv,
     b_mul,
     b_pow,
-    build_q,
     centrality_commutes,
     chain_product,
+    composition_terms,
+    compositions,
     expect,
-    flatten_q,
     t_cumulant,
     t_cumulant_mobius,
     t_moment,
@@ -209,54 +209,73 @@ def test_tvariable_json_roundtrip():
 
 
 # --------------------------------------------------------------------------
-# Q-tuples
+# compositions: the terms Q_j of the product recursion
 # --------------------------------------------------------------------------
+
+
+def multiply_out(terms) -> NcPolynomial:
+    total = NcPolynomial.zero()
+    for seq in terms:
+        product = NcPolynomial.one()
+        for poly in seq:
+            product = poly_mul(product, poly)
+        total = poly_add(total, product)
+    return total
 
 
 def test_q_tuples_triple_n2():
     x1 = TVariable.of([gen("a1"), gen("b1")])
     x2 = TVariable.of([gen("a2"), gen("b2")])
     x3 = TVariable.of([gen("a3"), gen("b3")])
-    q1, q2 = build_q([x1, x2, x3], (1, 2, 3))
-    assert q1.terms == ((F(1), (gen("a1"), gen("a2"), gen("a3"))),)
-    assert {seq for _, seq in q2.terms} == {
+    chain = [x1, x2, x3]
+    assert list(composition_terms(chain, 0)) == [
+        (gen("a1"), gen("a2"), gen("a3"))
+    ]
+    assert list(composition_terms(chain, 1)) == [
         (gen("a1"), gen("a2"), gen("b3")),
         (gen("a1"), gen("b2"), gen("a3")),
         (gen("b1"), gen("a2"), gen("a3")),
-    }
-    assert all(c == 1 for c, _ in q2.terms)
+    ]
 
 
-def test_q_tuple_merges_duplicate_sequences():
+def test_composition_terms_repeat_equal_sequences():
     a = gen("a1")
     x = TVariable.of([a, a])
-    _, q2 = build_q([x, x], (1, 2))
-    assert q2.terms == ((F(2), (a, a)),)
-    assert flatten_q(q2) == poly_scale(2, word(("a1", "a1")))
+    assert list(composition_terms([x, x], 1)) == [(a, a), (a, a)]
+    assert multiply_out(composition_terms([x, x], 1)) == poly_scale(
+        2, word(("a1", "a1"))
+    )
+    # a zero entry drops every composition that uses it
+    y = TVariable.of([a, NcPolynomial.zero()])
+    assert list(composition_terms([y, y], 1)) == []
+    assert list(compositions(2, 3)) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
+    ]
 
 
-def test_flatten_q_recovers_product_chain():
+def test_composition_terms_multiply_out_to_product_chain():
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(1, 4)
         length = rng.randint(1, 4)
         chain = [rand_tvariable(rng, n) for _ in range(length)]
         idx = tuple(rng.randint(1, length) for _ in range(rng.randint(1, 4)))
-        qs = build_q(chain, idx)
-        product = chain_product([chain[i - 1] for i in idx])
+        chosen = [chain[i - 1] for i in idx]
+        product = chain_product(chosen)
         for j in range(n):
-            assert flatten_q(qs[j]) == product.entries[j]
+            assert multiply_out(composition_terms(chosen, j)) == (
+                product.entries[j]
+            )
 
 
-def test_build_q_validates_index_words():
-    x = TVariable.of([gen("a1")])
+def test_t_cumulant_validates_index_words(functional):
+    x = TVariable.of([gen("s")])
     with pytest.raises(ValueError):
-        build_q([x], ())
+        t_cumulant(functional, [x], ())
     with pytest.raises(ValueError):
-        build_q([x], (2,))
+        t_cumulant(functional, [x], (2,))
     with pytest.raises(DimensionMismatch):
-        build_q([x, TVariable.unit(2)], (1, 2))
-    assert QTuple.single(gen("a1")).n == 1
+        t_cumulant(functional, [x, TVariable.unit(2)], (1, 2))
 
 
 # --------------------------------------------------------------------------
