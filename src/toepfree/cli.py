@@ -22,6 +22,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 from . import nc_lattice
@@ -41,16 +42,15 @@ from .ncpoly import (
 )
 from .scalar_space import DEFAULT_DEGREE, MAX_DEGREE, MomentFunctional, build_space
 from .series import (
-    all_index_words,
     boxed_convolution,
     check_even,
     check_freeness,
+    check_series_request,
     compress_r_transform,
     free_family_sparsity,
-    moment_series,
     r_transform,
 )
-from .toeplitz_core import TVariable
+from .toeplitz_core import TVariable, t_cumulant, t_moment
 
 NC_LIST_CAP = nc_lattice.DEFAULT_DEGREE_CAP
 NC_MOBIUS_CAP = 7
@@ -405,14 +405,12 @@ def _degree_table(
 ) -> Emission:
     vars_ = _resolve_vars(config, args.vars, "--vars")
     degree = args.degree if args.degree is not None else config.degree_cap
-    build = moment_series if kind == "moment" else r_transform
-    series = build(config.functional, vars_, degree)
+    check_series_request(config.functional, vars_, degree)
+    coefficient = t_moment if kind == "moment" else t_cumulant
     out_rows = []
     rows: list[Row] = []
-    for word in all_index_words(len(vars_), degree):
-        if len(word) != degree:
-            continue
-        value = series.coef(word).to_json_obj()
+    for word in product(range(1, len(vars_) + 1), repeat=degree):
+        value = coefficient(config.functional, vars_, word).to_json_obj()
         out_rows.append({"word": list(word), "value": value})
         word_json = _compact(list(word))
         for at, cell in enumerate(value, start=1):

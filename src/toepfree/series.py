@@ -2,16 +2,21 @@
 
 A BSeries assigns a BScalar coefficient to every nonempty index word
 (i_1, ..., i_n) over {1..s} of length at most D. Moment series collect
-tuple moments, R-transforms collect tuple cumulants; the two determine
-each other by Möbius inversion over NC(n). Boxed convolution multiplies
-R-transforms the way t_mul multiplies free variables. On top of that sit
-the freeness and evenness predicates, the sparsity pattern of R-transforms
-of free-generator tuples, symmetric R-transforms, and compression scaling.
+tuple moments, R-transforms collect tuple cumulants. The two determine
+each other through the sum over NC(n) of block products, and boxed
+convolution multiplies R-transforms the way t_mul multiplies free
+variables, through the sum over pi in NC(n) paired with its Kreweras
+complement. All three maps are summed by the first block of pi: a sum over
+the blocks V that hold position 1 of the coefficient at w|V times values
+on the regions V leaves, memoized on shorter words, so no NC(n) is
+enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
+Probability, Lectures 10, 11 and 17). On top of that sit the freeness and
+evenness predicates, the sparsity pattern of R-transforms of
+free-generator tuples, symmetric R-transforms, and compression scaling.
 
-Everything here works coefficientwise in exact rational arithmetic; block
-products in B are taken in order of increasing block minimum, which is
-immaterial because B is commutative but keeps every computation
-deterministic.
+Everything here works coefficientwise in exact rational arithmetic; B is
+commutative, so the scalar recursions hold verbatim for B-valued
+coefficients and the order of B-products is immaterial.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -50,6 +55,7 @@ __all__ = [
     "boxed_identity",
     "check_even",
     "check_freeness",
+    "check_series_request",
     "compress_r_transform",
     "even_cumulant_restricted",
     "family_assignment",
@@ -68,10 +74,6 @@ def all_index_words(s: int, degree: int) -> Iterable[IndexWord]:
     lexicographic within a length."""
     for n in range(1, degree + 1):
         yield from product(range(1, s + 1), repeat=n)
-
-
-def _subword(word: IndexWord, positions: Sequence[int]) -> IndexWord:
-    return tuple(word[p - 1] for p in positions)
 
 
 class BSeries:
@@ -257,15 +259,27 @@ def _require_word_cap(
         )
 
 
+def check_series_request(
+    functional: MomentFunctional,
+    vars_: Sequence[TVariable],
+    degree: int | None,
+) -> tuple[int, int]:
+    """The checks made before any coefficient of a series in vars_ is
+    computed: equal variable orders, a degree within the functional's cap
+    and scalar words within it. Returns the order and the degree."""
+    order = _check_vars(vars_)
+    d = _resolve_degree(functional, degree)
+    _require_word_cap(functional, vars_, d)
+    return order, d
+
+
 def moment_series(
     functional: MomentFunctional,
     vars_: Sequence[TVariable],
     degree: int | None = None,
 ) -> BSeries:
     """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment."""
-    order = _check_vars(vars_)
-    d = _resolve_degree(functional, degree)
-    _require_word_cap(functional, vars_, d)
+    order, d = check_series_request(functional, vars_, degree)
     coeffs = {
         w: t_moment(functional, vars_, w)
         for w in all_index_words(len(vars_), d)
@@ -279,9 +293,7 @@ def r_transform(
     degree: int | None = None,
 ) -> BSeries:
     """R(z_1..z_s): coefficient at (i_1..i_n) is the tuple cumulant."""
-    order = _check_vars(vars_)
-    d = _resolve_degree(functional, degree)
-    _require_word_cap(functional, vars_, d)
+    order, d = check_series_request(functional, vars_, degree)
     coeffs = {
         w: t_cumulant(functional, vars_, w)
         for w in all_index_words(len(vars_), d)
@@ -289,46 +301,115 @@ def r_transform(
     return BSeries(len(vars_), order, d, coeffs)
 
 
-def _nc_block_product(
-    series: BSeries, word: IndexWord, pi: nc_lattice.NcPartition
+def _times(x: BScalar | None, y: BScalar | None) -> BScalar | None:
+    """x · y, where None stands for the unit and costs no product."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return b_mul(x, y)
+
+
+def _add_to(
+    sums: dict[IndexWord, BScalar | None],
+    letters: IndexWord,
+    value: BScalar | None,
+) -> None:
+    """sums[letters] += value, skipping zero. A unit (None) is never
+    added to a held sum: only the block {1, ..., k} has k letters with
+    last position k, and only it can have no region factor."""
+    if value is None or not value.is_zero():
+        sums[letters] = sums[letters] + value if letters in sums else value
+
+
+def _first_block_sum(
+    order: int,
+    word: IndexWord,
+    coeffs: Mapping[IndexWord, BScalar],
+    region: Callable[[int, int], BScalar | None],
+    closed: bool = False,
 ) -> BScalar:
-    """Product over blocks of pi (by block minimum) of the coefficients of
-    series at the subwords of word."""
-    result = BScalar.one(series.order)
-    for block in pi.blocks:
-        result = b_mul(result, series.coef(_subword(word, block)))
-        if result.is_zero():
-            break
-    return result
+    """The first-block sum over the blocks V of word's positions that hold
+    the first position, and also the last one when closed:
+
+        sum over V = {v_1 = 0 < v_2 < ... < v_k} of
+        coeffs[word|V] * prod over s of region(v_s, v_{s+1}),
+
+    with 0-based positions and, unless closed, v_{k+1} = len(word). A word
+    missing from coeffs has coefficient 0, and region returns None for a
+    factor 1 (an empty gap). Blocks are grown one position at a time; those
+    with equal letters and equal last position are merged before they grow,
+    so they share their region products, and a zero region cuts off every
+    block grown through it.
+    """
+    n = len(word)
+    # extend[b]: letters of the blocks whose last position is b -> the sum
+    # of their region products so far
+    extend: list[dict[IndexWord, BScalar | None]] = [{} for _ in range(n)]
+    extend[0][word[:1]] = None
+    ends: dict[IndexWord, BScalar | None] = {}
+    for last in range(n):
+        for letters, weight in extend[last].items():
+            if letters in coeffs and (not closed or last == n - 1):
+                tail = None if closed else region(last, n)
+                _add_to(ends, letters, _times(weight, tail))
+            for nxt in range(last + 1, n):
+                step = region(last, nxt)
+                if step is not None and step.is_zero():
+                    continue
+                _add_to(
+                    extend[nxt], letters + (word[nxt],), _times(weight, step)
+                )
+    total = BScalar.zero(order)
+    for letters, weight in ends.items():
+        total = total + _times(weight, coeffs[letters])
+    return total
+
+
+def _require_calculus_cap(degree: int) -> None:
+    """Refuse a series past the degree cap before any word is summed."""
+    cap = nc_lattice.DEFAULT_DEGREE_CAP
+    if degree > cap:
+        raise DegreeCapExceeded(
+            f"series degree {degree} exceeds the degree cap {cap}"
+        )
 
 
 def moments_from_r(r: BSeries) -> BSeries:
-    """The zeta direction: M-coef(w) = sum over NC(n) of the block
-    products of R-coefficients."""
-    coeffs: dict[IndexWord, BScalar] = {}
+    """The zeta direction, M-coef(w) = sum over pi in NC(n) of the block
+    products of R-coefficients, summed by the first block V of pi:
+    m(w) = sum over V holding position 1 of r(w|V) * prod m(gaps of V),
+    each gap being a shorter word (an empty gap counts 1)."""
+    _require_calculus_cap(r.degree)
+    m: dict[IndexWord, BScalar] = {}
+
     for word in all_index_words(r.s, r.degree):
-        total = BScalar.zero(r.order)
-        for pi in nc_lattice.enumerate_nc(len(word)):
-            total = total + _nc_block_product(r, word, pi)
-        coeffs[word] = total
-    return BSeries(r.s, r.order, r.degree, coeffs)
+
+        def gap(a: int, b: int) -> BScalar | None:
+            return m[word[a + 1 : b]] if b > a + 1 else None
+
+        m[word] = _first_block_sum(r.order, word, r._coeffs, gap)
+    return BSeries(r.s, r.order, r.degree, m)
 
 
 def r_from_moments(m: BSeries) -> BSeries:
-    """The mu direction: R-coef(w) = sum over NC(n) of block products of
-    M-coefficients weighted by mu(pi, 1_n); inverts moments_from_r."""
-    coeffs: dict[IndexWord, BScalar] = {}
+    """The mu direction; inverts moments_from_r. The zeta recursion
+    solved for its V = [n] term:
+    r(w) = m(w) - sum over V holding position 1, V != [n], of
+    r(w|V) * prod m(gaps of V). No Möbius value is needed."""
+    _require_calculus_cap(m.degree)
+    r: dict[IndexWord, BScalar] = {}
+
     for word in all_index_words(m.s, m.degree):
-        lat = nc_lattice.lattice(len(word))
-        mu_top = lat.mu_to_top()
-        total = BScalar.zero(m.order)
-        for at, pi in enumerate(lat.elements):
-            weight = mu_top[at]
-            if not weight:
-                continue
-            total = total + _nc_block_product(m, word, pi).scale(weight)
-        coeffs[word] = total
-    return BSeries(m.s, m.order, m.degree, coeffs)
+
+        def gap(a: int, b: int) -> BScalar | None:
+            return m.coef(word[a + 1 : b]) if b > a + 1 else None
+
+        # r holds no word of this length yet, so the V = [n] term is absent
+        value = m.coef(word) - _first_block_sum(m.order, word, r, gap)
+        if not value.is_zero():
+            r[word] = value
+    return BSeries(m.s, m.order, m.degree, r)
 
 
 def series_add(f: BSeries, g: BSeries) -> BSeries:
@@ -342,18 +423,47 @@ def series_add(f: BSeries, g: BSeries) -> BSeries:
 
 def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
     """(f boxtimes g)-coef(w) = sum over pi in NC(n) of
-    [prod over blocks of pi of f] . [prod over blocks of Kr(pi) of g]."""
+    [prod over blocks of pi of f] . [prod over blocks of Kr(pi) of g],
+    summed by the first block V = {v_1 < ... < v_k} of pi:
+
+        c(w) = sum over V of f(w|V) * prod over s of D(w[v_s .. v_{s+1}-1])
+
+    (v_{k+1} = n + 1), where D(x_0..x_m) sums g over the Kreweras blocks
+    the first block leaves in that region, and E is the same sum with the
+    roles of f and g swapped:
+
+        D(x_0..x_m) = sum over W holding 0 and m of g(x|W)
+                      * prod over consecutive a < b in W of E(x[a+1 .. b]),
+        E(y_1..y_q) = sum over U holding 1 and q of f(y|U)
+                      * prod over consecutive a < b in U of D(y[a .. b-1]).
+
+    D and E are memoized on the subword."""
     _require_same_shape(f, g)
-    coeffs: dict[IndexWord, BScalar] = {}
-    for word in all_index_words(f.s, f.degree):
-        total = BScalar.zero(f.order)
-        for pi in nc_lattice.enumerate_nc(len(word)):
-            left = _nc_block_product(f, word, pi)
-            if left.is_zero():
-                continue
-            right = _nc_block_product(g, word, nc_lattice.kreweras(pi))
-            total = total + b_mul(left, right)
-        coeffs[word] = total
+    _require_calculus_cap(f.degree)
+    order = f.order
+    d_memo: dict[IndexWord, BScalar] = {}
+    e_memo: dict[IndexWord, BScalar] = {}
+
+    def d(x: IndexWord) -> BScalar:
+        if x not in d_memo:
+            d_memo[x] = _first_block_sum(
+                order, x, g._coeffs, lambda a, b: e(x[a + 1 : b + 1]), True
+            )
+        return d_memo[x]
+
+    def e(y: IndexWord) -> BScalar:
+        if y not in e_memo:
+            e_memo[y] = _first_block_sum(
+                order, y, f._coeffs, lambda a, b: d(y[a:b]), True
+            )
+        return e_memo[y]
+
+    coeffs = {
+        word: _first_block_sum(
+            order, word, f._coeffs, lambda a, b: d(word[a:b])
+        )
+        for word in all_index_words(f.s, f.degree)
+    }
     return BSeries(f.s, f.order, f.degree, coeffs)
 
 

@@ -9,11 +9,19 @@ Möbius inversion of moments,
 where w_V concatenates the words of the slots in V. The library reads the
 same cumulant off the table by the products-as-arguments sum; this route
 shares none of that code beyond ``phi_word``.
+
+``moments_from_r_nc``, ``r_from_moments_mobius`` and
+``boxed_convolution_kreweras`` are the series calculus written as sums
+over every pi in NC(n): the zeta sum, the mu(pi, 1_n)-weighted sum and the
+Kreweras-complement sum. The library sums the same series by first-block
+recursion and never enumerates NC(n).
 """
 
 from fractions import Fraction
 
 from toepfree import nc_lattice
+from toepfree.series import BSeries, all_index_words
+from toepfree.toeplitz_core import BScalar, b_mul
 
 
 def cumulant_words_mobius(functional, words):
@@ -30,3 +38,58 @@ def cumulant_words_mobius(functional, words):
             value *= functional.phi_word(letters)
         total += value
     return total
+
+
+def _nc_block_product(series, word, pi):
+    """Product over blocks of pi (by block minimum) of the coefficients of
+    series at the subwords of word."""
+    result = BScalar.one(series.order)
+    for block in pi.blocks:
+        result = b_mul(result, series.coef(tuple(word[p - 1] for p in block)))
+        if result.is_zero():
+            break
+    return result
+
+
+def moments_from_r_nc(r):
+    """M-coef(w) = sum over NC(n) of the block products of R-coefficients."""
+    coeffs = {}
+    for word in all_index_words(r.s, r.degree):
+        total = BScalar.zero(r.order)
+        for pi in nc_lattice.enumerate_nc(len(word)):
+            total = total + _nc_block_product(r, word, pi)
+        coeffs[word] = total
+    return BSeries(r.s, r.order, r.degree, coeffs)
+
+
+def r_from_moments_mobius(m):
+    """R-coef(w) = sum over NC(n) of block products of M-coefficients
+    weighted by mu(pi, 1_n)."""
+    coeffs = {}
+    for word in all_index_words(m.s, m.degree):
+        lat = nc_lattice.lattice(len(word))
+        mu_top = lat.mu_to_top()
+        total = BScalar.zero(m.order)
+        for at, pi in enumerate(lat.elements):
+            weight = mu_top[at]
+            if not weight:
+                continue
+            total = total + _nc_block_product(m, word, pi).scale(weight)
+        coeffs[word] = total
+    return BSeries(m.s, m.order, m.degree, coeffs)
+
+
+def boxed_convolution_kreweras(f, g):
+    """(f boxtimes g)-coef(w) = sum over pi in NC(n) of
+    [prod over blocks of pi of f] . [prod over blocks of Kr(pi) of g]."""
+    coeffs = {}
+    for word in all_index_words(f.s, f.degree):
+        total = BScalar.zero(f.order)
+        for pi in nc_lattice.enumerate_nc(len(word)):
+            left = _nc_block_product(f, word, pi)
+            if left.is_zero():
+                continue
+            right = _nc_block_product(g, word, nc_lattice.kreweras(pi))
+            total = total + b_mul(left, right)
+        coeffs[word] = total
+    return BSeries(f.s, f.order, f.degree, coeffs)

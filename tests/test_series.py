@@ -2,10 +2,11 @@
 transforms built on them.
 
 The two lattice directions (moments from cumulants, cumulants from moments)
-are verified as mutual inverses on random series; additivity and boxed
-multiplicativity are checked with both sides computed through independent
-code paths; the sparsity, evenness, and compression results each get their
-own oracle-backed suite.
+are verified as mutual inverses on random series, and they and boxed
+convolution are compared with their NC(n) sums in ``oracles``; additivity
+and boxed multiplicativity are checked with both sides computed through
+independent code paths; the sparsity, evenness, and compression results
+each get their own oracle-backed suite.
 """
 
 import json
@@ -16,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toepfree import cli, nc_lattice
+from oracles import (
+    boxed_convolution_kreweras,
+    moments_from_r_nc,
+    r_from_moments_mobius,
+)
+from toepfree import cli, nc_lattice, toeplitz_core
+from toepfree import series as series_module
 from toepfree.errors import (
     DegreeCapExceeded,
     DimensionMismatch,
@@ -61,9 +68,15 @@ gen = NcPolynomial.generator
 zero = NcPolynomial.zero()
 
 
-def random_series(rng: random.Random, s: int, order: int, degree: int) -> BSeries:
+def random_series(
+    rng: random.Random, s: int, order: int, degree: int, density: float = 1.0
+) -> BSeries:
+    """A random series; each word has a coefficient with probability
+    density (a dense series draws no extra random numbers)."""
     coeffs = {}
     for w in all_index_words(s, degree):
+        if density < 1 and rng.random() >= density:
+            continue
         coeffs[w] = BScalar.of(
             [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(order)]
         )
@@ -337,6 +350,148 @@ def test_directions_are_mutual_inverses_random():
         f = random_series(rng, s, order, degree)
         assert r_from_moments(moments_from_r(f)) == f
         assert moments_from_r(r_from_moments(f)) == f
+
+
+def test_series_calculus_matches_nc_oracles():
+    """The first-block recursions equal the NC(n) sums they replace: the
+    zeta sum, the mu-weighted sum and the Kreweras-complement sum."""
+    rng = random.Random(31)
+    for s in (1, 2, 3):
+        for order in (1, 2, 3, 4):
+            for density in (0.3, 1.0):
+                degree = rng.randint(1, 5) if s < 3 else rng.randint(1, 4)
+                f = random_series(rng, s, order, degree, density)
+                g = random_series(rng, s, order, degree, density)
+                e = boxed_identity(s, order, degree)
+                assert moments_from_r(f) == moments_from_r_nc(f)
+                assert r_from_moments(f) == r_from_moments_mobius(f)
+                assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+                assert boxed_convolution(f, e) == boxed_convolution_kreweras(f, e)
+                assert boxed_convolution(e, f) == boxed_convolution_kreweras(e, f)
+    f = random_series(rng, 3, 2, 5, 0.5)
+    g = random_series(rng, 3, 2, 5, 0.5)
+    assert moments_from_r(f) == moments_from_r_nc(f)
+    assert r_from_moments(f) == r_from_moments_mobius(f)
+    assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+
+
+def test_series_calculus_cap_is_checked_before_any_word(monkeypatch):
+    """All three maps refuse a series over the degree cap up front, and a
+    series at the cap gets past the check into the B-products."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("summed a word")
+
+    monkeypatch.setattr(series_module, "b_mul", boom)
+    monkeypatch.setattr(toeplitz_core, "b_mul", boom)
+    cap = nc_lattice.DEFAULT_DEGREE_CAP
+
+    def chain(degree):
+        return BSeries(
+            1, 2, degree,
+            {(1,) * n: BScalar.of([1, n]) for n in range(1, degree + 1)},
+        )
+
+    maps = (moments_from_r, r_from_moments, lambda f: boxed_convolution(f, f))
+    for apply in maps:
+        with pytest.raises(DegreeCapExceeded) as err:
+            apply(chain(cap + 1))
+        assert str(err.value) == (
+            f"series degree {cap + 1} exceeds the degree cap {cap}"
+        )
+        with pytest.raises(AssertionError, match="summed a word"):
+            apply(chain(cap))
+
+
+def test_series_calculus_never_enumerates_nc(monkeypatch, tmp_path, capsys):
+    """With NC(n) enumeration, the lattice, mu_to_top and the Kreweras
+    complement disabled, the maps still invert each other, the boxed
+    identity stays neutral and the boxconv command gives its hand value."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the series calculus went through NC(n)")
+
+    monkeypatch.setattr(nc_lattice, "enumerate_nc", boom)
+    monkeypatch.setattr(nc_lattice, "lattice", boom)
+    monkeypatch.setattr(nc_lattice.NcLattice, "mu_to_top", boom)
+    monkeypatch.setattr(nc_lattice, "kreweras", boom)
+
+    rng = random.Random(41)
+    for _ in range(10):
+        s, order, degree = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        f = random_series(rng, s, order, degree, rng.choice((0.3, 1.0)))
+        e = boxed_identity(s, order, degree)
+        assert r_from_moments(moments_from_r(f)) == f
+        assert moments_from_r(r_from_moments(f)) == f
+        assert boxed_convolution(f, e) == f
+        assert boxed_convolution(e, f) == f
+
+    config = {
+        "N": 2,
+        "degree_cap": 6,
+        "families": [
+            {"name": "semi", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": 1}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["s", "0"]},
+            {"name": "C", "entries": ["2", "1/3"]},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(
+        ["boxconv", "--left", "X", "--right", "C", "--degree", "4",
+         "--config", str(path)]
+    ) == 0
+    obj = json.loads(capsys.readouterr().out)
+    got = {tuple(row["word"]): row["value"] for row in obj["coefficients"]}
+    rc = BScalar.of([2, F(1, 3)])
+    assert got[(1, 1)] == b_mul(BScalar.of([1, 0]), b_mul(rc, rc)).to_json_obj()
+
+
+@pytest.mark.parametrize("command", ["moments", "cumulants"])
+def test_degree_table_computes_only_printed_words(
+    monkeypatch, tmp_path, capsys, command
+):
+    """moments/cumulants --degree d compute the s^d coefficients they
+    print and no shorter word."""
+    calls = []
+    for module in (cli, series_module):
+        for name in ("t_moment", "t_cumulant"):
+            original = getattr(toeplitz_core, name)
+
+            def counted(functional, vars_, word, _original=original):
+                calls.append(word)
+                return _original(functional, vars_, word)
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+
+    config = {
+        "N": 3,
+        "degree_cap": 6,
+        "families": [
+            {"name": "semi", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": 1}}]},
+            {"name": "pois", "generators": [{"id": "p", "distribution": {
+                "kind": "free_poisson", "rate": "1/2"}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["s", "1", "p"]},
+            {"name": "Y", "entries": ["p", "s", "0"]},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    for degree in (1, 3, 4):
+        calls.clear()
+        assert cli.main(
+            [command, "--vars", "X,Y", "--degree", str(degree),
+             "--config", str(path)]
+        ) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(calls) == len(rows) == 2**degree
+        assert sorted(calls) == calls and {len(w) for w in calls} == {degree}
 
 
 @pytest.fixture
