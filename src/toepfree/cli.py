@@ -50,7 +50,7 @@ from .series import (
     free_family_sparsity,
     r_transform,
 )
-from .toeplitz_core import TVariable, t_cumulant, t_moment
+from .toeplitz_core import TVariable, t_cumulant, t_moments
 
 NC_LIST_CAP = nc_lattice.DEFAULT_DEGREE_CAP
 NC_MOBIUS_CAP = 7
@@ -406,11 +406,15 @@ def _degree_table(
     vars_ = _resolve_vars(config, args.vars, "--vars")
     degree = args.degree if args.degree is not None else config.degree_cap
     check_series_request(config.functional, vars_, degree)
-    coefficient = t_moment if kind == "moment" else t_cumulant
+    words = list(product(range(1, len(vars_) + 1), repeat=degree))
+    if kind == "moment":
+        values = t_moments(config.functional, vars_, words)
+    else:
+        values = (t_cumulant(config.functional, vars_, w) for w in words)
     out_rows = []
     rows: list[Row] = []
-    for word in product(range(1, len(vars_) + 1), repeat=degree):
-        value = coefficient(config.functional, vars_, word).to_json_obj()
+    for word, coefficient in zip(words, values):
+        value = coefficient.to_json_obj()
         out_rows.append({"word": list(word), "value": value})
         word_json = _compact(list(word))
         for at, cell in enumerate(value, start=1):

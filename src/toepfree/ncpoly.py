@@ -101,7 +101,8 @@ class NcPolynomial:
             "_terms",
             tuple(sorted(clean.items(), key=lambda kv: _word_key(kv[0]))),
         )
-        object.__setattr__(self, "_hash", hash(self._terms))
+        # hashed on first use: most products are never memo keys
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NcPolynomial is immutable")
@@ -168,6 +169,8 @@ class NcPolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._terms))
         return self._hash
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
@@ -242,11 +245,21 @@ def poly_scale(c: RationalLike, p: NcPolynomial) -> NcPolynomial:
 
 def poly_mul(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
     """Free-algebra product: word concatenation, extended bilinearly."""
+    return poly_sum_of_products(((p, q),))
+
+
+def poly_sum_of_products(
+    pairs: Iterable[tuple[NcPolynomial, NcPolynomial]]
+) -> NcPolynomial:
+    """The sum of p * q over the pairs, collected in one term table, so
+    that only the result is put in canonical form."""
     terms: dict[Word, Fraction] = {}
-    for w1, c1 in p.terms:
-        for w2, c2 in q.terms:
-            word = w1 + w2
-            terms[word] = terms.get(word, Fraction(0)) + c1 * c2
+    for p, q in pairs:
+        for w1, c1 in p.terms:
+            for w2, c2 in q.terms:
+                word = w1 + w2
+                prev = terms.get(word)
+                terms[word] = c1 * c2 if prev is None else prev + c1 * c2
     return NcPolynomial(terms)
 
 

@@ -4,7 +4,16 @@ A distribution is specified by a table of joint free cumulants per family
 (cross-family cumulants are identically zero, so distinct families are free
 by construction). Moments are derived from cumulants by the lattice sum
 
-    phi(a_1 ... a_n) = sum over pi in NC(n) of prod over blocks V of kappa(V).
+    phi(a_1 ... a_n) = sum over pi in NC(n) of prod over blocks V of kappa(V),
+
+summed by the block V of pi that holds position 1: the rest of pi is a
+noncrossing partition of each gap V leaves, so
+
+    phi(w) = sum over V holding 1 of kappa(w|V) * prod over gaps of phi(gap),
+
+with the gaps' moments memoized as shorter words (Nica-Speicher, Lectures
+on the Combinatorics of Free Probability, Lectures 10 and 11). No NC(n) is
+enumerated.
 
 Multilinear cumulants are read off the table without going through moments.
 A cumulant whose slots hold words (products of generators) is a cumulant
@@ -163,7 +172,7 @@ class MomentFunctional:
                         )
         self.spec = spec
         self.degree_cap = spec.degree_cap
-        self._word_memo: dict[Word, Fraction] = {}
+        self._word_memo: dict[Word, Fraction] = {(): Fraction(1)}
         self._cumulant_memo: dict[tuple[NcPolynomial, ...], Fraction] = {}
         self._word_cumulant_memo: dict[tuple[Word, ...], Fraction] = {}
 
@@ -177,31 +186,56 @@ class MomentFunctional:
         return self.spec.value(next(iter(families)), letters)
 
     def phi_word(self, word: Word) -> Fraction:
-        """phi of a single word: the NC(n) lattice sum of block cumulants."""
+        """phi of a single word, memoized; the word is checked only when
+        it is not in the memo, which holds checked words only."""
         word = tuple(word)
-        n = len(word)
-        if n == 0:
-            return Fraction(1)
-        if n > self.degree_cap:
+        cached = self._word_memo.get(word)
+        if cached is not None:
+            return cached
+        if len(word) > self.degree_cap:
             raise DegreeCapExceeded(
-                f"word of length {n} exceeds degree cap {self.degree_cap}"
+                f"word of length {len(word)} exceeds degree cap "
+                f"{self.degree_cap}"
             )
         for gen_id in word:
             if gen_id not in self.generators:
                 raise ValueError(f"undeclared generator {gen_id!r} in word")
+        return self._moment(word)
+
+    def _moment(self, word: Word) -> Fraction:
+        """phi of a checked word, summed by the first block: over the blocks
+        V holding position 0, kappa(word|V) times the moments of the gaps
+        between consecutive positions of V and after its last one.
+
+        Blocks grow one position at a time and only through letters of the
+        first letter's family (a block mixing families has cumulant 0);
+        blocks with equal letters and equal last position are merged before
+        they grow, and a gap of moment 0 cuts off every block grown past it.
+        """
         cached = self._word_memo.get(word)
         if cached is not None:
             return cached
+        n = len(word)
+        family = self.generators[word[0]].family
+        # grow[b]: letters of the blocks whose last position is b -> the
+        # sum of their gap-moment products so far
+        grow: list[dict[Word, Fraction]] = [{} for _ in range(n)]
+        grow[0][word[:1]] = Fraction(1)
         total = Fraction(0)
-        for pi in nc_lattice.enumerate_nc(n, cap=nc_lattice.HARD_DEGREE_CAP):
-            product = Fraction(1)
-            for block in pi.blocks:
-                product *= self._block_cumulant(
-                    tuple(word[i - 1] for i in block)
-                )
-                if not product:
-                    break
-            total += product
+        for last in range(n):
+            for letters, weight in grow[last].items():
+                kappa = self._block_cumulant(letters)
+                if kappa:
+                    total += kappa * weight * self._moment(word[last + 1 :])
+                for nxt in range(last + 1, n):
+                    if self.generators[word[nxt]].family != family:
+                        continue
+                    gap = self._moment(word[last + 1 : nxt])
+                    if gap:
+                        key = letters + word[nxt : nxt + 1]
+                        prev = grow[nxt].get(key)
+                        step = weight * gap
+                        grow[nxt][key] = step if prev is None else prev + step
         self._word_memo[word] = total
         return total
 

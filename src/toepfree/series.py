@@ -46,6 +46,7 @@ from .toeplitz_core import (
     b_pow,
     t_cumulant,
     t_moment,
+    t_moments,
 )
 
 __all__ = [
@@ -280,10 +281,9 @@ def moment_series(
 ) -> BSeries:
     """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment."""
     order, d = check_series_request(functional, vars_, degree)
-    coeffs = {
-        w: t_moment(functional, vars_, w)
-        for w in all_index_words(len(vars_), d)
-    }
+    # lexicographic order walks the word trie, sharing prefix products
+    words = sorted(all_index_words(len(vars_), d))
+    coeffs = dict(zip(words, t_moments(functional, vars_, words)))
     return BSeries(len(vars_), order, d, coeffs)
 
 

@@ -5,7 +5,8 @@ convolution product whose j-th entry is sum_{k=1}^{j} a_k b_{j+1-k}; it is
 isomorphic to the algebra of N x N upper-triangular Toeplitz matrices and
 is commutative. A TVariable is an N-tuple of noncommutative polynomials
 with the same product shape; the conditional expectation E applies phi
-entrywise.
+entrywise. Moments of many index words are taken along a walk of the word
+trie, so words that share a prefix share its chain product.
 
 Cumulants of tuples come in two independently computed flavors. The
 primary path follows the product recursion: entry j (0-based) of
@@ -37,6 +38,7 @@ from .ncpoly import (
     poly_add,
     poly_mul,
     poly_scale,
+    poly_sum_of_products,
 )
 from .scalar_space import MomentFunctional
 
@@ -104,12 +106,10 @@ def b_add(x: BScalar, y: BScalar) -> BScalar:
 def b_mul(x: BScalar, y: BScalar) -> BScalar:
     """Convolution product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}."""
     _require_same_order(x, y)
+    xs, ys = x.entries, y.entries
     return BScalar(
         tuple(
-            sum(
-                (x.entries[k] * y.entries[j - k] for k in range(j + 1)),
-                Fraction(0),
-            )
+            sum((xs[k] * ys[j - k] for k in range(1, j + 1)), xs[0] * ys[j])
             for j in range(x.order)
         )
     )
@@ -133,13 +133,13 @@ def b_inv(x: BScalar) -> BScalar:
     """
     if x.entries[0] == 0:
         raise NonInvertible("first entry is zero; no convolution inverse")
-    inv: list[Fraction] = [Fraction(1) / x.entries[0]]
+    xs = x.entries
+    inv: list[Fraction] = [Fraction(1) / xs[0]]
     for j in range(1, x.order):
         acc = sum(
-            (x.entries[k] * inv[j - k] for k in range(1, j + 1)),
-            Fraction(0),
+            (xs[k] * inv[j - k] for k in range(2, j + 1)), xs[1] * inv[j - 1]
         )
-        inv.append(-acc / x.entries[0])
+        inv.append(-acc / xs[0])
     return BScalar(tuple(inv))
 
 
@@ -202,13 +202,13 @@ def t_mul(x: TVariable, y: TVariable) -> TVariable:
     polynomials of the product recursion.
     """
     _require_same_order(x, y)
-    out: list[NcPolynomial] = []
-    for j in range(x.order):
-        acc = NcPolynomial.zero()
-        for k in range(j + 1):
-            acc = poly_add(acc, poly_mul(x.entries[k], y.entries[j - k]))
-        out.append(acc)
-    return TVariable(tuple(out))
+    xs, ys = x.entries, y.entries
+    return TVariable(
+        tuple(
+            poly_sum_of_products((xs[k], ys[j - k]) for k in range(j + 1))
+            for j in range(x.order)
+        )
+    )
 
 
 def t_mul_oracle(x: TVariable, y: TVariable) -> TVariable:
@@ -283,14 +283,45 @@ def _select(vars_: Sequence[TVariable], idx: Sequence[int]) -> list[TVariable]:
     return chosen
 
 
+def t_moments(
+    functional: MomentFunctional,
+    vars_: Sequence[TVariable],
+    words: Iterable[Sequence[int]],
+) -> Iterator[BScalar]:
+    """The moment of each index word in turn: E of its product chain.
+
+    The chain products of the last word's prefixes are kept, and each word
+    reuses those of the prefix it shares with the word before, so it costs
+    one t_mul per letter past that prefix. Given in lexicographic order (a
+    preorder of the word trie), the words cost one t_mul per trie node
+    below the first level, and no more products are alive at once than the
+    longest word has letters.
+    """
+    path: list[TVariable] = []  # path[k]: product of the first k+1 factors
+    last: Sequence[int] = ()
+    for idx in words:
+        chosen = _select(vars_, idx)
+        shared = 0
+        for a, b in zip(last, idx):
+            if a != b:
+                break
+            shared += 1
+        del path[shared:]
+        if not path:
+            path.append(chosen[0])
+        for factor in chosen[len(path):]:
+            path.append(t_mul(path[-1], factor))
+        last = idx
+        yield expect(functional, path[-1])
+
+
 def t_moment(
     functional: MomentFunctional,
     vars_: Sequence[TVariable],
     idx: Sequence[int],
 ) -> BScalar:
     """The (i_1, ..., i_n)-th moment: E of the product chain."""
-    chosen = _select(vars_, idx)
-    return expect(functional, chain_product(chosen))
+    return next(t_moments(functional, vars_, (idx,)))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -8,7 +8,11 @@ Möbius inversion of moments,
 
 where w_V concatenates the words of the slots in V. The library reads the
 same cumulant off the table by the products-as-arguments sum; this route
-shares none of that code beyond ``phi_word``.
+shares none of that code, and takes its moments from ``phi_word_nc``.
+
+``phi_word_nc`` is phi of a word as the sum over every pi in NC(n) of the
+products of block cumulants read off the table. The library sums the same
+moment by first-block recursion and never enumerates NC(n).
 
 ``moments_from_r_nc``, ``r_from_moments_mobius`` and
 ``boxed_convolution_kreweras`` are the series calculus written as sums
@@ -24,6 +28,32 @@ from toepfree.series import BSeries, all_index_words
 from toepfree.toeplitz_core import BScalar, b_mul
 
 
+def _table_cumulant(functional, letters):
+    """kappa of a block of letters: the table entry of their family, or 0
+    when they mix families."""
+    families = {functional.generators[g].family for g in letters}
+    if len(families) != 1:
+        return Fraction(0)
+    return functional.spec.value(families.pop(), tuple(letters))
+
+
+def phi_word_nc(functional, word):
+    """phi(w) = sum over pi in NC(n) of prod over blocks V of kappa(w|V)."""
+    if not word:
+        return Fraction(1)
+    total = Fraction(0)
+    for pi in nc_lattice.enumerate_nc(len(word)):
+        product = Fraction(1)
+        for block in pi.blocks:
+            product *= _table_cumulant(
+                functional, tuple(word[i - 1] for i in block)
+            )
+            if not product:
+                break
+        total += product
+    return total
+
+
 def cumulant_words_mobius(functional, words):
     """The cumulant with one plain word per slot, by Möbius inversion."""
     lat = nc_lattice.lattice(len(words))
@@ -35,7 +65,7 @@ def cumulant_words_mobius(functional, words):
             if not value:
                 break
             letters = tuple(g for i in block for g in words[i - 1])
-            value *= functional.phi_word(letters)
+            value *= phi_word_nc(functional, letters)
         total += value
     return total
 

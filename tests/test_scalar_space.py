@@ -1,7 +1,9 @@
 """Scalar-model tests: the functional phi, free cumulants, and builders.
 
-Moments are a lattice sum over the cumulant table, and cumulants of words
-are read off the same table by the products-as-arguments sum. The central
+Moments are a lattice sum over the cumulant table, summed by first-block
+recursion and compared with the full NC(n) sum (``oracles.phi_word_nc``),
+and cumulants of words are read off the same table by the
+products-as-arguments sum. The central
 tests are the roundtrip (feed in a cumulant table, recover every cumulant
 exactly) and the comparison of the cumulant of random word tuples with
 Möbius inversion of moments (``oracles.cumulant_words_mobius``). Named laws are pinned
@@ -28,7 +30,7 @@ from toepfree.scalar_space import (
     build_space,
 )
 
-from oracles import cumulant_words_mobius
+from oracles import cumulant_words_mobius, phi_word_nc
 
 F = Fraction
 gen = NcPolynomial.generator
@@ -156,6 +158,44 @@ def test_phi_word_edges(mixed):
         mixed.phi_word(("s",) * 7)
     with pytest.raises(ValueError):
         mixed.phi_word(("nope",))
+    # the checks still run once the memo holds the words' subwords
+    assert mixed.phi_word(("s", "p") * 3) == mixed.phi_word(("s", "p") * 3)
+    with pytest.raises(DegreeCapExceeded):
+        mixed.phi_word(("s", "p") * 3 + ("s",))
+    with pytest.raises(ValueError):
+        mixed.phi_word(("s", "p", "nope"))
+
+
+def test_phi_word_matches_nc_oracle():
+    """First-block phi against the NC(n) sum, on random words up to the
+    cap of 8 over a semicircular, a free-Poisson and a constant generator
+    and a custom joint family of two generators."""
+    rng = random.Random(4051)
+    cap = 8
+    fn = build_space(
+        {
+            "joint": {
+                "g1": {
+                    "kind": "custom",
+                    "cumulants": random_joint_spec(rng, ("g1", "g2"), cap),
+                },
+                "g2": {"kind": "custom", "cumulants": {}},
+            },
+            "pf": {"p": {"kind": "free_poisson", "rate": F(2, 3)}},
+            "sf": {"s": {"kind": "semicircular", "variance": F(3, 2)}},
+            "cf": {"c": {"kind": "constant", "value": F(-1, 2)}},
+        },
+        degree_cap=cap,
+    )
+    ids = ("g1", "g2", "p", "s", "c")
+    words = {
+        tuple(rng.choice(ids) for _ in range(rng.randint(0, cap)))
+        for _ in range(120)
+    }
+    words |= {("g1", "g2") * 4, ("s", "p") * 4, ("p",) * 8}
+    for word in sorted(words, key=lambda w: (-len(w), w)):
+        assert fn.phi_word(word) == phi_word_nc(fn, word), word
+    assert max(map(len, words)) == cap
 
 
 def test_phi_is_linear(semi):

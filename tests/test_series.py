@@ -3,7 +3,8 @@ transforms built on them.
 
 The two lattice directions (moments from cumulants, cumulants from moments)
 are verified as mutual inverses on random series, and they and boxed
-convolution are compared with their NC(n) sums in ``oracles``; additivity
+convolution are compared with their NC(n) sums in ``oracles``; moment
+series are compared with per-word chains of matrix products; additivity
 and boxed multiplicativity are checked with both sides computed through
 independent code paths; the sparsity, evenness, and compression results
 each get their own oracle-backed suite.
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from oracles import (
     boxed_convolution_kreweras,
     moments_from_r_nc,
+    phi_word_nc,
     r_from_moments_mobius,
 )
 from toepfree import cli, nc_lattice, toeplitz_core
@@ -61,6 +63,7 @@ from toepfree.toeplitz_core import (
     t_cumulant,
     t_cumulant_mobius,
     t_mul,
+    t_mul_oracle,
 )
 
 F = Fraction
@@ -455,7 +458,10 @@ def test_degree_table_computes_only_printed_words(
     monkeypatch, tmp_path, capsys, command
 ):
     """moments/cumulants --degree d compute the s^d coefficients they
-    print and no shorter word."""
+    print and no shorter word. cumulants make one t_cumulant call per
+    printed word, in order. moments evaluate E once per printed word, in
+    order, and walk the words as a trie: one t_mul for each trie node of
+    depth 2..d, sum over k = 2..d of 2^k in all, and no NC(n) sum."""
     calls = []
     for module in (cli, series_module):
         for name in ("t_moment", "t_cumulant"):
@@ -466,6 +472,26 @@ def test_degree_table_computes_only_printed_words(
                 return _original(functional, vars_, word)
 
             monkeypatch.setattr(module, name, counted, raising=False)
+    evaluated, calls_t_mul, calls_nc = [], [], []
+    expect, t_mul_ = toeplitz_core.expect, toeplitz_core.t_mul
+    enumerate_nc = nc_lattice.enumerate_nc
+
+    def counted_expect(functional, x):
+        value = expect(functional, x)
+        evaluated.append(value.to_json_obj())
+        return value
+
+    def counted_t_mul(x, y):
+        calls_t_mul.append(None)
+        return t_mul_(x, y)
+
+    def counted_enumerate_nc(*args, **kwargs):
+        calls_nc.append(args)
+        return enumerate_nc(*args, **kwargs)
+
+    monkeypatch.setattr(toeplitz_core, "expect", counted_expect)
+    monkeypatch.setattr(toeplitz_core, "t_mul", counted_t_mul)
+    monkeypatch.setattr(nc_lattice, "enumerate_nc", counted_enumerate_nc)
 
     config = {
         "N": 3,
@@ -485,13 +511,141 @@ def test_degree_table_computes_only_printed_words(
     path.write_text(json.dumps(config))
     for degree in (1, 3, 4):
         calls.clear()
+        evaluated.clear()
+        calls_t_mul.clear()
+        calls_nc.clear()
         assert cli.main(
             [command, "--vars", "X,Y", "--degree", str(degree),
              "--config", str(path)]
         ) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(calls) == len(rows) == 2**degree
-        assert sorted(calls) == calls and {len(w) for w in calls} == {degree}
+        assert len(rows) == 2**degree
+        if command == "cumulants":
+            assert len(calls) == len(rows)
+            assert sorted(calls) == calls and {len(w) for w in calls} == {degree}
+        else:
+            assert calls == []
+            assert evaluated == [row["value"] for row in rows]
+            assert len(calls_t_mul) == sum(2**k for k in range(2, degree + 1))
+            assert calls_nc == []
+
+
+def random_affine_vars(rng: random.Random, s: int, order: int) -> list:
+    """s variables whose entries are 0, c + a*s + b*p or c*s*p + d*p*s,
+    with small random rationals."""
+
+    def rational():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def entry():
+        kind = rng.choice(("zero", "affine", "affine", "sp"))
+        if kind == "zero":
+            return zero
+        if kind == "affine":
+            return NcPolynomial(
+                {(): rational(), ("s",): rational(), ("p",): rational()}
+            )
+        return NcPolynomial({("s", "p"): rational(), ("p", "s"): rational()})
+
+    return [
+        TVariable.of([entry() for _ in range(order)]) for _ in range(s)
+    ]
+
+
+def oracle_moment_series(fn, vars_, degree: int) -> BSeries:
+    """Each coefficient from its own chain of matrix products
+    (t_mul_oracle), with phi summed over NC(n) (phi_word_nc)."""
+    phi = {}
+    coeffs = {}
+    for word in all_index_words(len(vars_), degree):
+        chain = vars_[word[0] - 1]
+        for i in word[1:]:
+            chain = t_mul_oracle(chain, vars_[i - 1])
+        entries = []
+        for poly in chain.entries:
+            total = F(0)
+            for w, c in poly.terms:
+                if w not in phi:
+                    phi[w] = phi_word_nc(fn, w)
+                total += c * phi[w]
+            entries.append(total)
+        coeffs[word] = BScalar(tuple(entries))
+    return BSeries(len(vars_), vars_[0].order, degree, coeffs)
+
+
+def _affine_space(rng: random.Random) -> MomentFunctional:
+    return build_space(
+        {
+            "sf": {"s": {"kind": "semicircular",
+                         "variance": F(rng.randint(1, 4), rng.randint(1, 3))}},
+            "pf": {"p": {"kind": "free_poisson",
+                         "rate": F(rng.randint(1, 4), rng.randint(1, 3))}},
+        },
+        degree_cap=8,
+    )
+
+
+def test_moment_series_matches_oracle_chain():
+    """The prefix walk with fused products and first-block phi against a
+    per-word chain of matrix products with phi summed over NC(n), on
+    seeded models with affine and s*p entries."""
+    rng = random.Random(5077)
+    shapes = set()
+    for _ in range(8):
+        s, order = rng.randint(1, 3), rng.randint(1, 4)
+        degree = 3 if s == 3 else 4
+        fn = _affine_space(rng)
+        vars_ = random_affine_vars(rng, s, order)
+        assert moment_series(fn, vars_, degree) == oracle_moment_series(
+            fn, vars_, degree
+        ), (s, order, degree)
+        shapes.add((s, order))
+    assert {s for s, _ in shapes} == {1, 2, 3}
+
+
+def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
+    """With NC(n) enumeration, the lattice, the Kreweras complement and
+    MomentFunctional.cumulant disabled, the moments command and
+    moment_series still give the oracle's values."""
+    config = {
+        "N": 3,
+        "degree_cap": 8,
+        "families": [
+            {"name": "semi", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": "3/2"}}]},
+            {"name": "pois", "generators": [{"id": "p", "distribution": {
+                "kind": "free_poisson", "rate": "2/3"}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["1 + s", "2*s*p - p*s", "1/2*p"]},
+            {"name": "Y", "entries": ["p - 2", "0", "s + 3*p"]},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    loaded = cli.load_config(str(path))
+    vars_ = [loaded.variables["X"], loaded.variables["Y"]]
+    want = oracle_moment_series(loaded.functional, vars_, 4)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the moment path went through NC(n) or cumulant")
+
+    monkeypatch.setattr(nc_lattice, "enumerate_nc", boom)
+    monkeypatch.setattr(nc_lattice, "lattice", boom)
+    monkeypatch.setattr(nc_lattice, "kreweras", boom)
+    monkeypatch.setattr(MomentFunctional, "cumulant", boom)
+
+    assert moment_series(loaded.functional, vars_, 4) == want
+    assert cli.main(
+        ["moments", "--vars", "X,Y", "--degree", "4", "--config", str(path)]
+    ) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [tuple(row["word"]) for row in rows] == [
+        w for w in all_index_words(2, 4) if len(w) == 4
+    ]
+    for row in rows:
+        assert row["value"] == want.coef(row["word"]).to_json_obj(), row
+    assert any(not want.coef(w).is_zero() for w in all_index_words(2, 4))
 
 
 @pytest.fixture
