@@ -5,13 +5,17 @@ generators: elements are finite rational linear combinations of words
 (sequences of generator ids), multiplied by word concatenation. A small
 recursive-descent parser turns expression strings into polynomials.
 
-Everything here is immutable and exact; coefficients are ``Fraction``s.
+Everything here is immutable and exact. A polynomial is stored as one
+positive common denominator and integer numerators, so that products and
+sums run on integers with a single reduction per result; ``terms`` and
+``coeff`` give its coefficients as ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EngineError
@@ -75,34 +79,40 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _word_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
+def _term_key(term: tuple[Word, Fraction]) -> tuple[int, Word]:
+    return (len(term[0]), term[0])
 
 
 class NcPolynomial:
     """A finite rational linear combination of words, in canonical form.
 
-    Terms are kept with nonzero coefficients only and ordered by degree,
-    then lexicographically on letters. Instances are immutable and hashable
-    (they serve as memo keys throughout the engine).
+    Stored as one positive denominator D and a table {word: n_w} of
+    nonzero integer numerators, the coefficient of w being n_w / D, with
+    no factor common to D and every n_w; equal polynomials hold equal
+    data. ``terms`` is the same polynomial as (word, Fraction) pairs
+    ordered by degree, then lexicographically on letters, built on first
+    use. Instances are immutable and hashable (they serve as memo keys
+    throughout the engine).
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("denominator", "numerators", "_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        clean: dict[Word, Fraction] = {}
+    #: the common denominator D > 0
+    denominator: int
+    #: the nonzero integer numerators, read only: word w has coefficient
+    #: n_w / D
+    numerators: Mapping[Word, int]
+
+    def __init__(self, terms: Mapping[Word, RationalLike] | None = None):
+        fracs: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
                 frac = as_fraction(coeff)
                 if frac:
-                    clean[tuple(word)] = frac
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(clean.items(), key=lambda kv: _word_key(kv[0]))),
-        )
-        # hashed on first use: most products are never memo keys
-        object.__setattr__(self, "_hash", None)
+                    fracs[tuple(word)] = frac
+        den = lcm(*(f.denominator for f in fracs.values()))
+        nums = {w: f.numerator * den // f.denominator for w, f in fracs.items()}
+        _store(self, den, nums)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NcPolynomial is immutable")
@@ -129,24 +139,26 @@ class NcPolynomial:
 
     @property
     def terms(self) -> tuple[tuple[Word, Fraction], ...]:
+        if self._terms is None:
+            den = self.denominator
+            terms = [(w, Fraction(n, den)) for w, n in self.numerators.items()]
+            terms.sort(key=_term_key)
+            object.__setattr__(self, "_terms", tuple(terms))
         return self._terms
 
     def coeff(self, word: Iterable[str]) -> Fraction:
-        target = tuple(word)
-        for w, c in self._terms:
-            if w == target:
-                return c
-        return Fraction(0)
+        n = self.numerators.get(tuple(word))
+        return Fraction(0) if n is None else Fraction(n, self.denominator)
 
     def degree(self) -> int:
         """Maximum word length; 0 for constants and for the zero polynomial."""
-        return max((len(w) for w, _ in self._terms), default=0)
+        return max(map(len, self.numerators), default=0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(not w for w, _ in self._terms)
+        return all(not w for w in self.numerators)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the empty word (raises unless constant)."""
@@ -155,22 +167,26 @@ class NcPolynomial:
         return self.coeff(())
 
     def generator_ids(self) -> frozenset[str]:
-        return frozenset(g for w, _ in self._terms for g in w)
+        return frozenset(g for w in self.numerators for g in w)
 
     def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NcPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return (
+            self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._terms))
+            key = (self.denominator, frozenset(self.numerators.items()))
+            object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
@@ -192,10 +208,10 @@ class NcPolynomial:
         return f"NcPolynomial({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.numerators:
             return "0"
         parts: list[str] = []
-        for word, coeff in self._terms:
+        for word, coeff in self.terms:
             body = "*".join(word)
             if not word:
                 piece = format_rational(abs(coeff))
@@ -212,7 +228,7 @@ class NcPolynomial:
     def to_json_obj(self) -> list[dict[str, object]]:
         return [
             {"word": list(word), "coeff": format_rational(coeff)}
-            for word, coeff in self._terms
+            for word, coeff in self.terms
         ]
 
     @staticmethod
@@ -225,22 +241,48 @@ class NcPolynomial:
         return NcPolynomial(terms)
 
 
+def _store(poly: NcPolynomial, den: int, nums: dict[Word, int]) -> None:
+    """Fill poly with den > 0 and the nonzero nums, divided by their
+    common factor."""
+    common = gcd(den, *nums.values())
+    if common != 1:
+        den //= common
+        nums = {w: n // common for w, n in nums.items()}
+    object.__setattr__(poly, "denominator", den)
+    object.__setattr__(poly, "numerators", nums)
+    object.__setattr__(poly, "_terms", None)
+    # hashed on first use: most products are never memo keys
+    object.__setattr__(poly, "_hash", None)
+
+
+def _from_ints(den: int, nums: dict[Word, int]) -> NcPolynomial:
+    poly = object.__new__(NcPolynomial)
+    _store(poly, den, nums)
+    return poly
+
+
 _ZERO = NcPolynomial()
 _ONE = NcPolynomial({(): Fraction(1)})
 
 
 def poly_add(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    """Coefficientwise sum."""
-    terms = dict(p.terms)
-    for word, coeff in q.terms:
-        terms[word] = terms.get(word, Fraction(0)) + coeff
-    return NcPolynomial(terms)
+    """Coefficientwise sum, over the lcm of the two denominators."""
+    den = lcm(p.denominator, q.denominator)
+    sp, sq = den // p.denominator, den // q.denominator
+    total = {w: sp * n for w, n in p.numerators.items()}
+    for w, n in q.numerators.items():
+        total[w] = total.get(w, 0) + sq * n
+    return _from_ints(den, {w: n for w, n in total.items() if n})
 
 
 def poly_scale(c: RationalLike, p: NcPolynomial) -> NcPolynomial:
     """Scalar multiple c * p."""
     frac = as_fraction(c)
-    return NcPolynomial({word: frac * coeff for word, coeff in p.terms})
+    if not frac:
+        return _ZERO
+    a = frac.numerator
+    nums = {w: a * n for w, n in p.numerators.items()}
+    return _from_ints(p.denominator * frac.denominator, nums)
 
 
 def poly_mul(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
@@ -251,16 +293,25 @@ def poly_mul(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
 def poly_sum_of_products(
     pairs: Iterable[tuple[NcPolynomial, NcPolynomial]]
 ) -> NcPolynomial:
-    """The sum of p * q over the pairs, collected in one term table, so
-    that only the result is put in canonical form."""
-    terms: dict[Word, Fraction] = {}
+    """The sum of p * q over the pairs, in integers.
+
+    D is the lcm of the pairs' denominators Dp * Dq; each pair's products
+    of numerators are brought to it by the one factor D // (Dp * Dq) and
+    collected in one term table, and only the result is reduced.
+    """
+    pairs = [(p, q) for p, q in pairs if p.numerators and q.numerators]
+    den = lcm(*(p.denominator * q.denominator for p, q in pairs))
+    total: dict[Word, int] = {}
+    get = total.get
     for p, q in pairs:
-        for w1, c1 in p.terms:
-            for w2, c2 in q.terms:
+        right = tuple(q.numerators.items())
+        scale = den // (p.denominator * q.denominator)
+        for w1, n1 in p.numerators.items():
+            n1 *= scale
+            for w2, n2 in right:
                 word = w1 + w2
-                prev = terms.get(word)
-                terms[word] = c1 * c2 if prev is None else prev + c1 * c2
-    return NcPolynomial(terms)
+                total[word] = get(word, 0) + n1 * n2
+    return _from_ints(den, {w: n for w, n in total.items() if n})
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import nc_lattice
@@ -51,6 +52,8 @@ from .ncpoly import (
 DEFAULT_DEGREE = 6
 #: Largest supported truncation degree (NC(8) has 1430 elements).
 MAX_DEGREE = 8
+
+_ZERO = Fraction(0)
 
 CumulantTable = Mapping[tuple[str, ...], RationalLike]
 
@@ -240,10 +243,11 @@ class MomentFunctional:
         return total
 
     def phi(self, p: NcPolynomial) -> Fraction:
-        """Linear extension of phi_word to polynomials."""
-        return sum(
-            (coeff * self.phi_word(word) for word, coeff in p.terms),
-            Fraction(0),
+        """Linear extension of phi_word to polynomials, summed over the
+        integer numerators of p and divided once by its denominator."""
+        return _weighted_sum(
+            ((n, self.phi_word(word)) for word, n in p.numerators.items()),
+            (p.denominator,),
         )
 
     def phi_partition(
@@ -287,14 +291,22 @@ class MomentFunctional:
             return cached
         # multilinear expansion: every slot splits into its terms, and the
         # cumulant of each word combination is shared across calls; most
-        # combinations mix families and read 0, so their weights are skipped
-        total = Fraction(0)
-        for combo in product(*(p.terms for p in args)):
-            value = self.cumulant_words(tuple(word for word, _ in combo))
+        # combinations mix families and read 0, so their weights are
+        # skipped. For n >= 2 a constant term reads 0 wherever it stands,
+        # so it is dropped before the expansion.
+        slots = [
+            [word for word in p.numerators if word]
+            if n >= 2 and () in p.numerators
+            else p.numerators
+            for p in args
+        ]
+        terms = []
+        for words in product(*slots):
+            value = self.cumulant_words(words)
             if value:
-                for _, c in combo:
-                    value *= c
-                total += value
+                nums = [p.numerators[word] for p, word in zip(args, words)]
+                terms.append((prod(nums), value))
+        total = _weighted_sum(terms, (p.denominator for p in args))
         self._cumulant_memo[args] = total
         return total
 
@@ -341,6 +353,29 @@ class MomentFunctional:
         return self.cumulant(
             tuple(NcPolynomial.generator(g) for g in ids)
         )
+
+
+def _weighted_sum(
+    terms: Iterable[tuple[int, Fraction]], denominators: Iterable[int]
+) -> Fraction:
+    """The sum of weight * value over the terms, divided by the product
+    of the denominators.
+
+    The values are brought to the lcm of their denominators, so the sum
+    runs on integers and one Fraction is built at the end; a zero sum,
+    the common case for cumulants, builds none.
+    """
+    num, common = 0, 1
+    for weight, value in terms:
+        a = value.numerator
+        if a:
+            b = value.denominator
+            if common % b:
+                step = b // gcd(common, b)
+                num *= step
+                common *= step
+            num += weight * a * (common // b)
+    return Fraction(num, common * prod(denominators)) if num else _ZERO
 
 
 @lru_cache(maxsize=None)

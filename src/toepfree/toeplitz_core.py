@@ -383,31 +383,27 @@ def t_cumulant_mobius(
 
     K_n = sum over pi of E-hat(pi) mu(pi, 1_n), where E-hat(pi) is the
     plain B-product (blocks ordered by minima) of the per-block moments.
-    Plain products are valid because every BScalar is central.
+    Plain products are valid because every BScalar is central. The
+    moments of the distinct block subwords are taken in one ``t_moments``
+    walk.
     """
-    chosen = _select(vars_, idx)
-    order = chosen[0].order
-    n = len(idx)
-    lat = nc_lattice.lattice(n)
+    order = _select(vars_, idx)[0].order
+    lat = nc_lattice.lattice(len(idx))
     mu_top = lat.mu_to_top()
-    moment_cache: dict[tuple[int, ...], BScalar] = {}
-
-    def block_moment(positions: tuple[int, ...]) -> BScalar:
-        cached = moment_cache.get(positions)
-        if cached is None:
-            sub_idx = tuple(idx[p - 1] for p in positions)
-            cached = t_moment(functional, vars_, sub_idx)
-            moment_cache[positions] = cached
-        return cached
+    weighted = [
+        (weight, [tuple(idx[p - 1] for p in block) for block in pi.blocks])
+        for weight, pi in zip(mu_top, lat.elements)
+        if weight
+    ]
+    # the distinct block subwords in lexicographic order: one trie walk
+    subwords = sorted({sub for _, blocks in weighted for sub in blocks})
+    moments = dict(zip(subwords, t_moments(functional, vars_, subwords)))
 
     total = BScalar.zero(order)
-    for at, pi in enumerate(lat.elements):
-        weight = mu_top[at]
-        if not weight:
-            continue
+    for weight, blocks in weighted:
         product = BScalar.one(order)
-        for block in pi.blocks:
-            product = b_mul(product, block_moment(block))
+        for sub in blocks:
+            product = b_mul(product, moments[sub])
             if product.is_zero():
                 break
         total = b_add(total, product.scale(weight))

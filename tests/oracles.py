@@ -19,6 +19,10 @@ moment by first-block recursion and never enumerates NC(n).
 over every pi in NC(n): the zeta sum, the mu(pi, 1_n)-weighted sum and the
 Kreweras-complement sum. The library sums the same series by first-block
 recursion and never enumerates NC(n).
+
+``poly_sum_of_products_fraction`` is the sum of products of polynomials
+with every coefficient a ``Fraction``: the library sums the same products
+on integer numerators over one common denominator.
 """
 
 from fractions import Fraction
@@ -26,6 +30,24 @@ from fractions import Fraction
 from toepfree import nc_lattice
 from toepfree.series import BSeries, all_index_words
 from toepfree.toeplitz_core import BScalar, b_mul
+
+
+def poly_sum_of_products_fraction(pairs):
+    """The sum of p * q over the pairs in Fraction arithmetic, as
+    (word, coefficient) terms ordered by degree, then by letters, with
+    the zero coefficients dropped."""
+    terms = {}
+    for p, q in pairs:
+        for w1, c1 in p.terms:
+            for w2, c2 in q.terms:
+                word = w1 + w2
+                terms[word] = terms.get(word, Fraction(0)) + c1 * c2
+    return tuple(
+        sorted(
+            ((w, c) for w, c in terms.items() if c),
+            key=lambda term: (len(term[0]), term[0]),
+        )
+    )
 
 
 def _table_cumulant(functional, letters):

@@ -7,6 +7,7 @@ together.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,10 @@ from toepfree.ncpoly import (
     poly_add,
     poly_mul,
     poly_scale,
+    poly_sum_of_products,
 )
+
+from oracles import poly_sum_of_products_fraction
 
 F = Fraction
 IDS = ("a", "b", "c_1")
@@ -121,6 +125,56 @@ def test_immutability_and_hash_equality():
     q = NcPolynomial({("a",): F(2, 2)})
     assert p == q and hash(p) == hash(q)
     assert p != NcPolynomial.generator("b")
+
+
+def assert_canonical(p: NcPolynomial) -> None:
+    """The stored form: D > 0, no zero numerator, nothing common to D and
+    every numerator."""
+    den, nums = p.denominator, p.numerators
+    assert den > 0
+    assert all(nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert all(isinstance(n, int) for n in (den, *nums.values()))
+
+
+def test_stored_form_golden():
+    p = NcPolynomial({("a",): F(2, 3), ("b",): F(-4, 9), (): F(0)})
+    assert p.denominator == 9
+    assert dict(p.numerators) == {("a",): 6, ("b",): -4}
+    assert NcPolynomial.zero().denominator == 1
+    assert not NcPolynomial.zero().numerators
+    assert poly_scale(F(3, 2), p).denominator == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(polynomials, polynomials), max_size=4), rationals)
+def test_property_integer_kernel_matches_fraction_oracle(pairs, c):
+    """Every route that builds a polynomial leaves it in canonical form,
+    equal term for term to the Fraction oracle; equal polynomials hash
+    equal whichever route built them."""
+    one, oracle = NcPolynomial.one(), poly_sum_of_products_fraction
+    total = poly_sum_of_products(pairs)
+    routes = [(total, oracle(pairs))]
+    for p, q in pairs:
+        routes += [
+            (poly_mul(p, q), oracle([(p, q)])),
+            (poly_add(p, q), oracle([(p, one), (q, one)])),
+            (poly_scale(c, p), oracle([(NcPolynomial.constant(c), p)])),
+        ]
+    for got, want in routes:
+        for p in (
+            got,
+            parse_expr(str(got), IDS),
+            NcPolynomial.from_json_obj(got.to_json_obj()),
+        ):
+            assert_canonical(p)
+            assert p.terms == want
+            built = NcPolynomial(dict(want))
+            assert p == built and hash(p) == hash(built)
+    folded = NcPolynomial.zero()
+    for p, q in pairs:
+        folded = poly_add(folded, poly_mul(p, q))
+    assert folded == total and hash(folded) == hash(total)
 
 
 # --------------------------------------------------------------------------

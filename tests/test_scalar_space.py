@@ -313,6 +313,61 @@ def test_cumulant_words_match_mobius_oracle():
     assert any(all(len(w) == 1 for w in ws) for ws in seen if len(ws) > 1)
 
 
+def test_cumulant_expansion_matches_mobius_and_skips_constants(monkeypatch):
+    """The multilinear expansion over integer numerators against Möbius
+    inversion of each word combination, on seeded affine and s*p
+    arguments; for arity n >= 2 no word tuple with an empty slot (a
+    constant term, whose cumulant is 0) reaches cumulant_words."""
+    rng = random.Random(6113)
+    fn = build_space(
+        {
+            "sf": {"s": {"kind": "semicircular", "variance": F(3, 2)}},
+            "pf": {"p": {"kind": "free_poisson", "rate": F(2, 3)}},
+        },
+        degree_cap=6,
+    )
+
+    def rational():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def argument():
+        if rng.random() < 0.7:
+            return NcPolynomial(
+                {(): rational(), ("s",): rational(), ("p",): rational()}
+            )
+        return NcPolynomial({("s", "p"): rational(), ("p", "s"): rational()})
+
+    calls = []
+    words_of = MomentFunctional.cumulant_words
+
+    def recording(self, words):
+        calls.append(words)
+        return words_of(self, words)
+
+    monkeypatch.setattr(MomentFunctional, "cumulant_words", recording)
+    arities = set()
+    for _ in range(40):
+        arity = rng.randint(1, 3)
+        args = tuple(argument() for _ in range(arity))
+        if sum(a.degree() for a in args) > fn.degree_cap:
+            continue
+        want = F(0)
+        for combo in product(*(a.terms for a in args)):
+            weight = F(1)
+            for _, c in combo:
+                weight *= c
+            want += weight * cumulant_words_mobius(
+                fn, tuple(w for w, _ in combo)
+            )
+        assert fn.cumulant(args) == want, args
+        arities.add(arity)
+    assert arities == {1, 2, 3}
+    multi = [words for words in calls if len(words) >= 2]
+    assert multi and all(all(words) for words in multi)
+    assert ((),) in calls
+    assert fn.cumulant((NcPolynomial.constant(F(5, 2)),)) == F(5, 2)
+
+
 def test_cumulant_words_edges(mixed):
     assert mixed.cumulant_words(((),)) == 1
     assert mixed.cumulant_words((("s",), ())) == 0

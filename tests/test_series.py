@@ -603,6 +603,42 @@ def test_moment_series_matches_oracle_chain():
     assert {s for s, _ in shapes} == {1, 2, 3}
 
 
+def test_toeplitz_product_uses_no_fraction_arithmetic(monkeypatch):
+    """One t_mul of two affine N = 3 variables runs on integers alone: no
+    Fraction is multiplied or added inside it. The moment series of
+    degree 4 still matches the oracle chain."""
+    rng = random.Random(4409)
+    fn = _affine_space(rng)
+
+    def affine():
+        return NcPolynomial(
+            {
+                (): F(rng.randint(1, 3), rng.randint(2, 5)),
+                ("s",): F(rng.randint(-3, 3) or 1, rng.randint(2, 5)),
+                ("p",): F(rng.randint(-3, 3) or 1, rng.randint(2, 5)),
+            }
+        )
+
+    x, y = (TVariable.of([affine() for _ in range(3)]) for _ in range(2))
+    counts = {"mul": 0, "add": 0}
+
+    def counting(name, original):
+        def counted(self, other):
+            counts[name] += 1
+            return original(self, other)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__mul__", counting("mul", Fraction.__mul__))
+        patch.setattr(Fraction, "__add__", counting("add", Fraction.__add__))
+        xy = t_mul(x, y)
+        assert F(1) * F(1) + F(1) == 2  # the counters are live
+        assert counts == {"mul": 1, "add": 1}
+    assert xy == t_mul_oracle(x, y)
+    assert moment_series(fn, [x, y], 4) == oracle_moment_series(fn, [x, y], 4)
+
+
 def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
     """With NC(n) enumeration, the lattice, the Kreweras complement and
     MomentFunctional.cumulant disabled, the moments command and
