@@ -134,7 +134,7 @@ class MomentFunctional:
     """The linear functional phi on A, derived from a CumulantSpec.
 
     Carries the generator table (ids with their families) and per-instance
-    memo tables for word moments and multilinear cumulants. Dict mutations
+    memo tables for word moments and word cumulants. Dict mutations
     are single atomic assignments, so shared use across threads yields
     identical results.
     """
@@ -176,7 +176,6 @@ class MomentFunctional:
         self.spec = spec
         self.degree_cap = spec.degree_cap
         self._word_memo: dict[Word, Fraction] = {(): Fraction(1)}
-        self._cumulant_memo: dict[tuple[NcPolynomial, ...], Fraction] = {}
         self._word_cumulant_memo: dict[tuple[Word, ...], Fraction] = {}
 
     # -- moments ---------------------------------------------------------
@@ -286,9 +285,6 @@ class MomentFunctional:
             raise DegreeCapExceeded(
                 f"cumulant arity {n} exceeds degree cap {self.degree_cap}"
             )
-        cached = self._cumulant_memo.get(args)
-        if cached is not None:
-            return cached
         # multilinear expansion: every slot splits into its terms, and the
         # cumulant of each word combination is shared across calls; most
         # combinations mix families and read 0, so their weights are
@@ -306,9 +302,7 @@ class MomentFunctional:
             if value:
                 nums = [p.numerators[word] for p, word in zip(args, words)]
                 terms.append((prod(nums), value))
-        total = _weighted_sum(terms, (p.denominator for p in args))
-        self._cumulant_memo[args] = total
-        return total
+        return _weighted_sum(terms, (p.denominator for p in args))
 
     def cumulant_words(self, words: tuple[Word, ...]) -> Fraction:
         """The cumulant with one plain word per slot, memoized.

@@ -458,12 +458,17 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
             )
         return e_memo[y]
 
-    coeffs = {
-        word: _first_block_sum(
-            order, word, f._coeffs, lambda a, b: d(word[a:b])
-        )
-        for word in all_index_words(f.s, f.degree)
-    }
+    try:
+        coeffs = {
+            word: _first_block_sum(
+                order, word, f._coeffs, lambda a, b: d(word[a:b])
+            )
+            for word in all_index_words(f.s, f.degree)
+        }
+    finally:
+        # d and e close over each other; unbind them so that their memos
+        # are freed on return instead of at the next cyclic collection
+        del d, e
     return BSeries(f.s, f.order, f.degree, coeffs)
 
 

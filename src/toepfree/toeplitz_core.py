@@ -3,7 +3,10 @@
 A BScalar is an N-tuple of rationals with entrywise sum and the truncated
 convolution product whose j-th entry is sum_{k=1}^{j} a_k b_{j+1-k}; it is
 isomorphic to the algebra of N x N upper-triangular Toeplitz matrices and
-is commutative. A TVariable is an N-tuple of noncommutative polynomials
+is commutative. It is stored as one positive common denominator and N
+integer numerators, so that sums and products run on integers with a
+single reduction per result; ``entries`` gives its entries as Fractions.
+A TVariable is an N-tuple of noncommutative polynomials
 with the same product shape; the conditional expectation E applies phi
 entrywise. Moments of many index words are taken along a walk of the word
 trie, so words that share a prefix share its chain product.
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import nc_lattice
@@ -45,34 +49,71 @@ from .scalar_space import MomentFunctional
 IndexWord = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class BScalar:
-    """An element (a_1, ..., a_N) of the Toeplitz matricial algebra."""
+    """An element (a_1, ..., a_N) of the Toeplitz matricial algebra.
 
-    entries: tuple[Fraction, ...]
+    Stored as one positive denominator ``den`` and a tuple ``nums`` of N
+    integer numerators, a_j = nums[j-1] / den, with no factor common to
+    den and every numerator; zero is (1, (0, ..., 0)), and equal elements
+    hold equal data. ``entries`` is the same element as a tuple of
+    Fractions, built on first use. Instances are immutable and hashable.
+    """
+
+    __slots__ = ("den", "nums", "_entries")
+
+    #: the common denominator, > 0
+    den: int
+    #: the integer numerators: entry j is nums[j-1] / den
+    nums: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[RationalLike]):
+        fracs = [as_fraction(v) for v in entries]
+        den = lcm(*(f.denominator for f in fracs))
+        nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        _store(self, den, nums)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BScalar is immutable")
 
     @staticmethod
     def of(values: Iterable[RationalLike]) -> "BScalar":
-        return BScalar(tuple(as_fraction(v) for v in values))
+        return BScalar(values)
 
     @staticmethod
     def one(order: int) -> "BScalar":
-        return BScalar((Fraction(1),) + (Fraction(0),) * (order - 1))
+        return _reduced(1, (1,) + (0,) * (order - 1))
 
     @staticmethod
     def zero(order: int) -> "BScalar":
-        return BScalar((Fraction(0),) * order)
+        return _reduced(1, (0,) * order)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        if self._entries is None:
+            den = self.den
+            entries = tuple(Fraction(n, den) for n in self.nums)
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.nums)
 
     def scale(self, c: RationalLike) -> "BScalar":
         frac = as_fraction(c)
-        return BScalar(tuple(frac * x for x in self.entries))
+        nums = tuple(frac.numerator * n for n in self.nums)
+        return _reduced(self.den * frac.denominator, nums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BScalar):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.nums))
 
     def __add__(self, other: "BScalar") -> "BScalar":
         return b_add(self, other)
@@ -86,8 +127,28 @@ class BScalar:
     def to_json_obj(self) -> list[str]:
         return [format_rational(x) for x in self.entries]
 
+    def __repr__(self) -> str:
+        return f"BScalar({self})"
+
     def __str__(self) -> str:
         return "(" + ", ".join(format_rational(x) for x in self.entries) + ")"
+
+
+def _store(b: BScalar, den: int, nums: tuple[int, ...]) -> None:
+    """Fill b with den > 0 and nums, divided by their common factor."""
+    common = gcd(den, *nums)
+    if common != 1:
+        den //= common
+        nums = tuple([n // common for n in nums])
+    object.__setattr__(b, "den", den)
+    object.__setattr__(b, "nums", nums)
+    object.__setattr__(b, "_entries", None)
+
+
+def _reduced(den: int, nums: tuple[int, ...]) -> BScalar:
+    b = object.__new__(BScalar)
+    _store(b, den, nums)
+    return b
 
 
 def _require_same_order(x: BScalar | "TVariable", y: BScalar | "TVariable") -> None:
@@ -98,21 +159,29 @@ def _require_same_order(x: BScalar | "TVariable", y: BScalar | "TVariable") -> N
 
 
 def b_add(x: BScalar, y: BScalar) -> BScalar:
-    """Entrywise sum."""
-    _require_same_order(x, y)
-    return BScalar(tuple(a + b for a, b in zip(x.entries, y.entries)))
+    """Entrywise sum, over the lcm of the two denominators."""
+    xs, ys = x.nums, y.nums
+    if len(xs) != len(ys):
+        _require_same_order(x, y)
+    dx, dy = x.den, y.den
+    den = lcm(dx, dy)
+    sx, sy = den // dx, den // dy
+    return _reduced(den, tuple([a * sx + b * sy for a, b in zip(xs, ys)]))
 
 
 def b_mul(x: BScalar, y: BScalar) -> BScalar:
-    """Convolution product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}."""
-    _require_same_order(x, y)
-    xs, ys = x.entries, y.entries
-    return BScalar(
-        tuple(
-            sum((xs[k] * ys[j - k] for k in range(1, j + 1)), xs[0] * ys[j])
-            for j in range(x.order)
-        )
-    )
+    """Convolution product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}, on
+    the integer numerators over the product of the denominators."""
+    xs, ys = x.nums, y.nums
+    n = len(xs)
+    if n != len(ys):
+        _require_same_order(x, y)
+    nums = [0] * n
+    for i, a in enumerate(xs):
+        if a:
+            for j in range(i, n):
+                nums[j] += a * ys[j - i]
+    return _reduced(x.den * y.den, tuple(nums))
 
 
 def b_pow(x: BScalar, exponent: int) -> BScalar:
@@ -129,18 +198,21 @@ def b_inv(x: BScalar) -> BScalar:
     """Convolution inverse, by forward substitution on the triangular system.
 
     Requires a nonzero first entry; otherwise the element is not invertible
-    (its matrix form has a zero diagonal).
+    (its matrix form has a zero diagonal). With x = a / D, the inverse is
+    D e / a_0^N for the integers e with a e = a_0^N: e_0 = a_0^(N-1) and
+    e_j = -(sum_{k=1}^{j} a_k e_{j-k}) / a_0, a division that is exact.
     """
-    if x.entries[0] == 0:
+    a = x.nums
+    a0 = a[0]
+    if a0 == 0:
         raise NonInvertible("first entry is zero; no convolution inverse")
-    xs = x.entries
-    inv: list[Fraction] = [Fraction(1) / xs[0]]
-    for j in range(1, x.order):
-        acc = sum(
-            (xs[k] * inv[j - k] for k in range(2, j + 1)), xs[1] * inv[j - 1]
-        )
-        inv.append(-acc / xs[0])
-    return BScalar(tuple(inv))
+    n = len(a)
+    e = [a0 ** (n - 1)]
+    for j in range(1, n):
+        e.append(-sum(a[k] * e[j - k] for k in range(1, j + 1)) // a0)
+    den = a0**n
+    sign = 1 if den > 0 else -1
+    return _reduced(sign * den, tuple(sign * x.den * v for v in e))
 
 
 @dataclass(frozen=True)

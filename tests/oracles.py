@@ -23,6 +23,10 @@ recursion and never enumerates NC(n).
 ``poly_sum_of_products_fraction`` is the sum of products of polynomials
 with every coefficient a ``Fraction``: the library sums the same products
 on integer numerators over one common denominator.
+
+``b_mul_fraction`` and ``b_add_fraction`` are the product and the sum of
+the Toeplitz algebra on tuples of ``Fraction`` entries: the library runs
+both on integer numerators over one common denominator.
 """
 
 from fractions import Fraction
@@ -48,6 +52,20 @@ def poly_sum_of_products_fraction(pairs):
             key=lambda term: (len(term[0]), term[0]),
         )
     )
+
+
+def b_mul_fraction(xs, ys):
+    """The convolution product of two tuples of Fractions: entry j is
+    sum over k <= j of xs[k] * ys[j - k]."""
+    return tuple(
+        sum((xs[k] * ys[j - k] for k in range(j + 1)), Fraction(0))
+        for j in range(len(xs))
+    )
+
+
+def b_add_fraction(xs, ys):
+    """The entrywise sum of two tuples of Fractions."""
+    return tuple(a + b for a, b in zip(xs, ys))
 
 
 def _table_cumulant(functional, letters):

@@ -10,6 +10,7 @@ independent code paths; the sparsity, evenness, and compression results
 each get their own oracle-backed suite.
 """
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -19,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    b_add_fraction,
+    b_mul_fraction,
     boxed_convolution_kreweras,
     moments_from_r_nc,
     phi_word_nc,
@@ -59,6 +62,7 @@ from toepfree.series import (
 from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
+    b_add,
     b_mul,
     t_cumulant,
     t_cumulant_mobius,
@@ -378,6 +382,29 @@ def test_series_calculus_matches_nc_oracles():
     assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
 
 
+def test_series_calculus_leaves_no_cyclic_garbage():
+    """With the cyclic collector off, nothing the three series maps build
+    is left in a reference cycle: their memos are freed on return."""
+    rng = random.Random(5309)
+    f = random_series(rng, 2, 3, 5)
+    g = random_series(rng, 2, 3, 5)
+    calls = (
+        lambda: boxed_convolution(f, g),
+        lambda: moments_from_r(f),
+        lambda: r_from_moments(f),
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_series_calculus_cap_is_checked_before_any_word(monkeypatch):
     """All three maps refuse a series over the degree cap up front, and a
     series at the cap gets past the check into the B-products."""
@@ -603,6 +630,26 @@ def test_moment_series_matches_oracle_chain():
     assert {s for s, _ in shapes} == {1, 2, 3}
 
 
+def _count_fraction_arithmetic(patch):
+    """Patch Fraction's products and sums (both operand orders) to count
+    their calls; returns the live counts."""
+    counts = {"mul": 0, "add": 0}
+
+    def counting(name, original):
+        def counted(self, other):
+            counts[name] += 1
+            return original(self, other)
+
+        return counted
+
+    for name in counts:
+        for method in (f"__{name}__", f"__r{name}__"):
+            patch.setattr(
+                Fraction, method, counting(name, getattr(Fraction, method))
+            )
+    return counts
+
+
 def test_toeplitz_product_uses_no_fraction_arithmetic(monkeypatch):
     """One t_mul of two affine N = 3 variables runs on integers alone: no
     Fraction is multiplied or added inside it. The moment series of
@@ -620,23 +667,35 @@ def test_toeplitz_product_uses_no_fraction_arithmetic(monkeypatch):
         )
 
     x, y = (TVariable.of([affine() for _ in range(3)]) for _ in range(2))
-    counts = {"mul": 0, "add": 0}
-
-    def counting(name, original):
-        def counted(self, other):
-            counts[name] += 1
-            return original(self, other)
-
-        return counted
-
     with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__mul__", counting("mul", Fraction.__mul__))
-        patch.setattr(Fraction, "__add__", counting("add", Fraction.__add__))
+        counts = _count_fraction_arithmetic(patch)
         xy = t_mul(x, y)
         assert F(1) * F(1) + F(1) == 2  # the counters are live
         assert counts == {"mul": 1, "add": 1}
     assert xy == t_mul_oracle(x, y)
     assert moment_series(fn, [x, y], 4) == oracle_moment_series(fn, [x, y], 4)
+
+
+def test_series_calculus_uses_no_fraction_arithmetic(monkeypatch):
+    """One b_mul and one b_add of N = 3 scalars, and a degree-3
+    moments_from_r, run on integers alone: no Fraction is multiplied or
+    added inside them. The moments still match the NC(n) oracle."""
+    rng = random.Random(5107)
+    x, y = (
+        BScalar.of([F(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(3)])
+        for _ in range(2)
+    )
+    r = random_series(rng, 2, 3, 3)
+    with monkeypatch.context() as patch:
+        counts = _count_fraction_arithmetic(patch)
+        xy, x_plus_y = b_mul(x, y), b_add(x, y)
+        m = moments_from_r(r)
+        assert counts == {"mul": 0, "add": 0}
+        assert F(1) * F(1) + F(1) == 2  # the counters are live
+        assert counts == {"mul": 1, "add": 1}
+    assert xy.entries == b_mul_fraction(x.entries, y.entries)
+    assert x_plus_y.entries == b_add_fraction(x.entries, y.entries)
+    assert m == moments_from_r_nc(r)
 
 
 def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):

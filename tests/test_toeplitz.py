@@ -8,17 +8,22 @@ moment-cumulant lattice formula is then re-derived in the test itself as a
 third, engine-free reference.
 """
 
+import json
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import b_add_fraction, b_mul_fraction
 from toepfree import nc_lattice
 from toepfree.errors import DimensionMismatch, NonInvertible
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul, poly_scale
 from toepfree.scalar_space import MomentFunctional, build_space
+from toepfree.series import BSeries
 from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
@@ -132,6 +137,81 @@ def test_property_b_mul_commutes(n, data):
 def test_bscalar_json():
     assert BScalar.of([F(1, 2), -3]).to_json_obj() == ["1/2", "-3"]
     assert str(BScalar.of([1, 2])) == "(1, 2)"
+
+
+def test_bscalar_stored_form_golden():
+    x = BScalar.of([F(1, 2), F(-1, 3), 0])
+    assert (x.den, x.nums) == (6, (3, -2, 0))
+    assert x.entries == (F(1, 2), F(-1, 3), F(0))
+    assert (BScalar.zero(2).den, BScalar.zero(2).nums) == (1, (0, 0))
+    assert (BScalar.one(3).den, BScalar.one(3).nums) == (1, (1, 0, 0))
+    halves = BScalar((F(2, 4), F(6, 4)))
+    assert (halves.den, halves.nums) == (2, (1, 3))
+    # every denominator cancels: the sum is stored over 1
+    total = b_add(x, BScalar.of([F(1, 2), F(1, 3), 1]))
+    assert (total.den, total.nums) == (1, (1, 0, 1))
+    difference = x - x
+    assert (difference.den, difference.nums) == (1, (0, 0, 0))
+    assert b_inv(BScalar.of([-1, 0])) == BScalar.of([-1, 0])
+    assert b_inv(BScalar.of([F(-2, 3), 1, 5])).nums[0] < 0
+    with pytest.raises(AttributeError):
+        x.den = 1
+
+
+def _is_canonical(b: BScalar) -> bool:
+    """A positive denominator sharing no factor with all the numerators."""
+    return b.den > 0 and gcd(b.den, *b.nums) == 1 and len(b.nums) == b.order
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_property_integer_form_matches_fraction_oracle(n, data):
+    """Every result of the B arithmetic is in canonical form, has the
+    entries the Fraction oracle gives, and hashes like the same value
+    built by another route."""
+    frac = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    xe, ye = (
+        tuple(data.draw(st.lists(frac, min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    c = data.draw(frac)
+    k = data.draw(st.integers(0, 4))
+    x, y = BScalar.of(xe), BScalar.of(ye)
+    one = (F(1),) + (F(0),) * (n - 1)
+    series = BSeries(1, n, 2, {(1,): x, (1, 1): y})
+    back = BSeries.from_json_obj(json.loads(json.dumps(series.to_json_obj())))
+    results = [
+        (x, xe),
+        (BScalar.of(str(v) for v in ye), ye),
+        (b_mul(x, y), b_mul_fraction(xe, ye)),
+        (b_add(x, y), b_add_fraction(xe, ye)),
+        (x.scale(c), tuple(c * v for v in xe)),
+        (x - y, tuple(a - b for a, b in zip(xe, ye))),
+        (b_pow(x, k), reduce(b_mul_fraction, [xe] * k, one)),
+        (back.coef((1,)), xe),
+        (back.coef((1, 1)), ye),
+    ]
+    if xe[0]:
+        inv = b_inv(x)
+        assert b_mul_fraction(xe, inv.entries) == one
+        results.append((inv, inv.entries))
+    for got, expected in results:
+        assert _is_canonical(got)
+        assert got.entries == tuple(expected)
+        # the same value from its Fraction entries
+        rebuilt = BScalar.of(expected)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+    # equal values reached by different routes
+    routes = [
+        (b_mul(x, y), b_mul(y, x)),
+        (b_add(x, y), b_add(y, x)),
+        (b_add(x - y, y), x),
+        (x.scale(2), x + x),
+        (b_mul(x, BScalar.one(n)), x),
+        (back, series),
+    ]
+    for left, right in routes:
+        assert left == right and hash(left) == hash(right)
 
 
 # --------------------------------------------------------------------------
