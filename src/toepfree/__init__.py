@@ -3,9 +3,10 @@
 The package computes moments, free cumulants, R-transforms, and boxed
 convolutions of tuples of noncommutative random variables valued in the
 commutative algebra C^N of upper-triangular Toeplitz matrices, entirely in
-exact rational arithmetic. Every principal computation has an independent
-second code path (lattice Möbius inversion, explicit matrix products,
-brute-force enumeration) against which it is tested.
+exact rational arithmetic. The independent second code paths that every
+principal computation is tested against (lattice Möbius inversion,
+explicit matrix products, sums over all of NC(n)) live in the test suite,
+in ``tests/oracles.py``, and are not part of the package.
 """
 
 from .errors import (
@@ -17,8 +18,6 @@ from .errors import (
     InternalConsistencyError,
     MathDomainError,
     NonInvertible,
-    NotEven,
-    OddLength,
     PreconditionError,
     ZeroTrace,
 )
@@ -26,13 +25,7 @@ from .nc_lattice import (
     NcPartition,
     catalan,
     enumerate_nc,
-    enumerate_nc_even,
-    interleave,
     kreweras,
-    leq,
-    mobius,
-    one_partition,
-    zero_partition,
 )
 from .ncpoly import (
     Generator,
@@ -50,18 +43,14 @@ from .scalar_space import (
 from .series import (
     BSeries,
     boxed_convolution,
-    boxed_identity,
     check_even,
     check_freeness,
     compress_r_transform,
-    even_cumulant_restricted,
-    family_assignment,
     free_family_sparsity,
     moment_series,
     moments_from_r,
     r_from_moments,
     r_transform,
-    series_add,
     symm_r_transform,
 )
 from .toeplitz_core import (
@@ -74,11 +63,9 @@ from .toeplitz_core import (
     chain_product,
     expect,
     t_cumulant,
-    t_cumulant_mobius,
     t_moment,
     t_moments,
     t_mul,
-    t_mul_oracle,
 )
 
 __version__ = "0.1.0"
@@ -99,8 +86,6 @@ __all__ = [
     "NcPartition",
     "NcPolynomial",
     "NonInvertible",
-    "NotEven",
-    "OddLength",
     "PreconditionError",
     "TVariable",
     "ZeroTrace",
@@ -109,7 +94,6 @@ __all__ = [
     "b_mul",
     "b_pow",
     "boxed_convolution",
-    "boxed_identity",
     "build_space",
     "builtin_distribution",
     "catalan",
@@ -118,30 +102,19 @@ __all__ = [
     "check_freeness",
     "compress_r_transform",
     "enumerate_nc",
-    "enumerate_nc_even",
-    "even_cumulant_restricted",
     "expect",
-    "family_assignment",
     "format_rational",
     "free_family_sparsity",
-    "interleave",
     "kreweras",
-    "leq",
-    "mobius",
     "moment_series",
     "moments_from_r",
-    "one_partition",
     "parse_expr",
     "parse_rational",
     "r_from_moments",
     "r_transform",
-    "series_add",
     "symm_r_transform",
     "t_cumulant",
-    "t_cumulant_mobius",
     "t_moment",
     "t_moments",
     "t_mul",
-    "t_mul_oracle",
-    "zero_partition",
 ]

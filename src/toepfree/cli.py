@@ -384,18 +384,16 @@ def _cmd_nc_mobius(args: argparse.Namespace) -> Emission:
     _require_positive_n(args.n)
     if args.n > NC_MOBIUS_CAP:
         raise DegreeCapExceeded(
-            f"mobius tables are limited to n <= {NC_MOBIUS_CAP}"
+            f"mobius table for n = {args.n} exceeds the cap n <= "
+            f"{NC_MOBIUS_CAP}"
         )
-    lat = nc_lattice.lattice(args.n)
     rows: list[Row] = []
     out_rows = []
-    for hi_at, hi in enumerate(lat.elements):
-        for lo_at in sorted(lat.below[hi_at]):
-            lo = lat.elements[lo_at]
-            value = format_rational(lat.mu(lo_at, hi_at))
-            pair = [lo.to_json_obj(), hi.to_json_obj()]
-            out_rows.append({"word": pair, "entry": 0, "value": value})
-            rows.append(("nc-mobius", _compact(pair), 0, value))
+    for lo, hi, mu in nc_lattice.mobius_intervals(args.n):
+        value = format_rational(mu)
+        pair = [lo.to_json_obj(), hi.to_json_obj()]
+        out_rows.append({"word": pair, "entry": 0, "value": value})
+        rows.append(("nc-mobius", _compact(pair), 0, value))
     payload = {"query": "nc-mobius", "n": args.n, "rows": out_rows}
     return Emission(payload, rows)
 

@@ -34,16 +34,8 @@ class ZeroTrace(MathDomainError):
     """Compression requested with alpha0 = 0."""
 
 
-class NotEven(MathDomainError):
-    """An even-only operation was applied to a non-even variable."""
-
-
 class CrossingPartition(MathDomainError):
-    """An interleaved union of partitions has a crossing."""
-
-
-class OddLength(MathDomainError):
-    """An even-length-only operation received an odd length."""
+    """The blocks given for a noncrossing partition cross."""
 
 
 class PreconditionError(MathDomainError):

@@ -1,29 +1,26 @@
-"""Noncrossing partition lattices NC(n) and their incidence algebra.
+"""Noncrossing partitions NC(n): enumeration, Kreweras complement, Möbius.
 
-Provides canonical enumeration of noncrossing partitions, the refinement
-order, the incidence functions zeta / delta / Möbius (exact rationals), the
-Kreweras complement, the interleaving of two partitions on odd/even slots,
-and the even-block sublattice enumeration.
+Provides the canonical enumeration of noncrossing partitions, the Kreweras
+complement, and the Möbius function of NC(n) in closed form: every
+interval of NC(n) is a product of full lattices NC(k), so each Möbius
+value is a product of signed Catalan numbers, and no order relation is
+built. The refinement order, zeta / delta, the recursive Möbius function,
+interleaving and the even-block enumeration are reference routes in the
+test suite (``tests/oracles.py``).
 
-All values are immutable and all functions are pure; memoization tables are
-module-level dicts mutated only through single atomic assignments, so
-results are identical regardless of thread interleaving.
+All values are immutable and all functions are pure; the enumeration of
+each NC(n) is kept in an ``lru_cache``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CrossingPartition,
-    DegreeCapExceeded,
-    DimensionMismatch,
-    OddLength,
-)
+from .errors import CrossingPartition, DegreeCapExceeded
 
 #: Default ceiling for ground-set sizes; NC(10) has 16,796 elements.
 DEFAULT_DEGREE_CAP = 10
@@ -110,16 +107,6 @@ class NcPartition:
         ) + "}"
 
 
-def zero_partition(n: int) -> NcPartition:
-    """0_n: the all-singletons partition (lattice minimum)."""
-    return NcPartition(n, tuple((i,) for i in range(1, n + 1)))
-
-
-def one_partition(n: int) -> NcPartition:
-    """1_n: the single-block partition (lattice maximum)."""
-    return NcPartition(n, (tuple(range(1, n + 1)),))
-
-
 def _check_n(n: int, cap: int | None) -> None:
     limit = DEFAULT_DEGREE_CAP if cap is None else cap
     if limit > HARD_DEGREE_CAP:
@@ -184,132 +171,6 @@ def enumerate_nc(n: int, cap: int | None = None) -> list[NcPartition]:
     return list(_enumerate_nc_cached(n))
 
 
-def enumerate_nc_even(m: int, cap: int | None = None) -> list[NcPartition]:
-    """All partitions in NC(m) whose blocks all have even size."""
-    if m % 2 != 0:
-        raise OddLength(f"even-block partitions require even size, got {m}")
-    _check_n(m, cap)
-    return [
-        p
-        for p in _enumerate_nc_cached(m)
-        if all(len(b) % 2 == 0 for b in p.blocks)
-    ]
-
-
-def _require_same_n(theta: NcPartition, pi: NcPartition) -> None:
-    if theta.n != pi.n:
-        raise DimensionMismatch(
-            f"partitions of different ground sets: {theta.n} vs {pi.n}"
-        )
-
-
-def leq(theta: NcPartition, pi: NcPartition) -> bool:
-    """Refinement order: every block of theta lies inside a block of pi."""
-    _require_same_n(theta, pi)
-    of_pi = pi.block_of()
-    return all(
-        len({of_pi[x] for x in block}) == 1 for block in theta.blocks
-    )
-
-
-def zeta(theta: NcPartition, pi: NcPartition) -> Fraction:
-    """zeta(theta, pi) = 1 if theta <= pi else 0."""
-    return Fraction(1) if leq(theta, pi) else Fraction(0)
-
-
-def delta(theta: NcPartition, pi: NcPartition) -> Fraction:
-    """delta(theta, pi) = 1 if theta == pi else 0."""
-    _require_same_n(theta, pi)
-    return Fraction(1) if theta == pi else Fraction(0)
-
-
-class NcLattice:
-    """NC(n) with its order relation and Möbius function, cached per n.
-
-    ``below[i]`` is the set of indices j with element j <= element i, and
-    ``above[i]`` the dual; intervals are intersections of the two.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.elements = list(_enumerate_nc_cached(n))
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        size = len(self.elements)
-        # labels[j][x] = block index of element x in partition j
-        labels: list[list[int]] = []
-        for p in self.elements:
-            lab = [0] * (n + 1)
-            for b, block in enumerate(p.blocks):
-                for x in block:
-                    lab[x] = b
-            labels.append(lab)
-        # chains[i] = adjacent same-block element pairs of partition i;
-        # theta_i <= pi_j iff every chained pair shares a block of pi_j
-        chains = [
-            [(b[k], b[k + 1]) for b in p.blocks for k in range(len(b) - 1)]
-            for p in self.elements
-        ]
-        self.below: list[set[int]] = [set() for _ in range(size)]
-        self.above: list[set[int]] = [set() for _ in range(size)]
-        for i in range(size):
-            pairs = chains[i]
-            for j in range(size):
-                lab = labels[j]
-                if all(lab[x] == lab[y] for x, y in pairs):
-                    self.below[j].add(i)
-                    self.above[i].add(j)
-        self._mu: dict[tuple[int, int], Fraction] = {}
-        self._mu_to_top: list[Fraction] | None = None
-
-    def interval(self, lo: int, hi: int) -> set[int]:
-        """Indices of elements sigma with lo <= sigma <= hi."""
-        return self.above[lo] & self.below[hi]
-
-    def mu(self, lo: int, hi: int) -> Fraction:
-        """Möbius function on the interval [lo, hi], by index."""
-        if lo == hi:
-            return Fraction(1)
-        if lo not in self.below[hi]:
-            return Fraction(0)
-        key = (lo, hi)
-        cached = self._mu.get(key)
-        if cached is not None:
-            return cached
-        total = Fraction(0)
-        for mid in self.interval(lo, hi):
-            if mid != hi:
-                total -= self.mu(lo, mid)
-        self._mu[key] = total
-        return total
-
-    def mu_to_top(self) -> list[Fraction]:
-        """mu(sigma, 1_n) for every sigma, indexed like ``elements``."""
-        if self._mu_to_top is None:
-            top = self.index[one_partition(self.n)]
-            self._mu_to_top = [
-                self.mu(i, top) for i in range(len(self.elements))
-            ]
-        return self._mu_to_top
-
-
-@lru_cache(maxsize=None)
-def lattice(n: int) -> NcLattice:
-    _check_n(n, HARD_DEGREE_CAP)
-    return NcLattice(n)
-
-
-def mobius(theta: NcPartition, pi: NcPartition) -> Fraction:
-    """Möbius function of the interval [theta, pi] in NC(n).
-
-    Returns 0 whenever theta is not below pi, matching the incidence-algebra
-    convention. Computed by the memoized recursion
-    mu(theta, pi) = -sum_{theta <= sigma < pi} mu(theta, sigma).
-    """
-    _require_same_n(theta, pi)
-    lat = lattice(theta.n)
-    return lat.mu(lat.index[theta], lat.index[pi])
-
-
 def kreweras(pi: NcPartition) -> NcPartition:
     """The Kreweras complement of pi.
 
@@ -345,14 +206,55 @@ def kreweras(pi: NcPartition) -> NcPartition:
     return NcPartition.from_blocks(n, groups.values())
 
 
-def interleave(pi: NcPartition, sigma: NcPartition) -> NcPartition:
-    """The partition of {1,...,2n} with pi on odd and sigma on even slots.
+def mobius_to_top(pi: NcPartition) -> int:
+    """mu(pi, 1_n), read off the block sizes of the Kreweras complement.
 
-    Raises CrossingPartition if the union crosses (i.e. sigma is not below
-    the Kreweras complement of pi).
+    The interval [pi, 1_n] is isomorphic to [0_n, Kr(pi)], which is the
+    product of the full lattices NC(|W|) over the blocks W of Kr(pi), so
+    mu(pi, 1_n) is the product of their signed Catalan numbers
+    (-1)^(|W|-1) C_(|W|-1).
     """
-    _require_same_n(pi, sigma)
-    n = pi.n
-    blocks = [tuple(2 * x - 1 for x in b) for b in pi.blocks]
-    blocks += [tuple(2 * x for x in b) for b in sigma.blocks]
-    return NcPartition.from_blocks(2 * n, blocks)
+    return math.prod(
+        (-1) ** (len(w) - 1) * catalan(len(w) - 1)
+        for w in kreweras(pi).blocks
+    )
+
+
+def mobius_intervals(n: int) -> Iterator[tuple[NcPartition, NcPartition, int]]:
+    """Every pair sigma <= pi of NC(n) with its Möbius value mu(sigma, pi).
+
+    The pi come in enumeration order, and the sigma below each pi in
+    enumeration order too. The interval [sigma, pi] is the product over
+    the blocks V of pi of the intervals [sigma|V, 1_V] (Speicher,
+    Multiplicative functions on the lattice of non-crossing partitions,
+    Math. Ann. 298, 1994). So the sigma below pi are the products of one
+    partition of NC(|V|) per block, relabelled onto V, and mu(sigma, pi)
+    is the product of their ``mobius_to_top`` values. No order relation
+    of NC(n) is built.
+    """
+    # to_top[m]: (blocks, mu(rho, 1_m)) for every rho in NC(m)
+    to_top: dict[int, list[tuple[tuple[tuple[int, ...], ...], int]]] = {}
+    for pi in enumerate_nc(n):
+        factors = []
+        for block in pi.blocks:
+            m = len(block)
+            if m not in to_top:
+                to_top[m] = [
+                    (rho.blocks, mobius_to_top(rho))
+                    for rho in _enumerate_nc_cached(m)
+                ]
+            factors.append(
+                [
+                    (tuple(tuple(block[x - 1] for x in b) for b in rho), mu)
+                    for rho, mu in to_top[m]
+                ]
+            )
+        below = []
+        for choice in product(*factors):
+            blocks = sorted(b for part, _ in choice for b in part)
+            mu = math.prod(mu for _, mu in choice)
+            below.append((NcPartition(n, tuple(blocks)), mu))
+        # enumeration order is the order of the canonical block lists
+        below.sort(key=lambda row: row[0].blocks)
+        for sigma, mu in below:
+            yield sigma, pi, mu

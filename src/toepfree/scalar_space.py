@@ -38,14 +38,13 @@ from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import nc_lattice
-from .errors import DegreeCapExceeded, DimensionMismatch
+from .errors import DegreeCapExceeded
 from .ncpoly import (
     Generator,
     NcPolynomial,
     RationalLike,
     Word,
     as_fraction,
-    poly_mul,
 )
 
 #: Default truncation degree for moments and series.
@@ -248,29 +247,6 @@ class MomentFunctional:
             ((n, self.phi_word(word)) for word, n in p.numerators.items()),
             (p.denominator,),
         )
-
-    def phi_partition(
-        self,
-        pi: nc_lattice.NcPartition,
-        args: Sequence[NcPolynomial],
-    ) -> Fraction:
-        """phi_pi: the product over blocks of phi of the block products.
-
-        Valid as a plain product because scalars are central.
-        """
-        if pi.n != len(args):
-            raise DimensionMismatch(
-                f"partition of {pi.n} points vs {len(args)} arguments"
-            )
-        total = Fraction(1)
-        for block in pi.blocks:
-            product = NcPolynomial.one()
-            for i in block:
-                product = poly_mul(product, args[i - 1])
-            total *= self.phi(product)
-            if not total:
-                return total
-        return total
 
     # -- cumulants --------------------------------------------------------
 

@@ -31,8 +31,6 @@ from .errors import (
     DegreeCapExceeded,
     DimensionMismatch,
     InternalConsistencyError,
-    NotEven,
-    OddLength,
     PreconditionError,
     ZeroTrace,
 )
@@ -53,19 +51,15 @@ __all__ = [
     "BSeries",
     "all_index_words",
     "boxed_convolution",
-    "boxed_identity",
     "check_even",
     "check_freeness",
     "check_series_request",
     "compress_r_transform",
-    "even_cumulant_restricted",
-    "family_assignment",
     "free_family_sparsity",
     "moment_series",
     "moments_from_r",
     "r_from_moments",
     "r_transform",
-    "series_add",
     "symm_r_transform",
 ]
 
@@ -412,15 +406,6 @@ def r_from_moments(m: BSeries) -> BSeries:
     return BSeries(m.s, m.order, m.degree, r)
 
 
-def series_add(f: BSeries, g: BSeries) -> BSeries:
-    """Coefficientwise B-sum of two series of identical shape."""
-    _require_same_shape(f, g)
-    coeffs: dict[IndexWord, BScalar] = dict(f.items())
-    for word, value in g.items():
-        coeffs[word] = coeffs.get(word, BScalar.zero(f.order)) + value
-    return BSeries(f.s, f.order, f.degree, coeffs)
-
-
 def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
     """(f boxtimes g)-coef(w) = sum over pi in NC(n) of
     [prod over blocks of pi of f] . [prod over blocks of Kr(pi) of g],
@@ -470,15 +455,6 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
         # are freed on return instead of at the next cyclic collection
         del d, e
     return BSeries(f.s, f.order, f.degree, coeffs)
-
-
-def boxed_identity(s: int, order: int, degree: int) -> BSeries:
-    """The unit for boxed convolution: coefficient (1,0,...,0) at every
-    degree-1 word and nothing else (the R-transform of unit tuples)."""
-    coeffs = {
-        (i,): BScalar.one(order) for i in range(1, s + 1)
-    }
-    return BSeries(s, order, degree, coeffs)
 
 
 @dataclass(frozen=True)
@@ -541,61 +517,6 @@ def check_even(
             "odd-cumulant and odd-moment evenness tests disagree"
         )
     return by_cumulants
-
-
-def even_cumulant_restricted(
-    functional: MomentFunctional,
-    x: TVariable,
-    m: int,
-) -> BScalar:
-    """K_m(X,...,X) computed from even-block partitions only.
-
-    For an even variable the Möbius sum over NC(m) loses nothing when
-    restricted to partitions all of whose blocks have even size; this
-    computes the restricted sum and verifies it against the full cumulant
-    before returning it.
-    """
-    if m < 1 or m % 2:
-        raise OddLength(f"restricted cumulant needs even m, got {m}")
-    _resolve_degree(functional, m)
-    if not check_even(functional, x, m):
-        raise NotEven("variable has a nonvanishing odd moment or cumulant")
-    lat = nc_lattice.lattice(m)
-    mu_top = lat.mu_to_top()
-    total = BScalar.zero(x.order)
-    for pi in nc_lattice.enumerate_nc_even(m):
-        weight = mu_top[lat.index[pi]]
-        if not weight:
-            continue
-        product_ = BScalar.one(x.order)
-        for block in pi.blocks:
-            product_ = b_mul(
-                product_, t_moment(functional, [x], (1,) * len(block))
-            )
-            if product_.is_zero():
-                break
-        total = total + product_.scale(weight)
-    full = t_cumulant(functional, [x], (1,) * m)
-    if total != full:
-        raise InternalConsistencyError(
-            "even-block restricted cumulant differs from the full cumulant"
-        )
-    return total
-
-
-def family_assignment(
-    functional: MomentFunctional,
-    named_vars: Mapping[str, TVariable],
-) -> dict[str, frozenset[str]]:
-    """The scalar families each variable's entries are built over."""
-    out: dict[str, frozenset[str]] = {}
-    for name, var in named_vars.items():
-        families: set[str] = set()
-        for entry in var.entries:
-            for gen_id in entry.generator_ids():
-                families.add(functional.generators[gen_id].family)
-        out[name] = frozenset(families)
-    return out
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,12 @@ with the same product shape; the conditional expectation E applies phi
 entrywise. Moments of many index words are taken along a walk of the word
 trie, so words that share a prefix share its chain product.
 
-Cumulants of tuples come in two independently computed flavors. The
-primary path follows the product recursion: entry j (0-based) of
+Cumulants of tuples follow the product recursion: entry j (0-based) of
 K_n(X_1, ..., X_n) is the sum, over the compositions k_1 + ... + k_n = j,
-of the scalar cumulants kappa_n(x^(1)_{k_1}, ..., x^(n)_{k_n}). The oracle
-path runs Möbius inversion over NC(n) with per-block B-products of moments
-(valid because every BScalar is central). The two must always agree; tests
-enforce it.
+of the scalar cumulants kappa_n(x^(1)_{k_1}, ..., x^(n)_{k_n}). The test
+suite holds them against Möbius inversion over NC(n) with per-block
+B-products of moments, and holds the product against an explicit matrix
+embedding (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,21 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import nc_lattice
-from .errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    NonInvertible,
-)
+from .errors import DimensionMismatch, NonInvertible
 from .ncpoly import (
     NcPolynomial,
     RationalLike,
     as_fraction,
     format_rational,
     poly_add,
-    poly_mul,
     poly_scale,
     poly_sum_of_products,
 )
@@ -283,50 +276,6 @@ def t_mul(x: TVariable, y: TVariable) -> TVariable:
     )
 
 
-def t_mul_oracle(x: TVariable, y: TVariable) -> TVariable:
-    """Independent product path through explicit matrix multiplication.
-
-    Embeds both tuples as N x N upper-triangular Toeplitz matrices, runs a
-    full matrix product, checks the result is again upper-triangular
-    Toeplitz, and reads off its defining tuple. Any shape failure would
-    mean the algebra embedding is broken, so it raises an internal error.
-    """
-    _require_same_order(x, y)
-    n = x.order
-
-    def matrix(t: TVariable) -> list[list[NcPolynomial]]:
-        return [
-            [
-                t.entries[c - r] if c >= r else NcPolynomial.zero()
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-
-    mx, my = matrix(x), matrix(y)
-    product = [
-        [
-            reduce(
-                poly_add,
-                (poly_mul(mx[r][k], my[k][c]) for k in range(n)),
-                NcPolynomial.zero(),
-            )
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    for r in range(n):
-        for c in range(n):
-            expected = (
-                product[0][c - r] if c >= r else NcPolynomial.zero()
-            )
-            if product[r][c] != expected:
-                raise InternalConsistencyError(
-                    "matrix product is not upper-triangular Toeplitz"
-                )
-    return TVariable(tuple(product[0]))
-
-
 def chain_product(vars_: Sequence[TVariable]) -> TVariable:
     """Left-associated t_mul chain; entries are the P_j polynomials."""
     if not vars_:
@@ -431,8 +380,7 @@ def t_cumulant(
     """The (i_1, ..., i_n)-th cumulant, summed over compositions.
 
     Entry j is the sum of the scalar multilinear cumulants of the
-    ``composition_terms`` of entry j. This is the primary code path;
-    ``t_cumulant_mobius`` computes the same value independently.
+    ``composition_terms`` of entry j.
     """
     chosen = _select(vars_, idx)
     return BScalar(
@@ -443,56 +391,4 @@ def t_cumulant(
             )
             for j in range(chosen[0].order)
         )
-    )
-
-
-def t_cumulant_mobius(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    idx: Sequence[int],
-) -> BScalar:
-    """Oracle path for the cumulant: Möbius inversion over NC(n) in B.
-
-    K_n = sum over pi of E-hat(pi) mu(pi, 1_n), where E-hat(pi) is the
-    plain B-product (blocks ordered by minima) of the per-block moments.
-    Plain products are valid because every BScalar is central. The
-    moments of the distinct block subwords are taken in one ``t_moments``
-    walk.
-    """
-    order = _select(vars_, idx)[0].order
-    lat = nc_lattice.lattice(len(idx))
-    mu_top = lat.mu_to_top()
-    weighted = [
-        (weight, [tuple(idx[p - 1] for p in block) for block in pi.blocks])
-        for weight, pi in zip(mu_top, lat.elements)
-        if weight
-    ]
-    # the distinct block subwords in lexicographic order: one trie walk
-    subwords = sorted({sub for _, blocks in weighted for sub in blocks})
-    moments = dict(zip(subwords, t_moments(functional, vars_, subwords)))
-
-    total = BScalar.zero(order)
-    for weight, blocks in weighted:
-        product = BScalar.one(order)
-        for sub in blocks:
-            product = b_mul(product, moments[sub])
-            if product.is_zero():
-                break
-        total = b_add(total, product.scale(weight))
-    return total
-
-
-def centrality_commutes(
-    b: BScalar, x: TVariable
-) -> bool:
-    """Whether the embedded BScalar commutes with x under t_mul."""
-    embedded = TVariable.from_bscalar(b)
-    return t_mul(embedded, x) == t_mul(x, embedded)
-
-
-def variables_from_json(
-    obj: Sequence[Sequence[Mapping[str, object]]]
-) -> TVariable:
-    return TVariable(
-        tuple(NcPolynomial.from_json_obj(entry) for entry in obj)
     )

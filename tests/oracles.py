@@ -1,5 +1,14 @@
 """Reference routes that only the tests use.
 
+The lattice of NC(n) as an order: ``leq``, ``zeta``, ``delta``, the
+``NcLattice`` of one n with its refinement order and its Möbius function
+computed by the recursion mu(theta, pi) = -sum over theta <= sigma < pi of
+mu(theta, sigma), ``mobius`` on a pair, ``interleave`` of two partitions
+on odd and even slots, the extremes ``zero_partition``/``one_partition``
+and the even-block enumeration ``enumerate_nc_even``. The library builds
+no order relation: it reads mu off the Kreweras complement in closed form
+(``nc_lattice.mobius_to_top`` and ``nc_lattice.mobius_intervals``).
+
 ``cumulant_words_mobius`` computes the scalar cumulant of plain words by
 Möbius inversion of moments,
 
@@ -9,16 +18,25 @@ Möbius inversion of moments,
 where w_V concatenates the words of the slots in V. The library reads the
 same cumulant off the table by the products-as-arguments sum; this route
 shares none of that code, and takes its moments from ``phi_word_nc``.
+``t_cumulant_mobius`` is the same inversion for the B-valued cumulant of
+Toeplitz variables, with per-block B-products of moments; the library sums
+the cumulant over compositions.
 
 ``phi_word_nc`` is phi of a word as the sum over every pi in NC(n) of the
 products of block cumulants read off the table. The library sums the same
 moment by first-block recursion and never enumerates NC(n).
+``phi_partition`` is the product over the blocks of pi of phi of the
+block products of polynomial arguments.
 
 ``moments_from_r_nc``, ``r_from_moments_mobius`` and
 ``boxed_convolution_kreweras`` are the series calculus written as sums
 over every pi in NC(n): the zeta sum, the mu(pi, 1_n)-weighted sum and the
 Kreweras-complement sum. The library sums the same series by first-block
-recursion and never enumerates NC(n).
+recursion and never enumerates NC(n). ``boxed_identity`` is the unit of
+boxed convolution, ``series_add`` the coefficientwise sum of two series,
+and ``family_assignment`` the scalar families behind each variable.
+``even_cumulant_restricted`` is K_m(X, ..., X) of an even variable summed
+over the even-block partitions only, with closed-form Möbius weights.
 
 ``poly_sum_of_products_fraction`` is the sum of products of polynomials
 with every coefficient a ``Fraction``: the library sums the same products
@@ -27,13 +45,193 @@ on integer numerators over one common denominator.
 ``b_mul_fraction`` and ``b_add_fraction`` are the product and the sum of
 the Toeplitz algebra on tuples of ``Fraction`` entries: the library runs
 both on integer numerators over one common denominator.
+``t_mul_oracle`` is the Toeplitz product of variables through explicit
+matrix multiplication, and ``centrality_commutes`` checks that an embedded
+element of B commutes with a variable under it.
 """
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 from toepfree import nc_lattice
-from toepfree.series import BSeries, all_index_words
-from toepfree.toeplitz_core import BScalar, b_mul
+from toepfree.errors import (
+    DimensionMismatch,
+    InternalConsistencyError,
+    MathDomainError,
+)
+from toepfree.nc_lattice import NcPartition
+from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul
+from toepfree.series import BSeries, all_index_words, check_even
+from toepfree.toeplitz_core import (
+    BScalar,
+    TVariable,
+    b_mul,
+    t_cumulant,
+    t_moment,
+    t_moments,
+    t_mul,
+)
+
+
+class NotEven(MathDomainError):
+    """An even-only operation was applied to a non-even variable."""
+
+
+class OddLength(MathDomainError):
+    """An even-length-only operation received an odd length."""
+
+
+# --------------------------------------------------------------------------
+# the lattice NC(n) as an order
+# --------------------------------------------------------------------------
+
+
+def zero_partition(n):
+    """0_n: the all-singletons partition (lattice minimum)."""
+    return NcPartition(n, tuple((i,) for i in range(1, n + 1)))
+
+
+def one_partition(n):
+    """1_n: the single-block partition (lattice maximum)."""
+    return NcPartition(n, (tuple(range(1, n + 1)),))
+
+
+def enumerate_nc_even(m, cap=None):
+    """All partitions in NC(m) whose blocks all have even size."""
+    if m % 2 != 0:
+        raise OddLength(f"even-block partitions require even size, got {m}")
+    return [
+        p
+        for p in nc_lattice.enumerate_nc(m, cap)
+        if all(len(b) % 2 == 0 for b in p.blocks)
+    ]
+
+
+def _require_same_n(theta, pi):
+    if theta.n != pi.n:
+        raise DimensionMismatch(
+            f"partitions of different ground sets: {theta.n} vs {pi.n}"
+        )
+
+
+def leq(theta, pi):
+    """Refinement order: every block of theta lies inside a block of pi."""
+    _require_same_n(theta, pi)
+    of_pi = pi.block_of()
+    return all(
+        len({of_pi[x] for x in block}) == 1 for block in theta.blocks
+    )
+
+
+def zeta(theta, pi):
+    """zeta(theta, pi) = 1 if theta <= pi else 0."""
+    return Fraction(1) if leq(theta, pi) else Fraction(0)
+
+
+def delta(theta, pi):
+    """delta(theta, pi) = 1 if theta == pi else 0."""
+    _require_same_n(theta, pi)
+    return Fraction(1) if theta == pi else Fraction(0)
+
+
+class NcLattice:
+    """NC(n) with its order relation and Möbius function.
+
+    ``below[i]`` is the set of indices j with element j <= element i, and
+    ``above[i]`` the dual; intervals are intersections of the two.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.elements = nc_lattice.enumerate_nc(n, nc_lattice.HARD_DEGREE_CAP)
+        self.index = {p: i for i, p in enumerate(self.elements)}
+        size = len(self.elements)
+        # labels[j][x] = block index of element x in partition j
+        labels = []
+        for p in self.elements:
+            lab = [0] * (n + 1)
+            for b, block in enumerate(p.blocks):
+                for x in block:
+                    lab[x] = b
+            labels.append(lab)
+        # chains[i] = adjacent same-block element pairs of partition i;
+        # theta_i <= pi_j iff every chained pair shares a block of pi_j
+        chains = [
+            [(b[k], b[k + 1]) for b in p.blocks for k in range(len(b) - 1)]
+            for p in self.elements
+        ]
+        self.below = [set() for _ in range(size)]
+        self.above = [set() for _ in range(size)]
+        for i in range(size):
+            pairs = chains[i]
+            for j in range(size):
+                lab = labels[j]
+                if all(lab[x] == lab[y] for x, y in pairs):
+                    self.below[j].add(i)
+                    self.above[i].add(j)
+        self._mu = {}
+        self._mu_to_top = None
+
+    def interval(self, lo, hi):
+        """Indices of elements sigma with lo <= sigma <= hi."""
+        return self.above[lo] & self.below[hi]
+
+    def mu(self, lo, hi):
+        """Möbius function on the interval [lo, hi], by index."""
+        if lo == hi:
+            return Fraction(1)
+        if lo not in self.below[hi]:
+            return Fraction(0)
+        key = (lo, hi)
+        cached = self._mu.get(key)
+        if cached is not None:
+            return cached
+        total = Fraction(0)
+        for mid in self.interval(lo, hi):
+            if mid != hi:
+                total -= self.mu(lo, mid)
+        self._mu[key] = total
+        return total
+
+    def mu_to_top(self):
+        """mu(sigma, 1_n) for every sigma, indexed like ``elements``."""
+        if self._mu_to_top is None:
+            top = self.index[one_partition(self.n)]
+            self._mu_to_top = [
+                self.mu(i, top) for i in range(len(self.elements))
+            ]
+        return self._mu_to_top
+
+
+@lru_cache(maxsize=None)
+def lattice(n):
+    return NcLattice(n)
+
+
+def mobius(theta, pi):
+    """Möbius function of the interval [theta, pi] in NC(n), by the
+    recursion; 0 whenever theta is not below pi."""
+    _require_same_n(theta, pi)
+    lat = lattice(theta.n)
+    return lat.mu(lat.index[theta], lat.index[pi])
+
+
+def interleave(pi, sigma):
+    """The partition of {1,...,2n} with pi on odd and sigma on even slots.
+
+    Raises CrossingPartition if the union crosses (i.e. sigma is not below
+    the Kreweras complement of pi).
+    """
+    _require_same_n(pi, sigma)
+    n = pi.n
+    blocks = [tuple(2 * x - 1 for x in b) for b in pi.blocks]
+    blocks += [tuple(2 * x for x in b) for b in sigma.blocks]
+    return NcPartition.from_blocks(2 * n, blocks)
+
+
+# --------------------------------------------------------------------------
+# arithmetic, moments and the series calculus
+# --------------------------------------------------------------------------
 
 
 def poly_sum_of_products_fraction(pairs):
@@ -96,7 +294,7 @@ def phi_word_nc(functional, word):
 
 def cumulant_words_mobius(functional, words):
     """The cumulant with one plain word per slot, by Möbius inversion."""
-    lat = nc_lattice.lattice(len(words))
+    lat = lattice(len(words))
     mu_top = lat.mu_to_top()
     total = Fraction(0)
     for at, pi in enumerate(lat.elements):
@@ -137,7 +335,7 @@ def r_from_moments_mobius(m):
     weighted by mu(pi, 1_n)."""
     coeffs = {}
     for word in all_index_words(m.s, m.degree):
-        lat = nc_lattice.lattice(len(word))
+        lat = lattice(len(word))
         mu_top = lat.mu_to_top()
         total = BScalar.zero(m.order)
         for at, pi in enumerate(lat.elements):
@@ -163,3 +361,184 @@ def boxed_convolution_kreweras(f, g):
             total = total + b_mul(left, right)
         coeffs[word] = total
     return BSeries(f.s, f.order, f.degree, coeffs)
+
+
+# --------------------------------------------------------------------------
+# block products, Toeplitz products and B-valued cumulants
+# --------------------------------------------------------------------------
+
+
+def phi_partition(functional, pi, args):
+    """phi_pi: the product over blocks of phi of the block products.
+
+    Valid as a plain product because scalars are central.
+    """
+    if pi.n != len(args):
+        raise DimensionMismatch(
+            f"partition of {pi.n} points vs {len(args)} arguments"
+        )
+    total = Fraction(1)
+    for block in pi.blocks:
+        product = NcPolynomial.one()
+        for i in block:
+            product = poly_mul(product, args[i - 1])
+        total *= functional.phi(product)
+        if not total:
+            return total
+    return total
+
+
+def t_mul_oracle(x, y):
+    """The Toeplitz product through explicit matrix multiplication.
+
+    Embeds both tuples as N x N upper-triangular Toeplitz matrices, runs a
+    full matrix product, checks the result is again upper-triangular
+    Toeplitz, and reads off its defining tuple.
+    """
+    if x.order != y.order:
+        raise DimensionMismatch(
+            f"tuple lengths differ: {x.order} vs {y.order}"
+        )
+    n = x.order
+
+    def matrix(t):
+        return [
+            [
+                t.entries[c - r] if c >= r else NcPolynomial.zero()
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+
+    mx, my = matrix(x), matrix(y)
+    product = [
+        [
+            reduce(
+                poly_add,
+                (poly_mul(mx[r][k], my[k][c]) for k in range(n)),
+                NcPolynomial.zero(),
+            )
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    for r in range(n):
+        for c in range(n):
+            expected = (
+                product[0][c - r] if c >= r else NcPolynomial.zero()
+            )
+            if product[r][c] != expected:
+                raise InternalConsistencyError(
+                    "matrix product is not upper-triangular Toeplitz"
+                )
+    return TVariable(tuple(product[0]))
+
+
+def centrality_commutes(b, x):
+    """Whether the embedded BScalar commutes with x under t_mul."""
+    embedded = TVariable.from_bscalar(b)
+    return t_mul(embedded, x) == t_mul(x, embedded)
+
+
+def variables_from_json(obj):
+    return TVariable(
+        tuple(NcPolynomial.from_json_obj(entry) for entry in obj)
+    )
+
+
+def t_cumulant_mobius(functional, vars_, idx):
+    """The cumulant by Möbius inversion over NC(n) in B.
+
+    K_n = sum over pi of E-hat(pi) mu(pi, 1_n), where E-hat(pi) is the
+    plain B-product (blocks ordered by minima) of the per-block moments.
+    Plain products are valid because every BScalar is central. The
+    moments of the distinct block subwords are taken in one ``t_moments``
+    walk.
+    """
+    order = vars_[0].order
+    lat = lattice(len(idx))
+    mu_top = lat.mu_to_top()
+    weighted = [
+        (weight, [tuple(idx[p - 1] for p in block) for block in pi.blocks])
+        for weight, pi in zip(mu_top, lat.elements)
+        if weight
+    ]
+    # the distinct block subwords in lexicographic order: one trie walk
+    subwords = sorted({sub for _, blocks in weighted for sub in blocks})
+    moments = dict(zip(subwords, t_moments(functional, vars_, subwords)))
+
+    total = BScalar.zero(order)
+    for weight, blocks in weighted:
+        product = BScalar.one(order)
+        for sub in blocks:
+            product = b_mul(product, moments[sub])
+            if product.is_zero():
+                break
+        total = total + product.scale(weight)
+    return total
+
+
+def even_cumulant_restricted(functional, x, m):
+    """K_m(X,...,X) computed from even-block partitions only.
+
+    For an even variable the Möbius sum over NC(m) loses nothing when
+    restricted to partitions all of whose blocks have even size; this
+    computes the restricted sum, with the weights mu(pi, 1_m) in closed
+    form, and checks it against the full cumulant before returning it.
+    """
+    if m < 1 or m % 2:
+        raise OddLength(f"restricted cumulant needs even m, got {m}")
+    if not check_even(functional, x, m):
+        raise NotEven("variable has a nonvanishing odd moment or cumulant")
+    total = BScalar.zero(x.order)
+    for pi in enumerate_nc_even(m):
+        product = BScalar.one(x.order)
+        for block in pi.blocks:
+            product = b_mul(
+                product, t_moment(functional, [x], (1,) * len(block))
+            )
+            if product.is_zero():
+                break
+        total = total + product.scale(nc_lattice.mobius_to_top(pi))
+    if total != t_cumulant(functional, [x], (1,) * m):
+        raise InternalConsistencyError(
+            "even-block restricted cumulant differs from the full cumulant"
+        )
+    return total
+
+
+# --------------------------------------------------------------------------
+# series helpers
+# --------------------------------------------------------------------------
+
+
+def boxed_identity(s, order, degree):
+    """The unit for boxed convolution: coefficient (1,0,...,0) at every
+    degree-1 word and nothing else (the R-transform of unit tuples)."""
+    coeffs = {(i,): BScalar.one(order) for i in range(1, s + 1)}
+    return BSeries(s, order, degree, coeffs)
+
+
+def series_add(f, g):
+    """Coefficientwise B-sum of two series of identical shape."""
+    if (f.s, f.order, f.degree) != (g.s, g.order, g.degree):
+        raise DimensionMismatch(
+            f"series shapes differ: (s={f.s}, N={f.order}, D={f.degree}) "
+            f"vs (s={g.s}, N={g.order}, D={g.degree})"
+        )
+    coeffs = dict(f.items())
+    for word, value in g.items():
+        coeffs[word] = coeffs.get(word, BScalar.zero(f.order)) + value
+    return BSeries(f.s, f.order, f.degree, coeffs)
+
+
+def family_assignment(functional, named_vars):
+    """The scalar families each variable's entries are built over."""
+    out = {}
+    for name, var in named_vars.items():
+        families = set()
+        for entry in var.entries:
+            for gen_id in entry.generator_ids():
+                families.add(functional.generators[gen_id].family)
+        out[name] = frozenset(families)
+    return out

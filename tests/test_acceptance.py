@@ -21,17 +21,20 @@ from fractions import Fraction
 
 import pytest
 
-from toepfree.errors import ZeroTrace
-from toepfree.nc_lattice import (
-    catalan,
+from oracles import (
+    centrality_commutes,
     delta,
-    enumerate_nc,
-    kreweras,
+    even_cumulant_restricted,
     lattice,
     mobius,
     one_partition,
+    series_add,
+    t_cumulant_mobius,
+    t_mul_oracle,
     zero_partition,
 )
+from toepfree.errors import ZeroTrace
+from toepfree.nc_lattice import catalan, enumerate_nc, kreweras
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_scale
 from toepfree.scalar_space import build_space
 from toepfree.series import (
@@ -41,28 +44,23 @@ from toepfree.series import (
     check_even,
     check_freeness,
     compress_r_transform,
-    even_cumulant_restricted,
     free_family_sparsity,
     moments_from_r,
     r_from_moments,
     r_transform,
-    series_add,
     symm_r_transform,
 )
 from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
     b_mul,
-    centrality_commutes,
     chain_product,
     composition_terms,
     expect,
     t_add,
     t_cumulant,
-    t_cumulant_mobius,
     t_moment,
     t_mul,
-    t_mul_oracle,
 )
 
 F = Fraction
@@ -698,6 +696,31 @@ def test_criterion_9_cli_golden(capsys):
                 "value": len(pi.blocks),
             }
 
+        # the order-4 Möbius table is byte-identical to the frozen file,
+        # and every row is re-derived from the recursive Möbius function
+        # of the oracle lattice, in the same order
+        golden_mu = (GOLDEN / "nc_mobius_n4.json").read_bytes()
+        code, out, _ = run_cli("nc", "mobius", "--n", "4")
+        assert code == 0
+        assert out == golden_mu
+        code, again, _ = run_cli("nc", "mobius", "--n", "4")
+        assert code == 0 and again == out
+
+        obj = json.loads(golden_mu)
+        lat = lattice(4)
+        expected_rows = [
+            {
+                "word": [lat.elements[lo].to_json_obj(), hi.to_json_obj()],
+                "entry": 0,
+                "value": str(lat.mu(lo, hi_at)),
+            }
+            for hi_at, hi in enumerate(lat.elements)
+            for lo in sorted(lat.below[hi_at])
+        ]
+        assert (obj["query"], obj["n"]) == ("nc-mobius", 4)
+        assert obj["rows"] == expected_rows
+        assert len(expected_rows) == 55
+
         # the worked third-cumulant table is byte-identical to the frozen
         # file, and every row is recomputed here through the Möbius route
         # on an independently built model
@@ -749,3 +772,4 @@ def test_criterion_9_cli_golden(capsys):
         assert code == 2 and err.startswith("error: config:")
         code, _, err = run_cli("nc", "mobius", "--n", "9")
         assert code == 3 and err.startswith("error: degree-cap-exceeded:")
+        assert "9" in err and "7" in err  # the requested n and the cap

@@ -6,10 +6,12 @@ codes are all exercised exactly as a user would hit them. This works from
 a checkout on ``PYTHONPATH`` as well as from an installed package.
 """
 
+import ast
 import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
+import toepfree
 from toepfree.toeplitz_core import BScalar, b_mul
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 BASE = {
     "N": 2,
@@ -327,6 +331,38 @@ def test_json_and_csv_carry_identical_triples(cfg):
         for row in list(csv.reader(io.StringIO(out_csv)))[1:]
     }
     assert triples_json == triples_csv
+
+
+def test_every_public_name_has_a_user():
+    """Each name in toepfree.__all__ is referenced in the code of the CLI
+    or of a package module other than its own, or named in the code of
+    README.md (its inline code and code blocks). An export that nothing in
+    the package uses and the README does not document fails here."""
+    package = Path(toepfree.__file__).parent
+    referenced: dict[str, set[str]] = {}
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        referenced[path.stem] = names
+    readme_code = "\n".join(
+        re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.S)
+    )
+    unused = []
+    for name in toepfree.__all__:
+        home = getattr(toepfree, name).__module__.rpartition(".")[2]
+        if any(
+            name in names for module, names in referenced.items() if module != home
+        ):
+            continue
+        if not re.search(rf"\b{name}\b", readme_code):
+            unused.append(name)
+    assert unused == []
 
 
 def test_console_script_is_installed():

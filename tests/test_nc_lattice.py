@@ -3,9 +3,12 @@
 Every structural claim is checked against an independent brute-force oracle:
 noncrossing partitions against a filter over all set partitions with the
 quadruple crossing definition, Catalan numbers against their recurrence,
-Möbius values against the defining convolution identity, and the Kreweras
-complement against an exhaustive search for the coarsest compatible
-partition.
+the recursive Möbius function of the oracle lattice (``oracles.NcLattice``)
+against the defining convolution identity, the library's closed-form
+Möbius table against that recursion, and the Kreweras complement against
+an exhaustive search for the coarsest compatible partition. The order,
+zeta / delta, interleaving and the even-block enumeration are oracles in
+``tests/oracles.py``.
 """
 
 from fractions import Fraction
@@ -14,26 +17,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toepfree.errors import (
-    CrossingPartition,
-    DegreeCapExceeded,
-    DimensionMismatch,
+from oracles import (
     OddLength,
-)
-from toepfree.nc_lattice import (
-    NcPartition,
-    catalan,
     delta,
-    enumerate_nc,
     enumerate_nc_even,
     interleave,
-    kreweras,
     lattice,
     leq,
     mobius,
     one_partition,
     zero_partition,
     zeta,
+)
+from toepfree.errors import (
+    CrossingPartition,
+    DegreeCapExceeded,
+    DimensionMismatch,
+)
+from toepfree.nc_lattice import (
+    NcPartition,
+    catalan,
+    enumerate_nc,
+    kreweras,
+    mobius_intervals,
+    mobius_to_top,
 )
 
 F = Fraction
@@ -242,6 +249,24 @@ def test_mobius_small_values():
     b = NcPartition.from_blocks(3, [[1], [2, 3]])
     assert mobius(a, b) == 0
     assert mobius(one_partition(3), zero_partition(3)) == 0
+
+
+def test_closed_form_mobius_table_matches_recursion():
+    """Every row of the closed-form table, pairs and order included, is a
+    pair sigma <= pi of the oracle lattice with its recursive Möbius
+    value, and every such pair is a row, for n <= 7."""
+    for n in range(1, 8):
+        lat = lattice(n)
+        expected = [
+            (lat.elements[lo], hi, lat.mu(lo, hi_at))
+            for hi_at, hi in enumerate(lat.elements)
+            for lo in sorted(lat.below[hi_at])
+        ]
+        assert list(mobius_intervals(n)) == expected
+        top = lat.index[one_partition(n)]
+        for at, pi in enumerate(lat.elements):
+            assert mobius_to_top(pi) == lat.mu(at, top)
+    assert sum(1 for _ in mobius_intervals(7)) == 7752
 
 
 def test_interval_contents():

@@ -30,7 +30,7 @@ from toepfree.scalar_space import (
     build_space,
 )
 
-from oracles import cumulant_words_mobius, phi_word_nc
+from oracles import cumulant_words_mobius, phi_partition, phi_word_nc
 
 F = Fraction
 gen = NcPolynomial.generator
@@ -212,11 +212,11 @@ def test_phi_is_linear(semi):
 def test_phi_partition_examples(semi):
     pi = NcPartition.from_blocks(3, [[1, 3], [2]])
     s = gen("s")
-    assert semi.phi_partition(pi, (s, s, s)) == 0  # phi(ss) * phi(s)
+    assert phi_partition(semi, pi, (s, s, s)) == 0  # phi(ss) * phi(s)
     pi2 = NcPartition.from_blocks(4, [[1, 2], [3, 4]])
-    assert semi.phi_partition(pi2, (s, s, s, s)) == 1
+    assert phi_partition(semi, pi2, (s, s, s, s)) == 1
     with pytest.raises(DimensionMismatch):
-        semi.phi_partition(pi, (s, s))
+        phi_partition(semi, pi, (s, s))
 
 
 # --------------------------------------------------------------------------

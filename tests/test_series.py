@@ -20,20 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NotEven,
+    OddLength,
     b_add_fraction,
     b_mul_fraction,
     boxed_convolution_kreweras,
+    boxed_identity,
+    even_cumulant_restricted,
+    family_assignment,
     moments_from_r_nc,
     phi_word_nc,
     r_from_moments_mobius,
+    series_add,
+    t_cumulant_mobius,
+    t_mul_oracle,
 )
 from toepfree import cli, nc_lattice, toeplitz_core
 from toepfree import series as series_module
 from toepfree.errors import (
     DegreeCapExceeded,
     DimensionMismatch,
-    NotEven,
-    OddLength,
     PreconditionError,
     ZeroTrace,
 )
@@ -45,18 +51,14 @@ from toepfree.series import (
     PatternRow,
     all_index_words,
     boxed_convolution,
-    boxed_identity,
     check_even,
     check_freeness,
     compress_r_transform,
-    even_cumulant_restricted,
-    family_assignment,
     free_family_sparsity,
     moment_series,
     moments_from_r,
     r_from_moments,
     r_transform,
-    series_add,
     symm_r_transform,
 )
 from toepfree.toeplitz_core import (
@@ -65,9 +67,7 @@ from toepfree.toeplitz_core import (
     b_add,
     b_mul,
     t_cumulant,
-    t_cumulant_mobius,
     t_mul,
-    t_mul_oracle,
 )
 
 F = Fraction
@@ -279,10 +279,11 @@ def test_word_cap_is_checked_before_any_sum(monkeypatch):
 
 
 def test_cumulant_path_never_inverts_moments(monkeypatch, tmp_path, capsys):
-    """With phi_word, lattice and mu_to_top disabled, r_transform, the
-    cumulants table and check_freeness still give the closed form of
-    X = c + s*alpha + p*beta: K_1 = c + r*beta and, for n >= 2,
-    K_n = v*alpha_1*alpha_2 [n = 2] + r*beta_1*...*beta_n."""
+    """With phi_word, the closed-form Möbius entries and the Kreweras
+    complement disabled, and no lattice order in the package,
+    r_transform, the cumulants table and check_freeness still give the
+    closed form of X = c + s*alpha + p*beta: K_1 = c + r*beta and, for
+    n >= 2, K_n = v*alpha_1*alpha_2 [n = 2] + r*beta_1*...*beta_n."""
     v, rate = F(3, 2), F(2, 3)
     config = {
         "N": 3,
@@ -324,8 +325,13 @@ def test_cumulant_path_never_inverts_moments(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("the cumulant path went through moments")
 
-    monkeypatch.setattr(nc_lattice, "lattice", boom)
-    monkeypatch.setattr(nc_lattice.NcLattice, "mu_to_top", boom)
+    # the package builds no lattice order: its Möbius values come only
+    # from the closed form, which goes through the Kreweras complement
+    assert not hasattr(nc_lattice, "lattice")
+    assert not hasattr(nc_lattice, "NcLattice")
+    monkeypatch.setattr(nc_lattice, "mobius_to_top", boom)
+    monkeypatch.setattr(nc_lattice, "mobius_intervals", boom)
+    monkeypatch.setattr(nc_lattice, "kreweras", boom)
     monkeypatch.setattr(MomentFunctional, "phi_word", boom)
 
     path = tmp_path / "model.json"
@@ -434,16 +440,16 @@ def test_series_calculus_cap_is_checked_before_any_word(monkeypatch):
 
 
 def test_series_calculus_never_enumerates_nc(monkeypatch, tmp_path, capsys):
-    """With NC(n) enumeration, the lattice, mu_to_top and the Kreweras
-    complement disabled, the maps still invert each other, the boxed
+    """With NC(n) enumeration and the Kreweras complement disabled, and no
+    lattice order in the package, the maps still invert each other, the boxed
     identity stays neutral and the boxconv command gives its hand value."""
 
     def boom(*args, **kwargs):
         raise AssertionError("the series calculus went through NC(n)")
 
+    assert not hasattr(nc_lattice, "lattice")
+    assert not hasattr(nc_lattice, "NcLattice")
     monkeypatch.setattr(nc_lattice, "enumerate_nc", boom)
-    monkeypatch.setattr(nc_lattice, "lattice", boom)
-    monkeypatch.setattr(nc_lattice.NcLattice, "mu_to_top", boom)
     monkeypatch.setattr(nc_lattice, "kreweras", boom)
 
     rng = random.Random(41)
@@ -699,8 +705,9 @@ def test_series_calculus_uses_no_fraction_arithmetic(monkeypatch):
 
 
 def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
-    """With NC(n) enumeration, the lattice, the Kreweras complement and
-    MomentFunctional.cumulant disabled, the moments command and
+    """With NC(n) enumeration, the Kreweras complement and
+    MomentFunctional.cumulant disabled, and no lattice order in the
+    package, the moments command and
     moment_series still give the oracle's values."""
     config = {
         "N": 3,
@@ -725,8 +732,8 @@ def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("the moment path went through NC(n) or cumulant")
 
+    assert not hasattr(nc_lattice, "lattice")
     monkeypatch.setattr(nc_lattice, "enumerate_nc", boom)
-    monkeypatch.setattr(nc_lattice, "lattice", boom)
     monkeypatch.setattr(nc_lattice, "kreweras", boom)
     monkeypatch.setattr(MomentFunctional, "cumulant", boom)
 

@@ -1,9 +1,10 @@
 """Toeplitz-algebra tests: products, inverses, compositions, both cumulant
 paths.
 
-The product is validated against an explicit matrix embedding, the
-composition terms against direct multiplication of the product chain, and the
-primary cumulant path against an independent Möbius-inversion path. The
+The product is validated against an explicit matrix embedding
+(``oracles.t_mul_oracle``), the composition terms against direct
+multiplication of the product chain, and the cumulant path against an
+independent Möbius-inversion path (``oracles.t_cumulant_mobius``). The
 moment-cumulant lattice formula is then re-derived in the test itself as a
 third, engine-free reference.
 """
@@ -18,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import b_add_fraction, b_mul_fraction
+from oracles import (
+    b_add_fraction,
+    b_mul_fraction,
+    centrality_commutes,
+    t_cumulant_mobius,
+    t_mul_oracle,
+    variables_from_json,
+)
 from toepfree import nc_lattice
 from toepfree.errors import DimensionMismatch, NonInvertible
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul, poly_scale
@@ -31,17 +39,13 @@ from toepfree.toeplitz_core import (
     b_inv,
     b_mul,
     b_pow,
-    centrality_commutes,
     chain_product,
     composition_terms,
     compositions,
     expect,
     t_cumulant,
-    t_cumulant_mobius,
     t_moment,
     t_mul,
-    t_mul_oracle,
-    variables_from_json,
 )
 
 F = Fraction
