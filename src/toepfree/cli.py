@@ -50,7 +50,7 @@ from .series import (
     free_family_sparsity,
     r_transform,
 )
-from .toeplitz_core import TVariable, t_cumulant, t_moments
+from .toeplitz_core import TVariable, t_cumulants, t_moments
 
 NC_LIST_CAP = nc_lattice.DEFAULT_DEGREE_CAP
 NC_MOBIUS_CAP = 7
@@ -399,16 +399,13 @@ def _cmd_nc_mobius(args: argparse.Namespace) -> Emission:
 
 
 def _degree_table(
-    query: str, config: Config, args: argparse.Namespace, kind: str
+    query: str, config: Config, args: argparse.Namespace, walk
 ) -> Emission:
     vars_ = _resolve_vars(config, args.vars, "--vars")
     degree = args.degree if args.degree is not None else config.degree_cap
     check_series_request(config.functional, vars_, degree)
     words = list(product(range(1, len(vars_) + 1), repeat=degree))
-    if kind == "moment":
-        values = t_moments(config.functional, vars_, words)
-    else:
-        values = (t_cumulant(config.functional, vars_, w) for w in words)
+    values = walk(config.functional, vars_, words)
     out_rows = []
     rows: list[Row] = []
     for word, coefficient in zip(words, values):
@@ -428,11 +425,11 @@ def _degree_table(
 
 
 def _cmd_moments(config: Config, args: argparse.Namespace) -> Emission:
-    return _degree_table("moments", config, args, "moment")
+    return _degree_table("moments", config, args, t_moments)
 
 
 def _cmd_cumulants(config: Config, args: argparse.Namespace) -> Emission:
-    return _degree_table("cumulants", config, args, "cumulant")
+    return _degree_table("cumulants", config, args, t_cumulants)
 
 
 def _series_emission(query: str, series) -> Emission:

@@ -40,9 +40,11 @@ from .toeplitz_core import (
     BScalar,
     IndexWord,
     TVariable,
+    _most_letters,
     b_mul,
     b_pow,
     t_cumulant,
+    t_cumulants,
     t_moment,
     t_moments,
 )
@@ -225,28 +227,22 @@ def _require_word_cap(
     functional: MomentFunctional, vars_: Sequence[TVariable], degree: int
 ) -> None:
     """Refuse a series whose scalar words would outgrow the degree cap,
-    before any NC(n) sum.
+    before any coefficient is computed.
 
     The longest word behind entry j of a degree-n coefficient follows the
     product recursion on entry degrees, over nonzero entries only:
     L_n[j] = max over k <= j of L_{n-1}[k] + max_i deg x^(i)_{j-k}. The
     bound ignores cancellation between terms.
     """
-    absent = float("-inf")  # an entry that is zero in every variable
     entry = [
         max(
             (x.entries[j].degree() for x in vars_ if x.entries[j]),
-            default=absent,
+            default=float("-inf"),
         )
         for j in range(vars_[0].order)
     ]
-    lengths, longest = entry, max(entry)
-    for _ in range(degree - 1):
-        lengths = [
-            max(lengths[k] + entry[j - k] for k in range(j + 1))
-            for j in range(len(entry))
-        ]
-        longest = max(longest, *lengths)
+    # row m of the table holds L_{degree-m}
+    longest = max(max(row) for row in _most_letters([entry] * degree)[:-1])
     if longest > functional.degree_cap:
         raise DegreeCapExceeded(
             f"degree {degree} needs scalar words of length {longest}, "
@@ -288,10 +284,9 @@ def r_transform(
 ) -> BSeries:
     """R(z_1..z_s): coefficient at (i_1..i_n) is the tuple cumulant."""
     order, d = check_series_request(functional, vars_, degree)
-    coeffs = {
-        w: t_cumulant(functional, vars_, w)
-        for w in all_index_words(len(vars_), d)
-    }
+    # lexicographic order walks the word trie, sharing prefix products
+    words = sorted(all_index_words(len(vars_), d))
+    coeffs = dict(zip(words, t_cumulants(functional, vars_, words)))
     return BSeries(len(vars_), order, d, coeffs)
 
 
@@ -481,14 +476,13 @@ def check_freeness(
     _check_vars(combined)
     d = _resolve_degree(functional, degree)
     cut = len(group_a)
-    for word in all_index_words(len(combined), d):
-        if len(word) < 2:
-            continue
-        uses_a = any(i <= cut for i in word)
-        uses_b = any(i > cut for i in word)
-        if not (uses_a and uses_b):
-            continue
-        if not t_cumulant(functional, combined, word).is_zero():
+    words = [
+        word
+        for word in all_index_words(len(combined), d)
+        if min(word) <= cut < max(word)
+    ]
+    for word, value in zip(words, t_cumulants(functional, combined, words)):
+        if not value.is_zero():
             return FreenessReport(False, word)
     return FreenessReport(True, None)
 
@@ -622,15 +616,9 @@ def symm_r_transform(
         raise DimensionMismatch(
             f"b0 has order {b0.order}, variables have order {order}"
         )
-    d = _resolve_degree(functional, degree)
-    _require_word_cap(functional, vars_, d)
-    coeffs: dict[IndexWord, BScalar] = {}
-    for word in all_index_words(len(vars_), d):
-        coeffs[word] = b_mul(
-            b_pow(b0, len(word) - 1),
-            t_cumulant(functional, vars_, word),
-        )
-    return BSeries(len(vars_), order, d, coeffs)
+    r = r_transform(functional, vars_, degree)
+    coeffs = {w: b_mul(b_pow(b0, len(w) - 1), value) for w, value in r.items()}
+    return BSeries(r.s, order, r.degree, coeffs)
 
 
 def compress_r_transform(r: BSeries, alpha0: RationalLike) -> BSeries:

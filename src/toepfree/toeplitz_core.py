@@ -1,22 +1,20 @@
 """The Toeplitz matricial algebra C^N and its probability space.
 
 A BScalar is an N-tuple of rationals with entrywise sum and the truncated
-convolution product whose j-th entry is sum_{k=1}^{j} a_k b_{j+1-k}; it is
-isomorphic to the algebra of N x N upper-triangular Toeplitz matrices and
-is commutative. It is stored as one positive common denominator and N
-integer numerators, so that sums and products run on integers with a
-single reduction per result; ``entries`` gives its entries as Fractions.
-A TVariable is an N-tuple of noncommutative polynomials
-with the same product shape; the conditional expectation E applies phi
-entrywise. Moments of many index words are taken along a walk of the word
-trie, so words that share a prefix share its chain product.
+convolution product whose j-th entry is sum_{k=1}^{j} a_k b_{j+1-k}: the
+commutative algebra B of N x N upper-triangular Toeplitz matrices. It is
+stored as one positive common denominator and N integer numerators, so
+sums and products run on integers. A TVariable is an N-tuple of
+noncommutative polynomials with the same product, and E applies phi
+entrywise. Moments and cumulants of many index words are taken along a
+walk of the word trie, so words that share a prefix share its work.
 
-Cumulants of tuples follow the product recursion: entry j (0-based) of
-K_n(X_1, ..., X_n) is the sum, over the compositions k_1 + ... + k_n = j,
-of the scalar cumulants kappa_n(x^(1)_{k_1}, ..., x^(n)_{k_n}). The test
-suite holds them against Möbius inversion over NC(n) with per-block
-B-products of moments, and holds the product against an explicit matrix
-embedding (``tests/oracles.py``).
+Cumulants are B-multilinear (Speicher, Mem. AMS 627, 1998): writing each
+variable as X = sum over words w of A[w] w with A[w] in B, K_n is the sum
+over word tuples of the scalar cumulant kappa(w_1, ..., w_n) times the
+B-product of the A_m[w_m]. The test suite holds K_n against Möbius
+inversion and against the sum over compositions of each entry, and the
+product against an explicit matrix embedding (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import DimensionMismatch, NonInvertible
+from .errors import DegreeCapExceeded, DimensionMismatch, NonInvertible
 from .ncpoly import (
     NcPolynomial,
     RationalLike,
@@ -40,6 +38,7 @@ from .ncpoly import (
 from .scalar_space import MomentFunctional
 
 IndexWord = tuple[int, ...]
+T = TypeVar("T")
 
 
 class BScalar:
@@ -304,21 +303,16 @@ def _select(vars_: Sequence[TVariable], idx: Sequence[int]) -> list[TVariable]:
     return chosen
 
 
-def t_moments(
-    functional: MomentFunctional,
+def _prefix_walk(
     vars_: Sequence[TVariable],
     words: Iterable[Sequence[int]],
-) -> Iterator[BScalar]:
-    """The moment of each index word in turn: E of its product chain.
-
-    The chain products of the last word's prefixes are kept, and each word
-    reuses those of the prefix it shares with the word before, so it costs
-    one t_mul per letter past that prefix. Given in lexicographic order (a
-    preorder of the word trie), the words cost one t_mul per trie node
-    below the first level, and no more products are alive at once than the
-    longest word has letters.
-    """
-    path: list[TVariable] = []  # path[k]: product of the first k+1 factors
+    step: Callable[[T | None, int], T],
+) -> Iterator[tuple[Sequence[int], list[TVariable], T]]:
+    """Each index word with its variables and the value of its prefix,
+    built as step(None, i_1) and then step(value, i) per later index. The
+    values of the last word's prefixes are kept for the next word, so in
+    lexicographic order (a trie preorder) each trie node costs one step."""
+    path: list[T] = []  # path[k]: the value of the first k+1 indices
     last: Sequence[int] = ()
     for idx in words:
         chosen = _select(vars_, idx)
@@ -328,12 +322,25 @@ def t_moments(
                 break
             shared += 1
         del path[shared:]
-        if not path:
-            path.append(chosen[0])
-        for factor in chosen[len(path):]:
-            path.append(t_mul(path[-1], factor))
+        for i in idx[len(path):]:
+            path.append(step(path[-1] if path else None, i))
         last = idx
-        yield expect(functional, path[-1])
+        yield idx, chosen, path[-1]
+
+
+def t_moments(
+    functional: MomentFunctional,
+    vars_: Sequence[TVariable],
+    words: Iterable[Sequence[int]],
+) -> Iterator[BScalar]:
+    """The moment of each index word in turn: E of its product chain, with
+    the chain products shared along the word trie."""
+
+    def step(chain: TVariable | None, i: int) -> TVariable:
+        return vars_[i - 1] if chain is None else t_mul(chain, vars_[i - 1])
+
+    for _, _, chain in _prefix_walk(vars_, words, step):
+        yield expect(functional, chain)
 
 
 def t_moment(
@@ -345,31 +352,111 @@ def t_moment(
     return next(t_moments(functional, vars_, (idx,)))
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of ``parts`` nonnegative integers summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
+def t_cumulants(
+    functional: MomentFunctional,
+    vars_: Sequence[TVariable],
+    words: Iterable[Sequence[int]],
+) -> Iterator[BScalar]:
+    """The cumulant of each index word in turn, summed over word tuples.
 
-
-def composition_terms(
-    chain: Sequence[TVariable], j: int
-) -> Iterator[tuple[NcPolynomial, ...]]:
-    """The argument sequences behind entry j (0-based) of a product chain.
-
-    One sequence (x^(1)_{k_1}, ..., x^(n)_{k_n}) per composition
-    k_1 + ... + k_n = j, skipping those with a zero entry: the terms of the
-    formal sum Q_j of the product recursion. Multiplying out each sequence
-    and summing gives entry j of ``chain_product(chain)``.
+    For n >= 2 the empty word reads 0 and is left out. Tuple prefixes are
+    built along the word trie: one whose B-product is 0 is cut, and so is
+    one that mixes families, unless a word of some variable spans two
+    families and could link them. Each word's sum runs on integers.
     """
-    for ks in compositions(j, len(chain)):
-        seq = tuple(x.entries[k] for x, k in zip(chain, ks))
-        if all(seq):
-            yield seq
+    cap, generators = functional.degree_cap, functional.generators
+
+    def family_of(word: tuple[str, ...]) -> str | None:
+        found = {getattr(generators.get(g), "family", None) for g in word}
+        return found.pop() if len(found) == 1 else None
+
+    tables = []  # per variable: the terms ((w,), family, A[w]), longest w
+    for x in vars_:
+        support = dict.fromkeys(w for p in x.entries for w in p.numerators)
+        terms = [((w,), family_of(w), BScalar(p.coeff(w) for p in x.entries))
+                 for w in support]
+        tables.append((terms, max(map(len, support), default=0)))
+    # a word with no family of its own can link words of two families
+    cut = all(f is not None for t, _ in tables for (w,), f, _ in t if w)
+
+    def step(states: list | None, i: int) -> list:
+        terms = tables[i - 1][0]
+        if states is None:
+            return terms  # the empty word stays, for n = 1 only
+        grown = []
+        for prefix, family, x in states:
+            for (word,), f, y in terms:
+                if word and prefix[-1] and not (cut and f != family):
+                    product = b_mul(x, y)
+                    if not product.is_zero():
+                        grown.append((prefix + (word,), family, product))
+        return grown
+
+    for idx, chosen, states in _prefix_walk(vars_, words, step):
+        if len(idx) > cap or sum(tables[i - 1][1] for i in idx) > cap:
+            _refuse(cap, chosen)
+        total, common = [0] * chosen[0].order, 1
+        for prefix, _, product in states:
+            value = functional.cumulant_words(prefix)
+            if value:
+                a, b = value.numerator, value.denominator * product.den
+                if common % b:
+                    scale = b // gcd(common, b)
+                    total = [t * scale for t in total]
+                    common *= scale
+                a *= common // b
+                total = [t + a * x for t, x in zip(total, product.nums)]
+        yield _reduced(common, tuple(total))
+
+
+def _most_letters(rows: Sequence[list[float]]) -> list[list[float]]:
+    """most[m][r]: the most letters slots m, m+1, ... hold with entries
+    k_m + k_{m+1} + ... = r, where entry k of slot m holds at most
+    rows[m][k] letters (-inf: none); the last row is 0 at r = 0 only."""
+    order = len(rows[0])
+    most = [[0] + [float("-inf")] * (order - 1)]
+    for row in reversed(rows):
+        after = most[0]
+        most.insert(0, [
+            max(row[k] + after[r - k] for k in range(r + 1)) for r in range(order)
+        ])
+    return most
+
+
+def _refuse(cap: int, chosen: Sequence[TVariable]) -> None:
+    """Raise DegreeCapExceeded if the index word of ``chosen`` is refused.
+
+    Entry j of its cumulant sums, over the k_1 + ... + k_n = j with every
+    x^(m)_{k_m} nonzero, the cumulants of the tuples of one nonempty word
+    from each x^(m)_{k_m}. It is refused when n exceeds the cap and such k
+    exist, or when such a tuple has more letters than the cap; the message
+    gives the length of the first one by j, then k lexicographically, then
+    the words in each entry's order.
+    """
+    n, order = len(chosen), chosen[0].order
+    if n > cap:
+        low = (next((k for k, p in enumerate(x.entries) if p), order) for x in chosen)
+        if sum(low) < order:
+            raise DegreeCapExceeded(f"cumulant arity {n} exceeds degree cap {cap}")
+        return
+    lens = [[[len(w) for w in p.numerators if w] for p in x.entries] for x in chosen]
+    top = [[max(ws, default=float("-inf")) for ws in row] for row in lens]
+    most = _most_letters(top)
+    over = [r for r in range(order) if most[0][r] > cap]
+    if not over:
+        return
+    # the first k, lexicographically, that some word tuple takes over the cap
+    r, ks, held = over[0], [], 0
+    for m, row in enumerate(top):
+        k = next(k for k in range(r + 1) if held + row[k] + most[m + 1][r - k] > cap)
+        ks.append(k)
+        held += row[k]
+        r -= k
+    length = 0  # then the first such tuple, word by word
+    for m, k in enumerate(ks):
+        held -= top[m][k]
+        length += next(w for w in lens[m][k] if length + w + held > cap)
+    raise DegreeCapExceeded(f"word of length {length} exceeds degree cap {cap}")
 
 
 def t_cumulant(
@@ -377,18 +464,5 @@ def t_cumulant(
     vars_: Sequence[TVariable],
     idx: Sequence[int],
 ) -> BScalar:
-    """The (i_1, ..., i_n)-th cumulant, summed over compositions.
-
-    Entry j is the sum of the scalar multilinear cumulants of the
-    ``composition_terms`` of entry j.
-    """
-    chosen = _select(vars_, idx)
-    return BScalar(
-        tuple(
-            sum(
-                map(functional.cumulant, composition_terms(chosen, j)),
-                Fraction(0),
-            )
-            for j in range(chosen[0].order)
-        )
-    )
+    """The (i_1, ..., i_n)-th cumulant: one word of ``t_cumulants``."""
+    return next(t_cumulants(functional, vars_, (idx,)))

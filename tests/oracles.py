@@ -446,6 +446,45 @@ def variables_from_json(obj):
     )
 
 
+def compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def composition_terms(chain, j):
+    """The argument sequences behind entry j (0-based) of a product chain.
+
+    One sequence (x^(1)_{k_1}, ..., x^(n)_{k_n}) per composition
+    k_1 + ... + k_n = j, skipping those with a zero entry: the terms of the
+    formal sum Q_j of the product recursion. Multiplying out each sequence
+    and summing gives entry j of ``chain_product(chain)``.
+    """
+    for ks in compositions(j, len(chain)):
+        seq = tuple(x.entries[k] for x, k in zip(chain, ks))
+        if all(seq):
+            yield seq
+
+
+def t_cumulant_compositions(functional, vars_, idx):
+    """The cumulant summed over compositions: entry j is the sum of the
+    scalar multilinear cumulants (``MomentFunctional.cumulant``) of the
+    ``composition_terms`` of entry j."""
+    chosen = [vars_[i - 1] for i in idx]
+    return BScalar(
+        sum(
+            map(functional.cumulant, composition_terms(chosen, j)),
+            Fraction(0),
+        )
+        for j in range(chosen[0].order)
+    )
+
+
 def t_cumulant_mobius(functional, vars_, idx):
     """The cumulant by Möbius inversion over NC(n) in B.
 

@@ -23,12 +23,14 @@ import pytest
 
 from oracles import (
     centrality_commutes,
+    composition_terms,
     delta,
     even_cumulant_restricted,
     lattice,
     mobius,
     one_partition,
     series_add,
+    t_cumulant_compositions,
     t_cumulant_mobius,
     t_mul_oracle,
     zero_partition,
@@ -55,7 +57,6 @@ from toepfree.toeplitz_core import (
     TVariable,
     b_mul,
     chain_product,
-    composition_terms,
     expect,
     t_add,
     t_cumulant,
@@ -307,8 +308,9 @@ def test_criterion_4_dual_cumulant_routes(capsys):
     with criterion(capsys, 4, "two cumulant routes", 60.0):
         rng = random.Random(4204)
 
-        # 20 random variable sets, every index word of length up to 5:
-        # the product-expansion route and the Möbius-inversion route agree
+        # 20 random variable sets, every index word of length up to 5: the
+        # B-multilinear walk, the sum over compositions and the
+        # Möbius-inversion route agree
         for _ in range(20):
             order = rng.randint(1, 3)
             fn = build_space(
@@ -337,9 +339,9 @@ def test_criterion_4_dual_cumulant_routes(capsys):
             ]
             for length in range(1, 6):
                 for idx in itertools.product((1, 2), repeat=length):
-                    assert t_cumulant(fn, pool, idx) == t_cumulant_mobius(
-                        fn, pool, idx
-                    )
+                    got = t_cumulant(fn, pool, idx)
+                    assert got == t_cumulant_compositions(fn, pool, idx)
+                    assert got == t_cumulant_mobius(fn, pool, idx)
 
         # worked third cumulant of three order-2 variables, symbolically
         joint = {
@@ -374,6 +376,7 @@ def test_criterion_4_dual_cumulant_routes(capsys):
 
         got = t_cumulant(fn3, a_vars, (1, 2, 3))
         assert got == BScalar.of([F(1, 2), F(1, 3) + F(1, 5) + F(1, 7)])
+        assert got == t_cumulant_compositions(fn3, a_vars, (1, 2, 3))
         assert got == t_cumulant_mobius(fn3, a_vars, (1, 2, 3))
         assert got.entries[1] == F(71, 105)
 

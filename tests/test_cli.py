@@ -228,6 +228,27 @@ def test_check_free(cfg):
     assert 'check-free,"[1,2]",0,false' in out
 
 
+def test_check_free_refuses_pruned_over_cap_words(tmp_path):
+    """Words of W and B come from different families, so their mixed
+    cumulants vanish, but a degree-8 scan still reaches scalar word tuples
+    longer than the cap (s*s*s three times and p): the query is refused,
+    not answered with "free": true."""
+    config = dict(BASE, N=3, degree_cap=8, variables=[
+        {"name": "W", "entries": ["s*s*s", "1/2*s", "0"]},
+        {"name": "B", "entries": ["5/9*p", "-1/4*p", "3/2*p"]},
+    ])
+    path = tmp_path / "over_cap.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(
+        "check-free", "--a", "W", "--b", "B", "--degree", "8",
+        "--config", str(path),
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: degree-cap-exceeded: word of length 10 exceeds degree cap 8\n"
+    )
+
+
 def test_check_even(cfg):
     code, out, _ = run("check-even", "--var", "X", "--config", cfg)
     assert code == 0

@@ -356,6 +356,56 @@ def test_cumulant_path_never_inverts_moments(monkeypatch, tmp_path, capsys):
     assert report.witness == (1, 2)
 
 
+def test_cli_cumulant_path_skips_mixed_family_tuples(
+    monkeypatch, tmp_path, capsys
+):
+    """On a model whose entries are single generators (the shape of the
+    benchmark's cumulant model), rtransform, cumulants and check-free make
+    no multilinear MomentFunctional.cumulant expansion, and every scalar
+    cumulant they read is of a word tuple within one family."""
+    config = {
+        "N": 3,
+        "degree_cap": 8,
+        "families": [
+            {"name": "semi", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": "5/4"}}]},
+            {"name": "pois", "generators": [{"id": "p", "distribution": {
+                "kind": "free_poisson", "rate": "2/3"}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["-8/5*s", "-2/5*p", "-7/2*s"]},
+            {"name": "Y", "entries": ["8/3*p", "1/3*s", "7/8*p"]},
+            {"name": "A", "entries": ["1/7*s", "-6/5*s", "4/3*s"]},
+            {"name": "B", "entries": ["5/9*p", "-1/4*p", "3/2*p"]},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    family = {"s": "semi", "p": "pois"}
+    read = []
+    cumulant_words = MomentFunctional.cumulant_words
+
+    def recorded(self, words):
+        read.append(words)
+        return cumulant_words(self, words)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the cumulant path expanded a polynomial tuple")
+
+    monkeypatch.setattr(MomentFunctional, "cumulant_words", recorded)
+    monkeypatch.setattr(MomentFunctional, "cumulant", boom)
+    for argv in (
+        ["rtransform", "--vars", "X,Y", "--degree", "6"],
+        ["cumulants", "--vars", "X,Y", "--degree", "5"],
+        ["check-free", "--a", "A", "--b", "B", "--degree", "6"],
+    ):
+        assert cli.main([*argv, "--config", str(path)]) == 0, argv
+    assert '"free": true' in capsys.readouterr().out
+    assert read
+    for words in read:
+        assert len({family[g] for word in words for g in word}) == 1, words
+
+
 def test_directions_are_mutual_inverses_random():
     rng = random.Random(11)
     for _ in range(25):
@@ -491,10 +541,11 @@ def test_degree_table_computes_only_printed_words(
     monkeypatch, tmp_path, capsys, command
 ):
     """moments/cumulants --degree d compute the s^d coefficients they
-    print and no shorter word. cumulants make one t_cumulant call per
-    printed word, in order. moments evaluate E once per printed word, in
-    order, and walk the words as a trie: one t_mul for each trie node of
-    depth 2..d, sum over k = 2..d of 2^k in all, and no NC(n) sum."""
+    print and no shorter word. The cumulant walk yields one result per
+    printed word, in order, and t_cumulant is not called. moments evaluate
+    E once per printed word, in order, and walk the words as a trie: one
+    t_mul for each trie node of depth 2..d, sum over k = 2..d of 2^k in
+    all, and no NC(n) sum."""
     calls = []
     for module in (cli, series_module):
         for name in ("t_moment", "t_cumulant"):
@@ -505,6 +556,16 @@ def test_degree_table_computes_only_printed_words(
                 return _original(functional, vars_, word)
 
             monkeypatch.setattr(module, name, counted, raising=False)
+    walked = []
+    walk = toeplitz_core.t_cumulants
+
+    def counted_walk(functional, vars_, words):
+        words = list(words)
+        for word, value in zip(words, walk(functional, vars_, words)):
+            walked.append(word)
+            yield value
+
+    monkeypatch.setattr(cli, "t_cumulants", counted_walk)
     evaluated, calls_t_mul, calls_nc = [], [], []
     expect, t_mul_ = toeplitz_core.expect, toeplitz_core.t_mul
     enumerate_nc = nc_lattice.enumerate_nc
@@ -544,6 +605,7 @@ def test_degree_table_computes_only_printed_words(
     path.write_text(json.dumps(config))
     for degree in (1, 3, 4):
         calls.clear()
+        walked.clear()
         evaluated.clear()
         calls_t_mul.clear()
         calls_nc.clear()
@@ -553,11 +615,13 @@ def test_degree_table_computes_only_printed_words(
         ) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) == 2**degree
+        assert calls == []
         if command == "cumulants":
-            assert len(calls) == len(rows)
-            assert sorted(calls) == calls and {len(w) for w in calls} == {degree}
+            assert walked == [tuple(row["word"]) for row in rows]
+            assert sorted(walked) == walked
+            assert {len(w) for w in walked} == {degree}
         else:
-            assert calls == []
+            assert walked == []
             assert evaluated == [row["value"] for row in rows]
             assert len(calls_t_mul) == sum(2**k for k in range(2, degree + 1))
             assert calls_nc == []

@@ -1,14 +1,16 @@
-"""Toeplitz-algebra tests: products, inverses, compositions, both cumulant
-paths.
+"""Toeplitz-algebra tests: products, inverses, compositions, the cumulant
+walk and its two reference paths.
 
 The product is validated against an explicit matrix embedding
 (``oracles.t_mul_oracle``), the composition terms against direct
-multiplication of the product chain, and the cumulant path against an
-independent Möbius-inversion path (``oracles.t_cumulant_mobius``). The
-moment-cumulant lattice formula is then re-derived in the test itself as a
-third, engine-free reference.
+multiplication of the product chain, and the cumulant walk against the sum
+over compositions (``oracles.t_cumulant_compositions``), refusals
+included, and against an independent Möbius-inversion path
+(``oracles.t_cumulant_mobius``). The moment-cumulant lattice formula is
+then re-derived in the test itself as a third, engine-free reference.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -23,12 +25,15 @@ from oracles import (
     b_add_fraction,
     b_mul_fraction,
     centrality_commutes,
+    composition_terms,
+    compositions,
+    t_cumulant_compositions,
     t_cumulant_mobius,
     t_mul_oracle,
     variables_from_json,
 )
 from toepfree import nc_lattice
-from toepfree.errors import DimensionMismatch, NonInvertible
+from toepfree.errors import DegreeCapExceeded, DimensionMismatch, NonInvertible
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul, poly_scale
 from toepfree.scalar_space import MomentFunctional, build_space
 from toepfree.series import BSeries
@@ -40,10 +45,9 @@ from toepfree.toeplitz_core import (
     b_mul,
     b_pow,
     chain_product,
-    composition_terms,
-    compositions,
     expect,
     t_cumulant,
+    t_cumulants,
     t_moment,
     t_mul,
 )
@@ -427,6 +431,107 @@ def test_cumulant_paths_agree_random(functional, pool):
             a = t_cumulant(functional, pool, idx)
             b = t_cumulant_mobius(functional, pool, idx)
             assert a == b, idx
+
+
+#: words for random entries: the constant, letters of three families (u
+#: and v share a custom family), words within one family, and the words
+#: s*p, p*s that span two families
+WALK_WORDS = (
+    (), ("s",), ("p",), ("u",), ("v",), ("s", "s"), ("s", "s", "s"),
+    ("u", "v"), ("v", "u", "v"), ("p", "p"), ("s", "p"), ("p", "s"),
+)
+
+
+def _cumulant_or_refusal(compute):
+    try:
+        return compute()
+    except DegreeCapExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_cumulant_walk_matches_compositions(data):
+    """t_cumulants equals the sum over compositions value for value and
+    refusal for refusal (the same DegreeCapExceeded message), whatever the
+    order the index words are walked in."""
+    cap = data.draw(st.integers(3, 6), label="cap")
+    fn = build_space(
+        {
+            "f1": {"s": {"kind": "semicircular", "variance": F(2, 3)}},
+            "f2": {"p": {"kind": "free_poisson", "rate": F(3, 2)}},
+            "f3": {
+                "u": {"kind": "custom", "cumulants": {
+                    ("u", "v"): F(1, 2), ("v", "u"): F(-1, 3),
+                    ("u", "u", "v"): 2, ("v",): 1,
+                }},
+                "v": {"kind": "custom", "cumulants": {}},
+            },
+        },
+        degree_cap=cap,
+    )
+    order = data.draw(st.integers(1, 4), label="N")
+    linking = data.draw(st.booleans(), label="linking")
+    pool = WALK_WORDS if linking else WALK_WORDS[:-2]
+    coefficient = st.builds(
+        F, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3)
+    )
+    entry = st.one_of(
+        st.just({}),
+        st.dictionaries(st.sampled_from(pool), coefficient, min_size=1, max_size=3),
+    )
+    vars_ = [
+        TVariable.of([NcPolynomial(data.draw(entry)) for _ in range(order)])
+        for _ in range(data.draw(st.integers(1, 3), label="s"))
+    ]
+    longest = data.draw(st.integers(1, 4), label="longest")
+    words = [
+        w
+        for n in range(1, longest + 1)
+        for w in itertools.product(range(1, len(vars_) + 1), repeat=n)
+    ]
+    walk = data.draw(st.sampled_from(("sorted", "shortest", "each", "again")))
+    if walk == "sorted":
+        words.sort()
+    elif walk == "again":
+        words += words[::3]
+    want = [
+        _cumulant_or_refusal(lambda w=w: t_cumulant_compositions(fn, vars_, w))
+        for w in words
+    ]
+    got = []
+    while len(got) < len(words):
+        rest = words[len(got):] if walk != "each" else words[len(got):][:1]
+        values = t_cumulants(fn, vars_, rest)
+        for _ in rest:
+            got.append(_cumulant_or_refusal(lambda: next(values)))
+            if isinstance(got[-1], str):
+                break  # a refused word ends the walk; resume after it
+    assert got == want
+
+
+def test_cumulant_walk_links_families_through_a_later_slot():
+    """X holds words of one family each; the first entry of Z is s*p, which
+    links an s-slot and a p-slot: kappa(p, s, s*p) = kappa_2(s) kappa_2(p)
+    through the blocks {p, p} and {s, s}. So the prefixes of X, X that mix
+    families must survive until the slot of Z, in every walk order."""
+    fn = build_space(
+        {
+            "semi": {"s": {"kind": "semicircular", "variance": F(5, 4)}},
+            "pois": {"p": {"kind": "free_poisson", "rate": F(2, 3)}},
+        },
+        degree_cap=8,
+    )
+    s, p = gen("s"), gen("p")
+    x = TVariable.of([poly_scale(F(-8, 5), s), poly_scale(F(-2, 5), p), s])
+    z = TVariable.of([poly_scale(F(-5, 6), word(("s", "p"))), s, p])
+    words = [w for n in (1, 2, 3, 4) for w in itertools.product((1, 2), repeat=n)]
+    want = [t_cumulant_compositions(fn, [x, z], w) for w in words]
+    assert not want[words.index((1, 1, 2))].is_zero()
+    assert list(t_cumulants(fn, [x, z], sorted(words))) == [
+        want[words.index(w)] for w in sorted(words)
+    ]
+    assert list(t_cumulants(fn, [x, z], words)) == want
 
 
 def test_moment_cumulant_lattice_formula(functional, pool):
