@@ -63,8 +63,6 @@ from .toeplitz_core import (
     chain_product,
     expect,
     t_cumulant,
-    t_moment,
-    t_moments,
     t_mul,
 )
 
@@ -114,7 +112,5 @@ __all__ = [
     "r_transform",
     "symm_r_transform",
     "t_cumulant",
-    "t_moment",
-    "t_moments",
     "t_mul",
 ]

@@ -48,9 +48,10 @@ from .series import (
     check_series_request,
     compress_r_transform,
     free_family_sparsity,
+    moment_series,
     r_transform,
 )
-from .toeplitz_core import TVariable, t_cumulants, t_moments
+from .toeplitz_core import TVariable, t_cumulants
 
 NC_LIST_CAP = nc_lattice.DEFAULT_DEGREE_CAP
 NC_MOBIUS_CAP = 7
@@ -424,8 +425,14 @@ def _degree_table(
     return Emission(payload, rows)
 
 
+def _degree_moments(functional, vars_, words):
+    """The moments of the words of one degree, read off the series."""
+    series = moment_series(functional, vars_, len(words[0]))
+    return map(series.coef, words)
+
+
 def _cmd_moments(config: Config, args: argparse.Namespace) -> Emission:
-    return _degree_table("moments", config, args, t_moments)
+    return _degree_table("moments", config, args, _degree_moments)
 
 
 def _cmd_cumulants(config: Config, args: argparse.Namespace) -> Emission:

@@ -2,30 +2,19 @@
 
 A distribution is specified by a table of joint free cumulants per family
 (cross-family cumulants are identically zero, so distinct families are free
-by construction). Moments are derived from cumulants by the lattice sum
-
-    phi(a_1 ... a_n) = sum over pi in NC(n) of prod over blocks V of kappa(V),
-
-summed by the block V of pi that holds position 1: the rest of pi is a
-noncrossing partition of each gap V leaves, so
-
-    phi(w) = sum over V holding 1 of kappa(w|V) * prod over gaps of phi(gap),
-
-with the gaps' moments memoized as shorter words (Nica-Speicher, Lectures
-on the Combinatorics of Free Probability, Lectures 10 and 11). No NC(n) is
-enumerated.
-
-Multilinear cumulants are read off the table without going through moments.
-A cumulant whose slots hold words (products of generators) is a cumulant
-with products as arguments (Krawczyk-Speicher; Nica-Speicher, Thm 11.12):
-if sigma is the interval partition that the slots cut out of the m
-concatenated letters, then
+by construction). Every value is read off that table; no moment is summed
+here. A cumulant whose slots hold words (products of generators) is a
+cumulant with products as arguments (Krawczyk-Speicher; Nica-Speicher,
+Lectures on the Combinatorics of Free Probability, Thm 11.12): if sigma is
+the interval partition that the slots cut out of the m concatenated
+letters, then
 
     kappa(w_1, ..., w_n) = sum over pi in NC(m) with pi v sigma = 1_m
                            of prod over blocks V of kappa(V).
 
 For one letter per slot, sigma = 0_m and the only term is pi = 1_m: a
-single table lookup.
+single table lookup. For one slot, every pi links it, so kappa_1(w) is
+phi(w), the sum over all of NC(m).
 """
 
 from __future__ import annotations
@@ -132,10 +121,10 @@ class CumulantSpec:
 class MomentFunctional:
     """The linear functional phi on A, derived from a CumulantSpec.
 
-    Carries the generator table (ids with their families) and per-instance
-    memo tables for word moments and word cumulants. Dict mutations
-    are single atomic assignments, so shared use across threads yields
-    identical results.
+    Carries the generator table (ids with their families) and a
+    per-instance memo table for word cumulants. Dict mutations are single
+    atomic assignments, so shared use across threads yields identical
+    results.
     """
 
     def __init__(
@@ -174,10 +163,7 @@ class MomentFunctional:
                         )
         self.spec = spec
         self.degree_cap = spec.degree_cap
-        self._word_memo: dict[Word, Fraction] = {(): Fraction(1)}
         self._word_cumulant_memo: dict[tuple[Word, ...], Fraction] = {}
-
-    # -- moments ---------------------------------------------------------
 
     def _block_cumulant(self, letters: tuple[str, ...]) -> Fraction:
         """kappa(V): the joint cumulant of a block of generator letters."""
@@ -185,70 +171,6 @@ class MomentFunctional:
         if len(families) != 1:
             return Fraction(0)
         return self.spec.value(next(iter(families)), letters)
-
-    def phi_word(self, word: Word) -> Fraction:
-        """phi of a single word, memoized; the word is checked only when
-        it is not in the memo, which holds checked words only."""
-        word = tuple(word)
-        cached = self._word_memo.get(word)
-        if cached is not None:
-            return cached
-        if len(word) > self.degree_cap:
-            raise DegreeCapExceeded(
-                f"word of length {len(word)} exceeds degree cap "
-                f"{self.degree_cap}"
-            )
-        for gen_id in word:
-            if gen_id not in self.generators:
-                raise ValueError(f"undeclared generator {gen_id!r} in word")
-        return self._moment(word)
-
-    def _moment(self, word: Word) -> Fraction:
-        """phi of a checked word, summed by the first block: over the blocks
-        V holding position 0, kappa(word|V) times the moments of the gaps
-        between consecutive positions of V and after its last one.
-
-        Blocks grow one position at a time and only through letters of the
-        first letter's family (a block mixing families has cumulant 0);
-        blocks with equal letters and equal last position are merged before
-        they grow, and a gap of moment 0 cuts off every block grown past it.
-        """
-        cached = self._word_memo.get(word)
-        if cached is not None:
-            return cached
-        n = len(word)
-        family = self.generators[word[0]].family
-        # grow[b]: letters of the blocks whose last position is b -> the
-        # sum of their gap-moment products so far
-        grow: list[dict[Word, Fraction]] = [{} for _ in range(n)]
-        grow[0][word[:1]] = Fraction(1)
-        total = Fraction(0)
-        for last in range(n):
-            for letters, weight in grow[last].items():
-                kappa = self._block_cumulant(letters)
-                if kappa:
-                    total += kappa * weight * self._moment(word[last + 1 :])
-                for nxt in range(last + 1, n):
-                    if self.generators[word[nxt]].family != family:
-                        continue
-                    gap = self._moment(word[last + 1 : nxt])
-                    if gap:
-                        key = letters + word[nxt : nxt + 1]
-                        prev = grow[nxt].get(key)
-                        step = weight * gap
-                        grow[nxt][key] = step if prev is None else prev + step
-        self._word_memo[word] = total
-        return total
-
-    def phi(self, p: NcPolynomial) -> Fraction:
-        """Linear extension of phi_word to polynomials, summed over the
-        integer numerators of p and divided once by its denominator."""
-        return _weighted_sum(
-            ((n, self.phi_word(word)) for word, n in p.numerators.items()),
-            (p.denominator,),
-        )
-
-    # -- cumulants --------------------------------------------------------
 
     def cumulant(self, args: Sequence[NcPolynomial]) -> Fraction:
         """The multilinear free cumulant k_n(args), expanded into word

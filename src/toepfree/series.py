@@ -1,10 +1,12 @@
 """Truncated formal series over the Toeplitz algebra, and their calculus.
 
 A BSeries assigns a BScalar coefficient to every nonempty index word
-(i_1, ..., i_n) over {1..s} of length at most D. Moment series collect
-tuple moments, R-transforms collect tuple cumulants. The two determine
-each other through the sum over NC(n) of block products, and boxed
-convolution multiplies R-transforms the way t_mul multiplies free
+(i_1, ..., i_n) over {1..s} of length at most D. R-transforms collect
+tuple cumulants, and moment series collect tuple moments. The two
+determine each other through the sum over NC(n) of block products, which
+holds coefficientwise for B-valued series (Speicher, Mem. AMS 627, 1998,
+Ch. 3), so the moment series of variables is read off their R-transform.
+Boxed convolution multiplies R-transforms the way t_mul multiplies free
 variables, through the sum over pi in NC(n) paired with its Kreweras
 complement. All three maps are summed by the first block of pi: a sum over
 the blocks V that hold position 1 of the coefficient at w|V times values
@@ -43,10 +45,7 @@ from .toeplitz_core import (
     _most_letters,
     b_mul,
     b_pow,
-    t_cumulant,
     t_cumulants,
-    t_moment,
-    t_moments,
 )
 
 __all__ = [
@@ -269,12 +268,10 @@ def moment_series(
     vars_: Sequence[TVariable],
     degree: int | None = None,
 ) -> BSeries:
-    """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment."""
-    order, d = check_series_request(functional, vars_, degree)
-    # lexicographic order walks the word trie, sharing prefix products
-    words = sorted(all_index_words(len(vars_), d))
-    coeffs = dict(zip(words, t_moments(functional, vars_, words)))
-    return BSeries(len(vars_), order, d, coeffs)
+    """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment, read
+    off the R-transform by moments_from_r. M_n needs every R_k with
+    k <= n, so the whole series is checked and computed."""
+    return moments_from_r(r_transform(functional, vars_, degree))
 
 
 def r_transform(
@@ -494,18 +491,17 @@ def check_even(
 ) -> bool:
     """Whether every odd cumulant K_n(X,...,X), n <= D, vanishes.
 
-    Computed twice, from cumulants and from moments E(X^n); the two
-    characterizations are equivalent degree by degree, so a disagreement
-    can only mean an engine bug and raises InternalConsistencyError.
+    Read twice, from the odd cumulants of R and from the odd moments
+    E(X^n) of the series read off R; the two characterizations are
+    equivalent degree by degree, so a disagreement can only mean an engine
+    bug and raises InternalConsistencyError. The series is checked against
+    the word cap up front, like moment_series.
     """
-    d = _resolve_degree(functional, degree)
-    odd = range(1, d + 1, 2)
-    by_cumulants = all(
-        t_cumulant(functional, [x], (1,) * n).is_zero() for n in odd
-    )
-    by_moments = all(
-        t_moment(functional, [x], (1,) * n).is_zero() for n in odd
-    )
+    r = r_transform(functional, [x], degree)
+    m = moments_from_r(r)
+    odd = [(1,) * n for n in range(1, r.degree + 1, 2)]
+    by_cumulants = all(r.coef(word).is_zero() for word in odd)
+    by_moments = all(m.coef(word).is_zero() for word in odd)
     if by_cumulants != by_moments:
         raise InternalConsistencyError(
             "odd-cumulant and odd-moment evenness tests disagree"

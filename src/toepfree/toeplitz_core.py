@@ -5,16 +5,19 @@ convolution product whose j-th entry is sum_{k=1}^{j} a_k b_{j+1-k}: the
 commutative algebra B of N x N upper-triangular Toeplitz matrices. It is
 stored as one positive common denominator and N integer numerators, so
 sums and products run on integers. A TVariable is an N-tuple of
-noncommutative polynomials with the same product, and E applies phi
-entrywise. Moments and cumulants of many index words are taken along a
-walk of the word trie, so words that share a prefix share its work.
+noncommutative polynomials with the same product.
 
 Cumulants are B-multilinear (Speicher, Mem. AMS 627, 1998): writing each
 variable as X = sum over words w of A[w] w with A[w] in B, K_n is the sum
 over word tuples of the scalar cumulant kappa(w_1, ..., w_n) times the
-B-product of the A_m[w_m]. The test suite holds K_n against Möbius
-inversion and against the sum over compositions of each entry, and the
-product against an explicit matrix embedding (``tests/oracles.py``).
+B-product of the A_m[w_m]. The cumulants of many index words are taken
+along a walk of the word trie, so words that share a prefix share its
+work. The expectation E, which applies phi entrywise, is K_1: kappa_1 of
+a word is phi of that word. Moments of index words are not summed here;
+they are read off the R-transform (``series.moment_series``). The test
+suite holds K_n against Möbius inversion of moments and against the sum
+over compositions of each entry, and the product against an explicit
+matrix embedding (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeCapExceeded, DimensionMismatch, NonInvertible
 from .ncpoly import (
@@ -38,7 +41,6 @@ from .ncpoly import (
 from .scalar_space import MomentFunctional
 
 IndexWord = tuple[int, ...]
-T = TypeVar("T")
 
 
 class BScalar:
@@ -282,11 +284,6 @@ def chain_product(vars_: Sequence[TVariable]) -> TVariable:
     return reduce(t_mul, vars_)
 
 
-def expect(functional: MomentFunctional, x: TVariable) -> BScalar:
-    """E(a_1, ..., a_N) = (phi(a_1), ..., phi(a_N))."""
-    return BScalar(tuple(functional.phi(p) for p in x.entries))
-
-
 def _select(vars_: Sequence[TVariable], idx: Sequence[int]) -> list[TVariable]:
     if not idx:
         raise ValueError("index word must be nonempty")
@@ -301,55 +298,6 @@ def _select(vars_: Sequence[TVariable], idx: Sequence[int]) -> list[TVariable]:
     for other in chosen[1:]:
         _require_same_order(first, other)
     return chosen
-
-
-def _prefix_walk(
-    vars_: Sequence[TVariable],
-    words: Iterable[Sequence[int]],
-    step: Callable[[T | None, int], T],
-) -> Iterator[tuple[Sequence[int], list[TVariable], T]]:
-    """Each index word with its variables and the value of its prefix,
-    built as step(None, i_1) and then step(value, i) per later index. The
-    values of the last word's prefixes are kept for the next word, so in
-    lexicographic order (a trie preorder) each trie node costs one step."""
-    path: list[T] = []  # path[k]: the value of the first k+1 indices
-    last: Sequence[int] = ()
-    for idx in words:
-        chosen = _select(vars_, idx)
-        shared = 0
-        for a, b in zip(last, idx):
-            if a != b:
-                break
-            shared += 1
-        del path[shared:]
-        for i in idx[len(path):]:
-            path.append(step(path[-1] if path else None, i))
-        last = idx
-        yield idx, chosen, path[-1]
-
-
-def t_moments(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    words: Iterable[Sequence[int]],
-) -> Iterator[BScalar]:
-    """The moment of each index word in turn: E of its product chain, with
-    the chain products shared along the word trie."""
-
-    def step(chain: TVariable | None, i: int) -> TVariable:
-        return vars_[i - 1] if chain is None else t_mul(chain, vars_[i - 1])
-
-    for _, _, chain in _prefix_walk(vars_, words, step):
-        yield expect(functional, chain)
-
-
-def t_moment(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    idx: Sequence[int],
-) -> BScalar:
-    """The (i_1, ..., i_n)-th moment: E of the product chain."""
-    return next(t_moments(functional, vars_, (idx,)))
 
 
 def t_cumulants(
@@ -379,24 +327,36 @@ def t_cumulants(
     # a word with no family of its own can link words of two families
     cut = all(f is not None for t, _ in tables for (w,), f, _ in t if w)
 
-    def step(states: list | None, i: int) -> list:
-        terms = tables[i - 1][0]
-        if states is None:
-            return terms  # the empty word stays, for n = 1 only
+    def step(states: list, i: int) -> list:
         grown = []
         for prefix, family, x in states:
-            for (word,), f, y in terms:
+            for (word,), f, y in tables[i - 1][0]:
                 if word and prefix[-1] and not (cut and f != family):
                     product = b_mul(x, y)
                     if not product.is_zero():
                         grown.append((prefix + (word,), family, product))
         return grown
 
-    for idx, chosen, states in _prefix_walk(vars_, words, step):
+    # path[k]: the tuple prefixes of the first k+1 indices of the last word;
+    # in lexicographic order (a trie preorder) each trie node costs one step
+    path: list[list] = []
+    last: Sequence[int] = ()
+    for idx in words:
+        chosen = _select(vars_, idx)
+        shared = 0
+        for a, b in zip(last, idx):
+            if a != b:
+                break
+            shared += 1
+        del path[shared:]
+        for i in idx[len(path):]:
+            # the first slot keeps the empty word, for n = 1 only
+            path.append(step(path[-1], i) if path else tables[i - 1][0])
+        last = idx
         if len(idx) > cap or sum(tables[i - 1][1] for i in idx) > cap:
             _refuse(cap, chosen)
         total, common = [0] * chosen[0].order, 1
-        for prefix, _, product in states:
+        for prefix, _, product in path[-1]:
             value = functional.cumulant_words(prefix)
             if value:
                 a, b = value.numerator, value.denominator * product.den
@@ -466,3 +426,8 @@ def t_cumulant(
 ) -> BScalar:
     """The (i_1, ..., i_n)-th cumulant: one word of ``t_cumulants``."""
     return next(t_cumulants(functional, vars_, (idx,)))
+
+
+def expect(functional: MomentFunctional, x: TVariable) -> BScalar:
+    """E(a_1, ..., a_N) = (phi(a_1), ..., phi(a_N)), taken as K_1(X)."""
+    return t_cumulant(functional, [x], (1,))

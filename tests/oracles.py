@@ -19,14 +19,19 @@ where w_V concatenates the words of the slots in V. The library reads the
 same cumulant off the table by the products-as-arguments sum; this route
 shares none of that code, and takes its moments from ``phi_word_nc``.
 ``t_cumulant_mobius`` is the same inversion for the B-valued cumulant of
-Toeplitz variables, with per-block B-products of moments; the library sums
-the cumulant over compositions.
+Toeplitz variables, with per-block B-products of moments taken from
+``oracle_moments``; the library sums the cumulant B-multilinearly over
+word tuples.
 
 ``phi_word_nc`` is phi of a word as the sum over every pi in NC(n) of the
-products of block cumulants read off the table. The library sums the same
-moment by first-block recursion and never enumerates NC(n).
-``phi_partition`` is the product over the blocks of pi of phi of the
-block products of polynomial arguments.
+products of block cumulants read off the table. ``phi_partition`` is the
+product over the blocks of pi of phi of the block products of polynomial
+arguments, each phi summed by ``phi_word_nc``. ``oracle_moments`` is the
+B-valued moment of index words on the phi side: E of a chain of explicit
+matrix products (``t_mul_oracle``), with ``phi_word_nc`` for every scalar
+word, and ``oracle_moment_series`` collects it into a series. The library
+reads every moment off the R-transform instead (``moments_from_r``), so
+no oracle here takes a moment from the package.
 
 ``moments_from_r_nc``, ``r_from_moments_mobius`` and
 ``boxed_convolution_kreweras`` are the series calculus written as sums
@@ -50,6 +55,7 @@ matrix multiplication, and ``centrality_commutes`` checks that an embedded
 element of B commutes with a variable under it.
 """
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -62,15 +68,7 @@ from toepfree.errors import (
 from toepfree.nc_lattice import NcPartition
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul
 from toepfree.series import BSeries, all_index_words, check_even
-from toepfree.toeplitz_core import (
-    BScalar,
-    TVariable,
-    b_mul,
-    t_cumulant,
-    t_moment,
-    t_moments,
-    t_mul,
-)
+from toepfree.toeplitz_core import BScalar, TVariable, b_mul, t_cumulant, t_mul
 
 
 class NotEven(MathDomainError):
@@ -382,7 +380,10 @@ def phi_partition(functional, pi, args):
         product = NcPolynomial.one()
         for i in block:
             product = poly_mul(product, args[i - 1])
-        total *= functional.phi(product)
+        total *= sum(
+            (c * phi_word_nc(functional, w) for w, c in product.terms),
+            Fraction(0),
+        )
         if not total:
             return total
     return total
@@ -440,6 +441,52 @@ def centrality_commutes(b, x):
     return t_mul(embedded, x) == t_mul(x, embedded)
 
 
+#: per model, dropped with it: phi_word_nc of each scalar word, and the
+#: moment of each sequence of variables
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def oracle_moments(functional, vars_, words):
+    """The moment of each nonempty index word: E of its chain of matrix
+    products (``t_mul_oracle``), with phi of each scalar word summed over
+    NC(n) (``phi_word_nc``). Chains are shared by prefix within one call.
+    Values are memoized per model, phi by scalar word and moments by the
+    sequence of variables (compared by value), so later calls reuse them."""
+    phi, moments = _MEMO.setdefault(functional, ({}, {}))
+    chains = {}
+
+    def chain(seq):
+        if seq not in chains:
+            chains[seq] = (
+                seq[0] if len(seq) == 1 else t_mul_oracle(chain(seq[:-1]), seq[-1])
+            )
+        return chains[seq]
+
+    out = []
+    for word in words:
+        seq = tuple(vars_[i - 1] for i in word)
+        if seq not in moments:
+            entries = []
+            for poly in chain(seq).entries:
+                total = Fraction(0)
+                for w, c in poly.terms:
+                    if w not in phi:
+                        phi[w] = phi_word_nc(functional, w)
+                    total += c * phi[w]
+                entries.append(total)
+            moments[seq] = BScalar(entries)
+        out.append(moments[seq])
+    return out
+
+
+def oracle_moment_series(functional, vars_, degree):
+    """The moment series up to ``degree``, every coefficient taken from
+    ``oracle_moments``."""
+    words = list(all_index_words(len(vars_), degree))
+    coeffs = dict(zip(words, oracle_moments(functional, vars_, words)))
+    return BSeries(len(vars_), vars_[0].order, degree, coeffs)
+
+
 def variables_from_json(obj):
     return TVariable(
         tuple(NcPolynomial.from_json_obj(entry) for entry in obj)
@@ -491,8 +538,8 @@ def t_cumulant_mobius(functional, vars_, idx):
     K_n = sum over pi of E-hat(pi) mu(pi, 1_n), where E-hat(pi) is the
     plain B-product (blocks ordered by minima) of the per-block moments.
     Plain products are valid because every BScalar is central. The
-    moments of the distinct block subwords are taken in one ``t_moments``
-    walk.
+    moments of the distinct block subwords are taken from
+    ``oracle_moments`` in one call.
     """
     order = vars_[0].order
     lat = lattice(len(idx))
@@ -502,9 +549,8 @@ def t_cumulant_mobius(functional, vars_, idx):
         for weight, pi in zip(mu_top, lat.elements)
         if weight
     ]
-    # the distinct block subwords in lexicographic order: one trie walk
     subwords = sorted({sub for _, blocks in weighted for sub in blocks})
-    moments = dict(zip(subwords, t_moments(functional, vars_, subwords)))
+    moments = dict(zip(subwords, oracle_moments(functional, vars_, subwords)))
 
     total = BScalar.zero(order)
     for weight, blocks in weighted:
@@ -529,13 +575,12 @@ def even_cumulant_restricted(functional, x, m):
         raise OddLength(f"restricted cumulant needs even m, got {m}")
     if not check_even(functional, x, m):
         raise NotEven("variable has a nonvanishing odd moment or cumulant")
+    moments = oracle_moments(functional, [x], [(1,) * n for n in range(1, m + 1)])
     total = BScalar.zero(x.order)
     for pi in enumerate_nc_even(m):
         product = BScalar.one(x.order)
         for block in pi.blocks:
-            product = b_mul(
-                product, t_moment(functional, [x], (1,) * len(block))
-            )
+            product = b_mul(product, moments[len(block) - 1])
             if product.is_zero():
                 break
         total = total + product.scale(nc_lattice.mobius_to_top(pi))

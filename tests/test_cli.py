@@ -21,10 +21,13 @@ from pathlib import Path
 import pytest
 
 import toepfree
+from oracles import oracle_moment_series
+from toepfree.cli import load_config
 from toepfree.toeplitz_core import BScalar, b_mul
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BASE = {
     "N": 2,
@@ -171,6 +174,35 @@ def test_moments_table(cfg):
     assert obj["rows"] == [{"word": [1, 1], "value": ["1", "0"]}]
 
 
+def test_moments_goldens():
+    """The degree-4 moments table of an N = 3 model with affine entries and
+    a 2*s*p - p*s entry, in JSON and in CSV, and the up-front refusal of a
+    pair whose scalar words outgrow the cap, are byte-identical to the
+    frozen files. Every frozen value is the oracle's: per-word chains of
+    matrix products with phi summed over NC(n)."""
+    config = str(GOLDEN / "moments_config.json")
+    argv = [sys.executable, "-m", "toepfree", "moments", "--degree", "4",
+            "--config", config]
+    for fmt in ("json", "csv"):
+        proc = subprocess.run(
+            [*argv, "--vars", "X,Y", "--format", fmt], capture_output=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / f"moments_d4.{fmt}").read_bytes()
+    proc = subprocess.run([*argv, "--vars", "X,Z"], capture_output=True)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == (GOLDEN / "moments_over_cap.err").read_bytes()
+
+    model = load_config(config)
+    pair = [model.variables["X"], model.variables["Y"]]
+    want = oracle_moment_series(model.functional, pair, 4)
+    rows = json.loads((GOLDEN / "moments_d4.json").read_text())["rows"]
+    assert len(rows) == 16
+    for row in rows:
+        assert row["value"] == want.coef(row["word"]).to_json_obj(), row
+    assert sum(row["value"] != ["0", "0", "0"] for row in rows) == 16
+
+
 def test_cumulants_table_includes_zero_rows(cfg):
     code, out, err = run(
         "cumulants", "--vars", "X,Y", "--degree", "2", "--config", cfg
@@ -255,6 +287,25 @@ def test_check_even(cfg):
     assert json.loads(out) == {"query": "check-even", "even": True}
     code, out, _ = run("check-even", "--var", "Y", "--config", cfg)
     assert code == 0 and json.loads(out)["even"] is False
+
+
+def test_check_even_refuses_over_cap_words_up_front(tmp_path):
+    """check-even reads its odd moments off the R-transform, which needs
+    every word of the series, so it makes the same up-front word-cap check
+    as moments: X = (0, s*s, 1) at degree 3 needs the word s*s*s*s, from
+    entry 2 of X twice, over the cap 3."""
+    config = dict(BASE, N=3, degree_cap=3, variables=[
+        {"name": "X", "entries": ["0", "s*s", "1"]},
+    ])
+    path = tmp_path / "even_over_cap.json"
+    path.write_text(json.dumps(config))
+    message = (
+        "error: degree-cap-exceeded: degree 3 needs scalar words of length 4, "
+        "over the degree cap 3\n"
+    )
+    for argv in (["check-even", "--var", "X"], ["moments", "--vars", "X"]):
+        code, out, err = run(*argv, "--degree", "3", "--config", str(path))
+        assert (code, out, err) == (3, "", message), argv
 
 
 def test_compress(cfg):

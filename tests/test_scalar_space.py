@@ -1,15 +1,14 @@
 """Scalar-model tests: the functional phi, free cumulants, and builders.
 
-Moments are a lattice sum over the cumulant table, summed by first-block
-recursion and compared with the full NC(n) sum (``oracles.phi_word_nc``),
-and cumulants of words are read off the same table by the
-products-as-arguments sum. The central
-tests are the roundtrip (feed in a cumulant table, recover every cumulant
-exactly) and the comparison of the cumulant of random word tuples with
-Möbius inversion of moments (``oracles.cumulant_words_mobius``). Named laws are pinned
-against their textbook moment sequences, and cross-family cumulants are
-checked to vanish together with the product factorizations that freeness
-forces.
+phi is read through the paper's E on N = 1 variables (``expect``, which is
+K_1 and sums kappa_1 of each word over NC(m) by the products-as-arguments
+rule), and compared with the full NC(n) sum (``oracles.phi_word_nc``).
+The central tests are the roundtrip (feed in a cumulant table, recover
+every cumulant exactly) and the comparison of the cumulant of random word
+tuples with Möbius inversion of moments (``oracles.cumulant_words_mobius``).
+Named laws are pinned against their textbook moment sequences, and
+cross-family cumulants are checked to vanish together with the product
+factorizations that freeness forces.
 """
 
 import random
@@ -29,11 +28,21 @@ from toepfree.scalar_space import (
     builtin_distribution,
     build_space,
 )
+from toepfree.toeplitz_core import TVariable, expect
 
 from oracles import cumulant_words_mobius, phi_partition, phi_word_nc
 
 F = Fraction
 gen = NcPolynomial.generator
+
+
+def phi(fn: MomentFunctional, p: NcPolynomial) -> F:
+    """phi(p) as the one entry of E on the N = 1 variable (p)."""
+    return expect(fn, TVariable.of([p])).entries[0]
+
+
+def phi_word(fn: MomentFunctional, word: tuple[str, ...]) -> F:
+    return phi(fn, NcPolynomial.from_word(word))
 
 
 @pytest.fixture
@@ -124,7 +133,7 @@ def test_build_space_requires_one_entry_point():
         families={"f": {("a",): F(2)}},
         degree_cap=4,
     )
-    assert fn.phi_word(("a",)) == 2
+    assert phi_word(fn, ("a",)) == 2
 
 
 # --------------------------------------------------------------------------
@@ -134,9 +143,9 @@ def test_build_space_requires_one_entry_point():
 
 def test_semicircular_moments_are_catalan(semi):
     for k in range(1, 5):
-        assert semi.phi_word(("s",) * (2 * k)) == catalan(k)
+        assert phi_word(semi, ("s",) * (2 * k)) == catalan(k)
     for n in (1, 3, 5, 7):
-        assert semi.phi_word(("s",) * n) == 0
+        assert phi_word(semi, ("s",) * n) == 0
 
 
 def test_free_poisson_rate_one_moments_are_catalan():
@@ -144,30 +153,30 @@ def test_free_poisson_rate_one_moments_are_catalan():
         {"pf": {"p": {"kind": "free_poisson", "rate": 1}}}, degree_cap=6
     )
     for n in range(1, 7):
-        assert fn.phi_word(("p",) * n) == catalan(n)
+        assert phi_word(fn, ("p",) * n) == catalan(n)
 
 
 def test_constant_moments_are_powers(mixed):
     for n in range(1, 7):
-        assert mixed.phi_word(("c",) * n) == F(3) ** n
+        assert phi_word(mixed, ("c",) * n) == F(3) ** n
 
 
 def test_phi_word_edges(mixed):
-    assert mixed.phi_word(()) == 1
+    assert phi_word(mixed, ()) == 1
     with pytest.raises(DegreeCapExceeded):
-        mixed.phi_word(("s",) * 7)
+        phi_word(mixed, ("s",) * 7)
     with pytest.raises(ValueError):
-        mixed.phi_word(("nope",))
-    # the checks still run once the memo holds the words' subwords
-    assert mixed.phi_word(("s", "p") * 3) == mixed.phi_word(("s", "p") * 3)
+        phi_word(mixed, ("nope",))
+    # the checks still run once the cumulant memo holds the word's prefix
+    assert phi_word(mixed, ("s", "p") * 3) == phi_word(mixed, ("s", "p") * 3)
     with pytest.raises(DegreeCapExceeded):
-        mixed.phi_word(("s", "p") * 3 + ("s",))
+        phi_word(mixed, ("s", "p") * 3 + ("s",))
     with pytest.raises(ValueError):
-        mixed.phi_word(("s", "p", "nope"))
+        phi_word(mixed, ("s", "p", "nope"))
 
 
 def test_phi_word_matches_nc_oracle():
-    """First-block phi against the NC(n) sum, on random words up to the
+    """E of a word against the NC(n) sum, on random words up to the
     cap of 8 over a semicircular, a free-Poisson and a constant generator
     and a custom joint family of two generators."""
     rng = random.Random(4051)
@@ -194,7 +203,7 @@ def test_phi_word_matches_nc_oracle():
     }
     words |= {("g1", "g2") * 4, ("s", "p") * 4, ("p",) * 8}
     for word in sorted(words, key=lambda w: (-len(w), w)):
-        assert fn.phi_word(word) == phi_word_nc(fn, word), word
+        assert phi_word(fn, word) == phi_word_nc(fn, word), word
     assert max(map(len, words)) == cap
 
 
@@ -203,10 +212,10 @@ def test_phi_is_linear(semi):
         poly_scale(F(1, 2), NcPolynomial.from_word(("s", "s"))),
         NcPolynomial.constant(3),
     )
-    assert semi.phi(p) == F(1, 2) * 1 + 3
-    assert semi.phi(NcPolynomial.zero()) == 0
+    assert phi(semi, p) == F(1, 2) * 1 + 3
+    assert phi(semi, NcPolynomial.zero()) == 0
     # value used widely downstream: phi(s*s + 1) = 2
-    assert semi.phi(gen("s") * gen("s") + NcPolynomial.one()) == 2
+    assert phi(semi, gen("s") * gen("s") + NcPolynomial.one()) == 2
 
 
 def test_phi_partition_examples(semi):
@@ -419,16 +428,16 @@ def test_cumulant_table_recovery_joint_family():
 def test_freeness_forces_product_factorization(mixed):
     s, p = gen("s"), gen("p")
     # phi(xy) = phi(x) phi(y) for free x, y
-    assert mixed.phi(s * p) == mixed.phi(s) * mixed.phi(p)
+    assert phi(mixed, s * p) == phi(mixed, s) * phi(mixed, p)
     x = s * s + NcPolynomial.one()
     y = p + NcPolynomial.constant(2)
-    assert mixed.phi(x * y) == mixed.phi(x) * mixed.phi(y)
+    assert phi(mixed, x * y) == phi(mixed, x) * phi(mixed, y)
     # the classic degree-4 alternating formula for free x, y
-    lhs = mixed.phi(s * p * s * p)
+    lhs = phi(mixed, s * p * s * p)
     rhs = (
-        mixed.phi(s * s) * mixed.phi(p) ** 2
-        + mixed.phi(s) ** 2 * mixed.phi(p * p)
-        - mixed.phi(s) ** 2 * mixed.phi(p) ** 2
+        phi(mixed, s * s) * phi(mixed, p) ** 2
+        + phi(mixed, s) ** 2 * phi(mixed, p * p)
+        - phi(mixed, s) ** 2 * phi(mixed, p) ** 2
     )
     assert lhs == rhs
 

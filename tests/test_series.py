@@ -11,6 +11,7 @@ each get their own oracle-backed suite.
 """
 
 import gc
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -29,13 +30,13 @@ from oracles import (
     even_cumulant_restricted,
     family_assignment,
     moments_from_r_nc,
-    phi_word_nc,
+    oracle_moment_series,
     r_from_moments_mobius,
     series_add,
     t_cumulant_mobius,
     t_mul_oracle,
 )
-from toepfree import cli, nc_lattice, toeplitz_core
+from toepfree import cli, nc_lattice, scalar_space, toeplitz_core
 from toepfree import series as series_module
 from toepfree.errors import (
     DegreeCapExceeded,
@@ -267,7 +268,7 @@ def test_word_cap_is_checked_before_any_sum(monkeypatch):
         raise AssertionError("computed past the pre-flight check")
 
     monkeypatch.setattr(MomentFunctional, "cumulant", boom)
-    monkeypatch.setattr(MomentFunctional, "phi_word", boom)
+    monkeypatch.setattr(MomentFunctional, "cumulant_words", boom)
     for build in (r_transform, moment_series):
         with pytest.raises(DegreeCapExceeded) as err:
             build(fn, [x], 8)
@@ -279,11 +280,12 @@ def test_word_cap_is_checked_before_any_sum(monkeypatch):
 
 
 def test_cumulant_path_never_inverts_moments(monkeypatch, tmp_path, capsys):
-    """With phi_word, the closed-form Möbius entries and the Kreweras
-    complement disabled, and no lattice order in the package,
-    r_transform, the cumulants table and check_freeness still give the
-    closed form of X = c + s*alpha + p*beta: K_1 = c + r*beta and, for
-    n >= 2, K_n = v*alpha_1*alpha_2 [n = 2] + r*beta_1*...*beta_n."""
+    """With the series maps between moments and cumulants, the
+    closed-form Möbius entries and the Kreweras complement disabled, and
+    no lattice order and no scalar moment in the package, r_transform,
+    the cumulants table and check_freeness still give the closed form of
+    X = c + s*alpha + p*beta: K_1 = c + r*beta and, for n >= 2,
+    K_n = v*alpha_1*alpha_2 [n = 2] + r*beta_1*...*beta_n."""
     v, rate = F(3, 2), F(2, 3)
     config = {
         "N": 3,
@@ -332,7 +334,9 @@ def test_cumulant_path_never_inverts_moments(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(nc_lattice, "mobius_to_top", boom)
     monkeypatch.setattr(nc_lattice, "mobius_intervals", boom)
     monkeypatch.setattr(nc_lattice, "kreweras", boom)
-    monkeypatch.setattr(MomentFunctional, "phi_word", boom)
+    assert not hasattr(MomentFunctional, "phi_word")
+    monkeypatch.setattr(series_module, "moments_from_r", boom)
+    monkeypatch.setattr(series_module, "r_from_moments", boom)
 
     path = tmp_path / "model.json"
     path.write_text(json.dumps(config))
@@ -540,21 +544,22 @@ def test_series_calculus_never_enumerates_nc(monkeypatch, tmp_path, capsys):
 def test_degree_table_computes_only_printed_words(
     monkeypatch, tmp_path, capsys, command
 ):
-    """moments/cumulants --degree d compute the s^d coefficients they
-    print and no shorter word. The cumulant walk yields one result per
-    printed word, in order, and t_cumulant is not called. moments evaluate
-    E once per printed word, in order, and walk the words as a trie: one
-    t_mul for each trie node of depth 2..d, sum over k = 2..d of 2^k in
-    all, and no NC(n) sum."""
+    """moments/cumulants --degree d print the s^d words of length d in
+    lexicographic order and call neither t_cumulant nor expect. The
+    cumulant walk yields one result per printed word, in order, and
+    computes no shorter word. moments build one R-transform and read one
+    moment series off it, both at degree d, and make no Toeplitz product.
+    On this model of single-letter entries neither enumerates NC(n), from
+    a cold cache of linking partitions."""
     calls = []
-    for module in (cli, series_module):
-        for name in ("t_moment", "t_cumulant"):
-            original = getattr(toeplitz_core, name)
+    for name in ("t_cumulant", "expect"):
+        original = getattr(toeplitz_core, name)
 
-            def counted(functional, vars_, word, _original=original):
-                calls.append(word)
-                return _original(functional, vars_, word)
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
 
+        for module in (cli, series_module, toeplitz_core):
             monkeypatch.setattr(module, name, counted, raising=False)
     walked = []
     walk = toeplitz_core.t_cumulants
@@ -566,14 +571,19 @@ def test_degree_table_computes_only_printed_words(
             yield value
 
     monkeypatch.setattr(cli, "t_cumulants", counted_walk)
-    evaluated, calls_t_mul, calls_nc = [], [], []
-    expect, t_mul_ = toeplitz_core.expect, toeplitz_core.t_mul
-    enumerate_nc = nc_lattice.enumerate_nc
+    built, calls_t_mul, calls_nc = [], [], []
+    r_transform_ = series_module.r_transform
+    moments_from_r_ = series_module.moments_from_r
+    t_mul_, enumerate_nc = toeplitz_core.t_mul, nc_lattice.enumerate_nc
 
-    def counted_expect(functional, x):
-        value = expect(functional, x)
-        evaluated.append(value.to_json_obj())
-        return value
+    def counted_r_transform(functional, vars_, degree=None):
+        r = r_transform_(functional, vars_, degree)
+        built.append(("r_transform", r.degree))
+        return r
+
+    def counted_moments_from_r(r):
+        built.append(("moments_from_r", r.degree))
+        return moments_from_r_(r)
 
     def counted_t_mul(x, y):
         calls_t_mul.append(None)
@@ -583,9 +593,11 @@ def test_degree_table_computes_only_printed_words(
         calls_nc.append(args)
         return enumerate_nc(*args, **kwargs)
 
-    monkeypatch.setattr(toeplitz_core, "expect", counted_expect)
+    monkeypatch.setattr(series_module, "r_transform", counted_r_transform)
+    monkeypatch.setattr(series_module, "moments_from_r", counted_moments_from_r)
     monkeypatch.setattr(toeplitz_core, "t_mul", counted_t_mul)
     monkeypatch.setattr(nc_lattice, "enumerate_nc", counted_enumerate_nc)
+    scalar_space._linking_partitions.cache_clear()
 
     config = {
         "N": 3,
@@ -606,7 +618,7 @@ def test_degree_table_computes_only_printed_words(
     for degree in (1, 3, 4):
         calls.clear()
         walked.clear()
-        evaluated.clear()
+        built.clear()
         calls_t_mul.clear()
         calls_nc.clear()
         assert cli.main(
@@ -614,17 +626,17 @@ def test_degree_table_computes_only_printed_words(
              "--config", str(path)]
         ) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) == 2**degree
+        printed = [tuple(row["word"]) for row in rows]
+        assert printed == list(itertools.product((1, 2), repeat=degree))
         assert calls == []
+        assert calls_t_mul == []
+        assert calls_nc == []
         if command == "cumulants":
-            assert walked == [tuple(row["word"]) for row in rows]
-            assert sorted(walked) == walked
-            assert {len(w) for w in walked} == {degree}
+            assert walked == printed
+            assert built == []
         else:
             assert walked == []
-            assert evaluated == [row["value"] for row in rows]
-            assert len(calls_t_mul) == sum(2**k for k in range(2, degree + 1))
-            assert calls_nc == []
+            assert built == [("r_transform", degree), ("moments_from_r", degree)]
 
 
 def random_affine_vars(rng: random.Random, s: int, order: int) -> list:
@@ -649,27 +661,6 @@ def random_affine_vars(rng: random.Random, s: int, order: int) -> list:
     ]
 
 
-def oracle_moment_series(fn, vars_, degree: int) -> BSeries:
-    """Each coefficient from its own chain of matrix products
-    (t_mul_oracle), with phi summed over NC(n) (phi_word_nc)."""
-    phi = {}
-    coeffs = {}
-    for word in all_index_words(len(vars_), degree):
-        chain = vars_[word[0] - 1]
-        for i in word[1:]:
-            chain = t_mul_oracle(chain, vars_[i - 1])
-        entries = []
-        for poly in chain.entries:
-            total = F(0)
-            for w, c in poly.terms:
-                if w not in phi:
-                    phi[w] = phi_word_nc(fn, w)
-                total += c * phi[w]
-            entries.append(total)
-        coeffs[word] = BScalar(tuple(entries))
-    return BSeries(len(vars_), vars_[0].order, degree, coeffs)
-
-
 def _affine_space(rng: random.Random) -> MomentFunctional:
     return build_space(
         {
@@ -683,9 +674,9 @@ def _affine_space(rng: random.Random) -> MomentFunctional:
 
 
 def test_moment_series_matches_oracle_chain():
-    """The prefix walk with fused products and first-block phi against a
-    per-word chain of matrix products with phi summed over NC(n), on
-    seeded models with affine and s*p entries."""
+    """Moments read off the R-transform against a per-word chain of
+    matrix products with phi summed over NC(n), on seeded models with
+    affine and s*p entries."""
     rng = random.Random(5077)
     shapes = set()
     for _ in range(8):
@@ -769,49 +760,62 @@ def test_series_calculus_uses_no_fraction_arithmetic(monkeypatch):
 
 
 def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
-    """With NC(n) enumeration, the Kreweras complement and
-    MomentFunctional.cumulant disabled, and no lattice order in the
-    package, the moments command and
-    moment_series still give the oracle's values."""
-    config = {
-        "N": 3,
-        "degree_cap": 8,
-        "families": [
-            {"name": "semi", "generators": [{"id": "s", "distribution": {
-                "kind": "semicircular", "variance": "3/2"}}]},
-            {"name": "pois", "generators": [{"id": "p", "distribution": {
-                "kind": "free_poisson", "rate": "2/3"}}]},
-        ],
-        "variables": [
-            {"name": "X", "entries": ["1 + s", "2*s*p - p*s", "1/2*p"]},
-            {"name": "Y", "entries": ["p - 2", "0", "s + 3*p"]},
-        ],
-    }
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(config))
-    loaded = cli.load_config(str(path))
-    vars_ = [loaded.variables["X"], loaded.variables["Y"]]
-    want = oracle_moment_series(loaded.functional, vars_, 4)
+    """With the Kreweras complement and MomentFunctional.cumulant
+    disabled, and no lattice order in the package, the moments command
+    and moment_series give the oracle's values on a model with s*p
+    entries. With NC(n) enumeration disabled too, from a cold cache of
+    linking partitions, they still do on a model whose entries are affine
+    in single generators, so that every scalar cumulant has one letter
+    per slot. (A slot holding s*p needs the pi in NC(m) that link the
+    slots, which are enumerated once per tuple of slot lengths.)"""
+    assert not hasattr(nc_lattice, "lattice")
 
     def boom(*args, **kwargs):
         raise AssertionError("the moment path went through NC(n) or cumulant")
 
-    assert not hasattr(nc_lattice, "lattice")
-    monkeypatch.setattr(nc_lattice, "enumerate_nc", boom)
-    monkeypatch.setattr(nc_lattice, "kreweras", boom)
-    monkeypatch.setattr(MomentFunctional, "cumulant", boom)
+    models = (
+        (["1 + s", "2*s*p - p*s", "1/2*p"], False),
+        (["1 + s", "2*s - p", "1/2*p"], True),
+    )
+    for x_entries, ban_nc in models:
+        config = {
+            "N": 3,
+            "degree_cap": 8,
+            "families": [
+                {"name": "semi", "generators": [{"id": "s", "distribution": {
+                    "kind": "semicircular", "variance": "3/2"}}]},
+                {"name": "pois", "generators": [{"id": "p", "distribution": {
+                    "kind": "free_poisson", "rate": "2/3"}}]},
+            ],
+            "variables": [
+                {"name": "X", "entries": x_entries},
+                {"name": "Y", "entries": ["p - 2", "0", "s + 3*p"]},
+            ],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        loaded = cli.load_config(str(path))
+        vars_ = [loaded.variables["X"], loaded.variables["Y"]]
+        want = oracle_moment_series(loaded.functional, vars_, 4)
+        assert any(not want.coef(w).is_zero() for w in all_index_words(2, 4))
 
-    assert moment_series(loaded.functional, vars_, 4) == want
-    assert cli.main(
-        ["moments", "--vars", "X,Y", "--degree", "4", "--config", str(path)]
-    ) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    assert [tuple(row["word"]) for row in rows] == [
-        w for w in all_index_words(2, 4) if len(w) == 4
-    ]
-    for row in rows:
-        assert row["value"] == want.coef(row["word"]).to_json_obj(), row
-    assert any(not want.coef(w).is_zero() for w in all_index_words(2, 4))
+        with monkeypatch.context() as patch:
+            patch.setattr(nc_lattice, "kreweras", boom)
+            patch.setattr(MomentFunctional, "cumulant", boom)
+            if ban_nc:
+                scalar_space._linking_partitions.cache_clear()
+                patch.setattr(nc_lattice, "enumerate_nc", boom)
+            assert moment_series(loaded.functional, vars_, 4) == want
+            assert cli.main(
+                ["moments", "--vars", "X,Y", "--degree", "4",
+                 "--config", str(path)]
+            ) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [tuple(row["word"]) for row in rows] == [
+            w for w in all_index_words(2, 4) if len(w) == 4
+        ]
+        for row in rows:
+            assert row["value"] == want.coef(row["word"]).to_json_obj(), row
 
 
 @pytest.fixture
