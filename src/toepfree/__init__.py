@@ -35,7 +35,6 @@ from .ncpoly import (
     parse_rational,
 )
 from .scalar_space import (
-    CumulantSpec,
     MomentFunctional,
     build_space,
     builtin_distribution,
@@ -73,7 +72,6 @@ __all__ = [
     "BSeries",
     "ConfigError",
     "CrossingPartition",
-    "CumulantSpec",
     "DegreeCapExceeded",
     "DimensionMismatch",
     "EngineError",

@@ -53,7 +53,6 @@ from .series import (
 )
 from .toeplitz_core import TVariable, t_cumulants
 
-NC_LIST_CAP = nc_lattice.DEFAULT_DEGREE_CAP
 NC_MOBIUS_CAP = 7
 
 ENV_DEGREE_CAP = "TOEPFREE_DEGREE_CAP"
@@ -365,7 +364,7 @@ def _require_positive_n(n: int) -> None:
 
 def _cmd_nc_list(args: argparse.Namespace) -> Emission:
     _require_positive_n(args.n)
-    partitions = nc_lattice.enumerate_nc(args.n, NC_LIST_CAP)
+    partitions = nc_lattice.enumerate_nc(args.n)
     rows: list[Row] = []
     out_rows = []
     for at, pi in enumerate(partitions, start=1):

@@ -22,10 +22,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CrossingPartition, DegreeCapExceeded
 
-#: Default ceiling for ground-set sizes; NC(10) has 16,796 elements.
+#: Ceiling for ground-set sizes; NC(10) has 16,796 elements.
 DEFAULT_DEGREE_CAP = 10
-#: Absolute ceiling; enumeration above this is refused unconditionally.
-HARD_DEGREE_CAP = 12
 
 
 def catalan(n: int) -> int:
@@ -107,15 +105,12 @@ class NcPartition:
         ) + "}"
 
 
-def _check_n(n: int, cap: int | None) -> None:
-    limit = DEFAULT_DEGREE_CAP if cap is None else cap
-    if limit > HARD_DEGREE_CAP:
-        limit = HARD_DEGREE_CAP
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"ground-set size must be positive, got {n}")
-    if n > limit:
+    if n > DEFAULT_DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"NC({n}) exceeds the degree cap {limit}"
+            f"NC({n}) exceeds the degree cap {DEFAULT_DEGREE_CAP}"
         )
 
 
@@ -165,9 +160,9 @@ def _enumerate_nc_cached(n: int) -> tuple[NcPartition, ...]:
     return tuple(parts)
 
 
-def enumerate_nc(n: int, cap: int | None = None) -> list[NcPartition]:
+def enumerate_nc(n: int) -> list[NcPartition]:
     """All of NC(n), in lexicographic order on canonical block lists."""
-    _check_n(n, cap)
+    _check_n(n)
     return list(_enumerate_nc_cached(n))
 
 

@@ -133,10 +133,6 @@ class NcPolynomial:
     def generator(gen_id: str) -> "NcPolynomial":
         return NcPolynomial({(gen_id,): Fraction(1)})
 
-    @staticmethod
-    def from_word(word: Iterable[str], coeff: RationalLike = 1) -> "NcPolynomial":
-        return NcPolynomial({tuple(word): as_fraction(coeff)})
-
     @property
     def terms(self) -> tuple[tuple[Word, Fraction], ...]:
         if self._terms is None:
@@ -156,18 +152,6 @@ class NcPolynomial:
 
     def is_zero(self) -> bool:
         return not self.numerators
-
-    def is_constant(self) -> bool:
-        return all(not w for w in self.numerators)
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the empty word (raises unless constant)."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeff(())
-
-    def generator_ids(self) -> frozenset[str]:
-        return frozenset(g for w in self.numerators for g in w)
 
     def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
         return iter(self.terms)
@@ -230,15 +214,6 @@ class NcPolynomial:
             {"word": list(word), "coeff": format_rational(coeff)}
             for word, coeff in self.terms
         ]
-
-    @staticmethod
-    def from_json_obj(obj: Iterable[Mapping[str, object]]) -> "NcPolynomial":
-        terms: dict[Word, Fraction] = {}
-        for item in obj:
-            word = tuple(str(g) for g in item["word"])  # type: ignore[index]
-            coeff = as_fraction(str(item["coeff"]))  # type: ignore[index]
-            terms[word] = terms.get(word, Fraction(0)) + coeff
-        return NcPolynomial(terms)
 
 
 def _store(poly: NcPolynomial, den: int, nums: dict[Word, int]) -> None:

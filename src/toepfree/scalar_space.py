@@ -19,29 +19,18 @@ phi(w), the sum over all of NC(m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import nc_lattice
 from .errors import DegreeCapExceeded
-from .ncpoly import (
-    Generator,
-    NcPolynomial,
-    RationalLike,
-    Word,
-    as_fraction,
-)
+from .ncpoly import Generator, RationalLike, Word, as_fraction
 
 #: Default truncation degree for moments and series.
 DEFAULT_DEGREE = 6
 #: Largest supported truncation degree (NC(8) has 1430 elements).
 MAX_DEGREE = 8
-
-_ZERO = Fraction(0)
 
 CumulantTable = Mapping[tuple[str, ...], RationalLike]
 
@@ -87,42 +76,17 @@ def builtin_distribution(
     return {key: val for key, val in table.items() if val}
 
 
-@dataclass(frozen=True)
-class CumulantSpec:
-    """Per-family joint free cumulant tables, with a degree cap.
+class MomentFunctional:
+    """The linear functional phi on A, given by per-family joint free
+    cumulant tables.
 
     Keys of each family table are tuples of that family's generator ids
-    (length 1..degree_cap); missing tuples mean cumulant zero. Cross-family
-    joint cumulants are identically zero and are never stored.
-    """
-
-    families: Mapping[str, Mapping[tuple[str, ...], Fraction]]
-    degree_cap: int = DEFAULT_DEGREE
-
-    @staticmethod
-    def build(
-        families: Mapping[str, CumulantTable],
-        degree_cap: int = DEFAULT_DEGREE,
-    ) -> "CumulantSpec":
-        frozen = {
-            family: {
-                tuple(key): as_fraction(val)
-                for key, val in table.items()
-                if as_fraction(val)
-            }
-            for family, table in families.items()
-        }
-        return CumulantSpec(frozen, degree_cap)
-
-    def value(self, family: str, ids: tuple[str, ...]) -> Fraction:
-        return self.families.get(family, {}).get(ids, Fraction(0))
-
-
-class MomentFunctional:
-    """The linear functional phi on A, derived from a CumulantSpec.
-
-    Carries the generator table (ids with their families) and a
-    per-instance memo table for word cumulants. Dict mutations are single
+    (length 1..degree_cap); missing tuples mean cumulant zero, and zero
+    values are dropped. Cross-family joint cumulants are identically zero
+    and are never stored. Carries the generator table (ids with their
+    families) and a per-instance memo of word cumulants, which holds word
+    tuples of at most degree_cap letters over the declared generators and
+    is freed together with the functional. Dict mutations are single
     atomic assignments, so shared use across threads yields identical
     results.
     """
@@ -130,23 +94,32 @@ class MomentFunctional:
     def __init__(
         self,
         generators: Iterable[Generator],
-        spec: CumulantSpec,
+        families: Mapping[str, CumulantTable],
+        degree_cap: int = DEFAULT_DEGREE,
     ):
+        self.families: dict[str, dict[tuple[str, ...], Fraction]] = {
+            family: {
+                tuple(key): as_fraction(val)
+                for key, val in table.items()
+                if as_fraction(val)
+            }
+            for family, table in families.items()
+        }
         self.generators: dict[str, Generator] = {}
         for gen in generators:
             if gen.id in self.generators:
                 raise ValueError(f"duplicate generator id {gen.id!r}")
             self.generators[gen.id] = gen
-        if not 1 <= spec.degree_cap <= MAX_DEGREE:
+        if not 1 <= degree_cap <= MAX_DEGREE:
             raise ValueError(
-                f"degree cap must be in 1..{MAX_DEGREE}, got {spec.degree_cap}"
+                f"degree cap must be in 1..{MAX_DEGREE}, got {degree_cap}"
             )
-        for family, table in spec.families.items():
+        for family, table in self.families.items():
             for key in table:
-                if not 1 <= len(key) <= spec.degree_cap:
+                if not 1 <= len(key) <= degree_cap:
                     raise ValueError(
                         f"cumulant key {key} has length outside "
-                        f"1..{spec.degree_cap}"
+                        f"1..{degree_cap}"
                     )
                 for gen_id in key:
                     gen = self.generators.get(gen_id)
@@ -161,8 +134,7 @@ class MomentFunctional:
                             f"references generator {gen_id!r} of family "
                             f"{gen.family!r}"
                         )
-        self.spec = spec
-        self.degree_cap = spec.degree_cap
+        self.degree_cap = degree_cap
         self._word_cumulant_memo: dict[tuple[Word, ...], Fraction] = {}
 
     def _block_cumulant(self, letters: tuple[str, ...]) -> Fraction:
@@ -170,37 +142,7 @@ class MomentFunctional:
         families = {self.generators[g].family for g in letters}
         if len(families) != 1:
             return Fraction(0)
-        return self.spec.value(next(iter(families)), letters)
-
-    def cumulant(self, args: Sequence[NcPolynomial]) -> Fraction:
-        """The multilinear free cumulant k_n(args), expanded into word
-        cumulants."""
-        args = tuple(args)
-        n = len(args)
-        if n == 0:
-            raise ValueError("cumulant needs at least one argument")
-        if n > self.degree_cap:
-            raise DegreeCapExceeded(
-                f"cumulant arity {n} exceeds degree cap {self.degree_cap}"
-            )
-        # multilinear expansion: every slot splits into its terms, and the
-        # cumulant of each word combination is shared across calls; most
-        # combinations mix families and read 0, so their weights are
-        # skipped. For n >= 2 a constant term reads 0 wherever it stands,
-        # so it is dropped before the expansion.
-        slots = [
-            [word for word in p.numerators if word]
-            if n >= 2 and () in p.numerators
-            else p.numerators
-            for p in args
-        ]
-        terms = []
-        for words in product(*slots):
-            value = self.cumulant_words(words)
-            if value:
-                nums = [p.numerators[word] for p, word in zip(args, words)]
-                terms.append((prod(nums), value))
-        return _weighted_sum(terms, (p.denominator for p in args))
+        return self.families.get(families.pop(), {}).get(letters, Fraction(0))
 
     def cumulant_words(self, words: tuple[Word, ...]) -> Fraction:
         """The cumulant with one plain word per slot, memoized.
@@ -240,35 +182,6 @@ class MomentFunctional:
         self._word_cumulant_memo[words] = total
         return total
 
-    def cumulant_of_ids(self, ids: Sequence[str]) -> Fraction:
-        """Convenience: the cumulant of a tuple of single generators."""
-        return self.cumulant(
-            tuple(NcPolynomial.generator(g) for g in ids)
-        )
-
-
-def _weighted_sum(
-    terms: Iterable[tuple[int, Fraction]], denominators: Iterable[int]
-) -> Fraction:
-    """The sum of weight * value over the terms, divided by the product
-    of the denominators.
-
-    The values are brought to the lcm of their denominators, so the sum
-    runs on integers and one Fraction is built at the end; a zero sum,
-    the common case for cumulants, builds none.
-    """
-    num, common = 0, 1
-    for weight, value in terms:
-        a = value.numerator
-        if a:
-            b = value.denominator
-            if common % b:
-                step = b // gcd(common, b)
-                num *= step
-                common *= step
-            num += weight * a * (common // b)
-    return Fraction(num, common * prod(denominators)) if num else _ZERO
-
 
 @lru_cache(maxsize=None)
 def _linking_partitions(
@@ -279,14 +192,17 @@ def _linking_partitions(
     slots of these lengths.
 
     The join is 1_m exactly when the blocks of pi link the slots into one
-    component. There are at most 2^(m-1) length tuples for each m.
+    component. Only cumulant_words calls this, after its cap check, so
+    m <= MAX_DEGREE = 8: the cache holds at most 2^8 - 1 = 255 length
+    tuples (2^(m-1) for each m), each with at most |NC(8)| = 1430
+    partitions.
     """
     m = sum(lengths)
     if all(length == 1 for length in lengths):
         return ((tuple(range(m)),),)
     slot_of = [s for s, length in enumerate(lengths) for _ in range(length)]
     linking = []
-    for pi in nc_lattice.enumerate_nc(m, cap=nc_lattice.HARD_DEGREE_CAP):
+    for pi in nc_lattice.enumerate_nc(m):
         components: list[set[int]] = []
         for block in pi.blocks:
             merged = {slot_of[i - 1] for i in block}
@@ -305,40 +221,24 @@ def _linking_partitions(
 
 
 def build_space(
-    family_tables: Mapping[str, Mapping[str, Mapping[str, object]]]
-    | None = None,
+    family_tables: Mapping[str, Mapping[str, Mapping[str, object]]],
     degree_cap: int = DEFAULT_DEGREE,
-    *,
-    families: Mapping[str, CumulantTable] | None = None,
-    generators: Iterable[Generator] | None = None,
 ) -> MomentFunctional:
-    """Assemble a MomentFunctional.
-
-    Two entry points: pass ``family_tables`` mapping family name to
-    {generator id: {kind, **params}} distribution descriptors (the CLI
-    path), or pass explicit ``generators`` plus raw ``families`` cumulant
-    tables (the programmatic path).
+    """Assemble a MomentFunctional from ``family_tables``, mapping family
+    name to {generator id: {kind, **params}} distribution descriptors
+    (the CLI path). A functional of explicit generators and raw cumulant
+    tables is ``MomentFunctional(generators, families, degree_cap)``.
     """
-    if family_tables is not None:
-        gens: list[Generator] = []
-        merged: dict[str, dict[tuple[str, ...], Fraction]] = {}
-        for family, gen_dists in family_tables.items():
-            table: dict[tuple[str, ...], Fraction] = {}
-            for gen_id, dist in gen_dists.items():
-                gens.append(Generator(gen_id, family))
-                kind = str(dist.get("kind", ""))
-                params = {k: v for k, v in dist.items() if k != "kind"}
-                fragment = builtin_distribution(
-                    kind, gen_id, degree_cap, **params
-                )
-                for key, val in fragment.items():
-                    table[key] = table.get(key, Fraction(0)) + val
-            merged[family] = {k: v for k, v in table.items() if v}
-        spec = CumulantSpec.build(merged, degree_cap)
-        return MomentFunctional(gens, spec)
-    if generators is None or families is None:
-        raise ValueError(
-            "pass either family_tables or both generators and families"
-        )
-    spec = CumulantSpec.build(families, degree_cap)
-    return MomentFunctional(generators, spec)
+    gens: list[Generator] = []
+    merged: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    for family, gen_dists in family_tables.items():
+        table: dict[tuple[str, ...], Fraction] = {}
+        for gen_id, dist in gen_dists.items():
+            gens.append(Generator(gen_id, family))
+            kind = str(dist.get("kind", ""))
+            params = {k: v for k, v in dist.items() if k != "kind"}
+            fragment = builtin_distribution(kind, gen_id, degree_cap, **params)
+            for key, val in fragment.items():
+                table[key] = table.get(key, Fraction(0)) + val
+        merged[family] = table
+    return MomentFunctional(gens, merged, degree_cap)

@@ -133,18 +133,6 @@ class BSeries:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def restrict(self, degree: int) -> "BSeries":
-        """The same series truncated to a smaller degree bound."""
-        if not 1 <= degree <= self.degree:
-            raise ValueError(
-                f"restriction degree must be in 1..{self.degree}, "
-                f"got {degree}"
-            )
-        kept = {
-            w: v for w, v in self._coeffs.items() if len(w) <= degree
-        }
-        return BSeries(self.s, self.order, degree, kept)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
@@ -588,7 +576,7 @@ def free_family_sparsity(
             if (j - 1) % n == 0:
                 m = (j - 1) // n + 1
                 source = gen_ids[m - 1]
-                expected = functional.cumulant_of_ids((source,) * n)
+                expected = functional.cumulant_words(((source,),) * n)
             if value != expected:
                 raise InternalConsistencyError(
                     f"sparsity pattern violated at degree {n}, entry {j}: "

@@ -226,10 +226,6 @@ class TVariable:
         )
 
     @staticmethod
-    def unit(order: int) -> "TVariable":
-        return TVariable.from_bscalar(BScalar.one(order))
-
-    @staticmethod
     def zero(order: int) -> "TVariable":
         return TVariable.from_bscalar(BScalar.zero(order))
 

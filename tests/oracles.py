@@ -21,7 +21,10 @@ shares none of that code, and takes its moments from ``phi_word_nc``.
 ``t_cumulant_mobius`` is the same inversion for the B-valued cumulant of
 Toeplitz variables, with per-block B-products of moments taken from
 ``oracle_moments``; the library sums the cumulant B-multilinearly over
-word tuples.
+word tuples. ``cumulant_multilinear`` is the scalar cumulant of
+polynomials expanded slot by slot into word cumulants, and
+``t_cumulant_compositions`` sums it over the compositions of each entry
+of a B-valued cumulant.
 
 ``phi_word_nc`` is phi of a word as the sum over every pi in NC(n) of the
 products of block cumulants read off the table. ``phi_partition`` is the
@@ -45,7 +48,9 @@ over the even-block partitions only, with closed-form Möbius weights.
 
 ``poly_sum_of_products_fraction`` is the sum of products of polynomials
 with every coefficient a ``Fraction``: the library sums the same products
-on integer numerators over one common denominator.
+on integer numerators over one common denominator. ``poly_from_json`` and
+``variables_from_json`` read a polynomial and a variable back from their
+JSON.
 
 ``b_mul_fraction`` and ``b_add_fraction`` are the product and the sum of
 the Toeplitz algebra on tuples of ``Fraction`` entries: the library runs
@@ -55,12 +60,15 @@ matrix multiplication, and ``centrality_commutes`` checks that an embedded
 element of B commutes with a variable under it.
 """
 
+import itertools
 import weakref
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import gcd, prod
 
 from toepfree import nc_lattice
 from toepfree.errors import (
+    DegreeCapExceeded,
     DimensionMismatch,
     InternalConsistencyError,
     MathDomainError,
@@ -94,13 +102,13 @@ def one_partition(n):
     return NcPartition(n, (tuple(range(1, n + 1)),))
 
 
-def enumerate_nc_even(m, cap=None):
+def enumerate_nc_even(m):
     """All partitions in NC(m) whose blocks all have even size."""
     if m % 2 != 0:
         raise OddLength(f"even-block partitions require even size, got {m}")
     return [
         p
-        for p in nc_lattice.enumerate_nc(m, cap)
+        for p in nc_lattice.enumerate_nc(m)
         if all(len(b) % 2 == 0 for b in p.blocks)
     ]
 
@@ -141,7 +149,7 @@ class NcLattice:
 
     def __init__(self, n):
         self.n = n
-        self.elements = nc_lattice.enumerate_nc(n, nc_lattice.HARD_DEGREE_CAP)
+        self.elements = nc_lattice.enumerate_nc(n)
         self.index = {p: i for i, p in enumerate(self.elements)}
         size = len(self.elements)
         # labels[j][x] = block index of element x in partition j
@@ -250,6 +258,12 @@ def poly_sum_of_products_fraction(pairs):
     )
 
 
+def poly_from_json(obj):
+    """A polynomial read back from the {word, coeff} terms that
+    ``NcPolynomial.to_json_obj`` writes."""
+    return NcPolynomial({tuple(t["word"]): t["coeff"] for t in obj})
+
+
 def b_mul_fraction(xs, ys):
     """The convolution product of two tuples of Fractions: entry j is
     sum over k <= j of xs[k] * ys[j - k]."""
@@ -270,7 +284,9 @@ def _table_cumulant(functional, letters):
     families = {functional.generators[g].family for g in letters}
     if len(families) != 1:
         return Fraction(0)
-    return functional.spec.value(families.pop(), tuple(letters))
+    return functional.families.get(families.pop(), {}).get(
+        tuple(letters), Fraction(0)
+    )
 
 
 def phi_word_nc(functional, word):
@@ -488,9 +504,9 @@ def oracle_moment_series(functional, vars_, degree):
 
 
 def variables_from_json(obj):
-    return TVariable(
-        tuple(NcPolynomial.from_json_obj(entry) for entry in obj)
-    )
+    """A variable read back from ``TVariable.to_json_obj``: one list of
+    {word, coeff} terms per entry."""
+    return TVariable(tuple(poly_from_json(entry) for entry in obj))
 
 
 def compositions(total, parts):
@@ -518,14 +534,48 @@ def composition_terms(chain, j):
             yield seq
 
 
+def cumulant_multilinear(functional, args):
+    """The scalar cumulant kappa_n(p_1, ..., p_n) of polynomials by
+    multilinear expansion: the sum over one word from each slot of the
+    product of their coefficients times ``cumulant_words`` of the words.
+
+    For n >= 2 a constant term reads 0 wherever it stands, so it is
+    dropped before the expansion. The values are brought to the lcm of
+    their denominators, so the sum runs on integer numerators and one
+    Fraction is built at the end.
+    """
+    n = len(args)
+    if n == 0:
+        raise ValueError("cumulant needs at least one argument")
+    cap = functional.degree_cap
+    if n > cap:
+        raise DegreeCapExceeded(f"cumulant arity {n} exceeds degree cap {cap}")
+    slots = [[word for word in p.numerators if word or n == 1] for p in args]
+    num, common = 0, 1
+    for words in itertools.product(*slots):
+        value = functional.cumulant_words(words)
+        if value:
+            b = value.denominator
+            if common % b:
+                step = b // gcd(common, b)
+                num *= step
+                common *= step
+            weight = prod(p.numerators[w] for p, w in zip(args, words))
+            num += weight * value.numerator * (common // b)
+    return Fraction(num, common * prod(p.denominator for p in args))
+
+
 def t_cumulant_compositions(functional, vars_, idx):
     """The cumulant summed over compositions: entry j is the sum of the
-    scalar multilinear cumulants (``MomentFunctional.cumulant``) of the
+    scalar multilinear cumulants (``cumulant_multilinear``) of the
     ``composition_terms`` of entry j."""
     chosen = [vars_[i - 1] for i in idx]
     return BScalar(
         sum(
-            map(functional.cumulant, composition_terms(chosen, j)),
+            (
+                cumulant_multilinear(functional, args)
+                for args in composition_terms(chosen, j)
+            ),
             Fraction(0),
         )
         for j in range(chosen[0].order)
@@ -622,7 +672,8 @@ def family_assignment(functional, named_vars):
     for name, var in named_vars.items():
         families = set()
         for entry in var.entries:
-            for gen_id in entry.generator_ids():
-                families.add(functional.generators[gen_id].family)
+            for word in entry.numerators:
+                for gen_id in word:
+                    families.add(functional.generators[gen_id].family)
         out[name] = frozenset(families)
     return out

@@ -405,26 +405,43 @@ def test_json_and_csv_carry_identical_triples(cfg):
     assert triples_json == triples_csv
 
 
+def _package_modules() -> dict[str, ast.Module]:
+    """The syntax tree of each package module but __init__, by name."""
+    package = Path(toepfree.__file__).parent
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+    }
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module's code reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _named_in_readme_code(name: str) -> bool:
+    """Whether README.md names ``name`` in its inline code or code blocks."""
+    text = README.read_text(encoding="utf-8")
+    code = "\n".join(re.findall(r"```.*?```|`[^`\n]+`", text, re.S))
+    return re.search(rf"\b{name}\b", code) is not None
+
+
 def test_every_public_name_has_a_user():
     """Each name in toepfree.__all__ is referenced in the code of the CLI
     or of a package module other than its own, or named in the code of
     README.md (its inline code and code blocks). An export that nothing in
     the package uses and the README does not document fails here."""
-    package = Path(toepfree.__file__).parent
-    referenced: dict[str, set[str]] = {}
-    for path in package.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        referenced[path.stem] = names
-    readme_code = "\n".join(
-        re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.S)
-    )
+    referenced = {
+        module: _referenced_names(tree)
+        for module, tree in _package_modules().items()
+    }
     unused = []
     for name in toepfree.__all__:
         home = getattr(toepfree, name).__module__.rpartition(".")[2]
@@ -432,8 +449,36 @@ def test_every_public_name_has_a_user():
             name in names for module, names in referenced.items() if module != home
         ):
             continue
-        if not re.search(rf"\b{name}\b", readme_code):
+        if not _named_in_readme_code(name):
             unused.append(name)
+    assert unused == []
+
+
+def test_every_public_function_and_method_has_a_user():
+    """Each public top-level function, and each public method of a public
+    class, in the package is referenced by name in package code or named
+    in the code of README.md. A definition that only the tests call fails
+    here: such routes belong in tests/oracles.py."""
+    modules = _package_modules()
+    referenced = set().union(*map(_referenced_names, modules.values()))
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined = [
+                    (f"{node.name}.{fn.name}", fn.name)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for label, name in defined:
+                if name.startswith("_") or name in referenced:
+                    continue
+                if not _named_in_readme_code(name):
+                    unused.append(f"{module}.{label}")
     assert unused == []
 
 

@@ -138,13 +138,8 @@ def test_single_crossing_partition_absent_at_n4():
 def test_enumeration_rejects_bad_sizes():
     with pytest.raises(ValueError):
         enumerate_nc(0)
-    with pytest.raises(DegreeCapExceeded):
+    with pytest.raises(DegreeCapExceeded, match=r"^NC\(11\) exceeds the degree cap 10$"):
         enumerate_nc(11)
-    with pytest.raises(DegreeCapExceeded):
-        enumerate_nc(9, cap=8)
-    # the hard ceiling wins over a larger requested cap
-    with pytest.raises(DegreeCapExceeded):
-        enumerate_nc(13, cap=99)
 
 
 # --------------------------------------------------------------------------

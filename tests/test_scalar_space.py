@@ -3,6 +3,8 @@
 phi is read through the paper's E on N = 1 variables (``expect``, which is
 K_1 and sums kappa_1 of each word over NC(m) by the products-as-arguments
 rule), and compared with the full NC(n) sum (``oracles.phi_word_nc``).
+The multilinear cumulant kappa_n(p_1, ..., p_n) is read the same way, as
+K_n of the N = 1 variables (p_1), ..., (p_n) (``t_cumulant``).
 The central tests are the roundtrip (feed in a cumulant table, recover
 every cumulant exactly) and the comparison of the cumulant of random word
 tuples with Möbius inversion of moments (``oracles.cumulant_words_mobius``).
@@ -23,12 +25,11 @@ from toepfree.errors import DegreeCapExceeded, DimensionMismatch
 from toepfree.nc_lattice import NcPartition, catalan
 from toepfree.ncpoly import Generator, NcPolynomial, poly_add, poly_scale
 from toepfree.scalar_space import (
-    CumulantSpec,
     MomentFunctional,
     builtin_distribution,
     build_space,
 )
-from toepfree.toeplitz_core import TVariable, expect
+from toepfree.toeplitz_core import TVariable, expect, t_cumulant
 
 from oracles import cumulant_words_mobius, phi_partition, phi_word_nc
 
@@ -42,7 +43,14 @@ def phi(fn: MomentFunctional, p: NcPolynomial) -> F:
 
 
 def phi_word(fn: MomentFunctional, word: tuple[str, ...]) -> F:
-    return phi(fn, NcPolynomial.from_word(word))
+    return phi(fn, NcPolynomial({word: 1}))
+
+
+def kappa(fn: MomentFunctional, args: tuple[NcPolynomial, ...]) -> F:
+    """kappa_n(args) as the one entry of K_n on the N = 1 variables
+    (p_1), ..., (p_n)."""
+    vars_ = [TVariable.of([p]) for p in args]
+    return t_cumulant(fn, vars_, tuple(range(1, len(args) + 1))).entries[0]
 
 
 @pytest.fixture
@@ -101,38 +109,29 @@ def test_builtin_distribution_rejects_bad_input():
 def test_functional_validates_spec():
     gens = [Generator("a", "f"), Generator("b", "g")]
     with pytest.raises(ValueError):  # duplicate id
-        MomentFunctional(
-            [Generator("a", "f"), Generator("a", "f")],
-            CumulantSpec.build({}, 3),
-        )
+        MomentFunctional([Generator("a", "f"), Generator("a", "f")], {}, 3)
     with pytest.raises(ValueError):  # cap out of range
-        MomentFunctional(gens, CumulantSpec.build({}, 0))
+        MomentFunctional(gens, {}, 0)
     with pytest.raises(ValueError):  # cap above the hard maximum
-        MomentFunctional(gens, CumulantSpec.build({}, 9))
+        MomentFunctional(gens, {}, 9)
     with pytest.raises(ValueError):  # key longer than the cap
-        MomentFunctional(
-            gens, CumulantSpec.build({"f": {("a",) * 4: 1}}, 3)
-        )
+        MomentFunctional(gens, {"f": {("a",) * 4: 1}}, 3)
     with pytest.raises(ValueError):  # key references undeclared generator
-        MomentFunctional(
-            gens, CumulantSpec.build({"f": {("z",): 1}}, 3)
-        )
+        MomentFunctional(gens, {"f": {("z",): 1}}, 3)
     with pytest.raises(ValueError):  # key references a foreign family
-        MomentFunctional(
-            gens, CumulantSpec.build({"f": {("b",): 1}}, 3)
-        )
+        MomentFunctional(gens, {"f": {("b",): 1}}, 3)
+    # values are coerced to Fractions and zeros dropped before the checks
+    fn = MomentFunctional(gens, {"f": {("a",): "1/2", ("a", "a"): 0}}, 3)
+    assert fn.families == {"f": {("a",): F(1, 2)}}
+    MomentFunctional(gens, {"f": {("a",) * 4: 0, ("z",): "0/5"}}, 3)
 
 
 def test_build_space_requires_one_entry_point():
-    with pytest.raises(ValueError):
-        build_space()
-    with pytest.raises(ValueError):
-        build_space(families={"f": {}})
-    fn = build_space(
-        generators=[Generator("a", "f")],
-        families={"f": {("a",): F(2)}},
-        degree_cap=4,
-    )
+    """build_space takes distribution descriptors only; a functional of
+    raw cumulant tables is built by MomentFunctional itself."""
+    with pytest.raises(TypeError):
+        build_space(families={"f": {}})  # type: ignore[call-arg]
+    fn = MomentFunctional([Generator("a", "f")], {"f": {("a",): F(2)}}, 4)
     assert phi_word(fn, ("a",)) == 2
 
 
@@ -209,7 +208,7 @@ def test_phi_word_matches_nc_oracle():
 
 def test_phi_is_linear(semi):
     p = poly_add(
-        poly_scale(F(1, 2), NcPolynomial.from_word(("s", "s"))),
+        poly_scale(F(1, 2), NcPolynomial({("s", "s"): 1})),
         NcPolynomial.constant(3),
     )
     assert phi(semi, p) == F(1, 2) * 1 + 3
@@ -235,51 +234,51 @@ def test_phi_partition_examples(semi):
 
 def test_semicircular_cumulants(semi):
     s = gen("s")
-    assert semi.cumulant((s, s)) == 1
+    assert kappa(semi, (s, s)) == 1
     for n in (1, 3, 4, 5, 6):
-        assert semi.cumulant((s,) * n) == 0
+        assert kappa(semi, (s,) * n) == 0
 
 
 def test_cross_family_cumulants_vanish(mixed):
     s, p = gen("s"), gen("p")
-    assert mixed.cumulant((s, p)) == 0
-    assert mixed.cumulant((s, p, s)) == 0
-    assert mixed.cumulant((p, p, s, p)) == 0
+    assert kappa(mixed, (s, p)) == 0
+    assert kappa(mixed, (s, p, s)) == 0
+    assert kappa(mixed, (p, p, s, p)) == 0
 
 
 def test_cumulants_with_constant_slots_vanish(mixed):
     one = NcPolynomial.one()
     s = gen("s")
     for args in ((s, one), (one, s), (s, one, s), (one, one)):
-        assert mixed.cumulant(args) == 0
+        assert kappa(mixed, args) == 0
     # arity 1 on a constant is just phi
-    assert mixed.cumulant((NcPolynomial.constant(F(7, 2)),)) == F(7, 2)
+    assert kappa(mixed, (NcPolynomial.constant(F(7, 2)),)) == F(7, 2)
 
 
 def test_cumulant_edges(mixed):
     with pytest.raises(ValueError):
-        mixed.cumulant(())
-    with pytest.raises(DegreeCapExceeded):
-        mixed.cumulant((gen("s"),) * 7)
+        kappa(mixed, ())
+    with pytest.raises(
+        DegreeCapExceeded, match="^cumulant arity 7 exceeds degree cap 6$"
+    ):
+        kappa(mixed, (gen("s"),) * 7)
 
 
 def test_cumulant_is_multilinear(mixed):
     s, p = gen("s"), gen("p")
     combo = poly_add(poly_scale(2, s), poly_scale(F(-1, 3), p))
-    lhs = mixed.cumulant((combo, s))
-    rhs = 2 * mixed.cumulant((s, s)) + F(-1, 3) * mixed.cumulant((p, s))
+    lhs = kappa(mixed, (combo, s))
+    rhs = 2 * kappa(mixed, (s, s)) + F(-1, 3) * kappa(mixed, (p, s))
     assert lhs == rhs
-    lhs3 = mixed.cumulant((s, combo, p))
-    rhs3 = 2 * mixed.cumulant((s, s, p)) + F(-1, 3) * mixed.cumulant(
-        (s, p, p)
-    )
+    lhs3 = kappa(mixed, (s, combo, p))
+    rhs3 = 2 * kappa(mixed, (s, s, p)) + F(-1, 3) * kappa(mixed, (s, p, p))
     assert lhs3 == rhs3
 
 
 def test_cumulant_agrees_with_word_path(mixed):
     words = (("s",), ("p", "p"), ("s", "s"))
-    args = tuple(NcPolynomial.from_word(w) for w in words)
-    assert mixed.cumulant(args) == mixed.cumulant_words(words)
+    args = tuple(NcPolynomial({w: 1}) for w in words)
+    assert kappa(mixed, args) == mixed.cumulant_words(words)
 
 
 def test_cumulant_words_match_mobius_oracle():
@@ -323,10 +322,11 @@ def test_cumulant_words_match_mobius_oracle():
 
 
 def test_cumulant_expansion_matches_mobius_and_skips_constants(monkeypatch):
-    """The multilinear expansion over integer numerators against Möbius
-    inversion of each word combination, on seeded affine and s*p
-    arguments; for arity n >= 2 no word tuple with an empty slot (a
-    constant term, whose cumulant is 0) reaches cumulant_words."""
+    """kappa_n of polynomials, read as K_n at N = 1, against the
+    multilinear expansion with Möbius inversion of each word combination,
+    on seeded affine and s*p arguments; for arity n >= 2 no word tuple
+    with an empty slot (a constant term, whose cumulant is 0) reaches
+    cumulant_words."""
     rng = random.Random(6113)
     fn = build_space(
         {
@@ -368,13 +368,13 @@ def test_cumulant_expansion_matches_mobius_and_skips_constants(monkeypatch):
             want += weight * cumulant_words_mobius(
                 fn, tuple(w for w, _ in combo)
             )
-        assert fn.cumulant(args) == want, args
+        assert kappa(fn, args) == want, args
         arities.add(arity)
     assert arities == {1, 2, 3}
     multi = [words for words in calls if len(words) >= 2]
     assert multi and all(all(words) for words in multi)
     assert ((),) in calls
-    assert fn.cumulant((NcPolynomial.constant(F(5, 2)),)) == F(5, 2)
+    assert kappa(fn, (NcPolynomial.constant(F(5, 2)),)) == F(5, 2)
 
 
 def test_cumulant_words_edges(mixed):
@@ -389,12 +389,6 @@ def test_cumulant_words_edges(mixed):
         mixed.cumulant_words((("s",) * 4, (), ("s",) * 3))
     with pytest.raises(ValueError):
         mixed.cumulant_words((("nope",),))
-
-
-def test_cumulant_of_ids_matches_cumulant(mixed):
-    assert mixed.cumulant_of_ids(("s", "s")) == mixed.cumulant(
-        (gen("s"), gen("s"))
-    )
 
 
 # --------------------------------------------------------------------------
@@ -415,14 +409,11 @@ def test_cumulant_table_recovery_joint_family():
     rng = random.Random(2024)
     ids = ("g1", "g2")
     table = random_joint_spec(rng, ids, 4)
-    fn = build_space(
-        generators=[Generator(i, "fam") for i in ids],
-        families={"fam": table},
-        degree_cap=4,
-    )
+    fn = MomentFunctional([Generator(i, "fam") for i in ids], {"fam": table}, 4)
     for n in range(1, 5):
         for key in product(ids, repeat=n):
-            assert fn.cumulant_of_ids(key) == table.get(key, F(0))
+            slots = tuple((g,) for g in key)
+            assert fn.cumulant_words(slots) == table.get(key, F(0))
 
 
 def test_freeness_forces_product_factorization(mixed):
@@ -458,6 +449,6 @@ def test_property_first_slot_linearity(c1, c2):
     s, p = gen("s"), gen("p")
     combo = poly_add(poly_scale(c1, s), poly_scale(c2, p))
     for tail in ((s,), (s, p), (p, p, s)):
-        lhs = fn.cumulant((combo, *tail))
-        rhs = c1 * fn.cumulant((s, *tail)) + c2 * fn.cumulant((p, *tail))
+        lhs = kappa(fn, (combo, *tail))
+        rhs = c1 * kappa(fn, (s, *tail)) + c2 * kappa(fn, (p, *tail))
         assert lhs == rhs

@@ -53,7 +53,11 @@ from toepfree.toeplitz_core import (
 
 F = Fraction
 gen = NcPolynomial.generator
-word = NcPolynomial.from_word
+
+
+def word(w: tuple[str, ...]) -> NcPolynomial:
+    return NcPolynomial({w: 1})
+
 
 IDS = ["a1", "b1", "a2", "b2", "a3", "b3"]
 
@@ -279,12 +283,13 @@ def test_embedded_scalars_are_central():
 def test_unit_and_zero_tuples():
     rng = random.Random(11)
     u = rand_tvariable(rng, 3)
-    assert t_mul(u, TVariable.unit(3)) == u
-    assert t_mul(TVariable.unit(3), u) == u
+    unit = TVariable.from_bscalar(BScalar.one(3))
+    assert t_mul(u, unit) == u
+    assert t_mul(unit, u) == u
     prod = t_mul(u, TVariable.zero(3))
     assert all(p.is_zero() for p in prod.entries)
     with pytest.raises(DimensionMismatch):
-        t_mul(u, TVariable.unit(2))
+        t_mul(u, TVariable.from_bscalar(BScalar.one(2)))
     with pytest.raises(ValueError):
         chain_product([])
 
@@ -362,7 +367,9 @@ def test_t_cumulant_validates_index_words(functional):
     with pytest.raises(ValueError):
         t_cumulant(functional, [x], (2,))
     with pytest.raises(DimensionMismatch):
-        t_cumulant(functional, [x, TVariable.unit(2)], (1, 2))
+        t_cumulant(
+            functional, [x, TVariable.from_bscalar(BScalar.one(2))], (1, 2)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +561,7 @@ def test_moment_cumulant_lattice_formula(functional, pool):
 
 
 def test_moment_of_unit_tuple(functional):
-    unit = TVariable.unit(3)
+    unit = TVariable.from_bscalar(BScalar.one(3))
     assert moment_series(functional, [unit], 3).coef((1, 1, 1)) == BScalar.one(3)
     assert expect(functional, chain_product([unit] * 3)) == BScalar.one(3)
     assert t_cumulant(functional, [unit], (1,)) == BScalar.one(3)
