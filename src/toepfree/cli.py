@@ -21,9 +21,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -83,12 +82,10 @@ def _slug(exc: BaseException) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """A validated run configuration."""
 
     order: int
-    degree_cap: int
     functional: MomentFunctional
     variables: dict[str, TVariable]
 
@@ -204,6 +201,8 @@ def load_config(path: str) -> Config:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply") from None
     top = _want_obj(root, "/")
 
     known = {"N", "degree_cap", "families", "variables"}
@@ -291,7 +290,7 @@ def load_config(path: str) -> Config:
                 ) from None
         variables[name] = TVariable.of(polys)
 
-    return Config(order, degree_cap, functional, variables)
+    return Config(order, functional, variables)
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +300,7 @@ def load_config(path: str) -> Config:
 Row = tuple[str, str, int, str]
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """One command's result: a JSON payload plus flat 4-column rows."""
 
     payload: object
@@ -402,7 +400,8 @@ def _degree_table(
     query: str, config: Config, args: argparse.Namespace, walk
 ) -> Emission:
     vars_ = _resolve_vars(config, args.vars, "--vars")
-    degree = args.degree if args.degree is not None else config.degree_cap
+    cap = config.functional.degree_cap
+    degree = args.degree if args.degree is not None else cap
     check_series_request(config.functional, vars_, degree)
     words = list(product(range(1, len(vars_) + 1), repeat=degree))
     values = walk(config.functional, vars_, words)

@@ -15,10 +15,9 @@ each NC(n) is kept in an ``lru_cache``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CrossingPartition, DegreeCapExceeded
 
@@ -53,8 +52,7 @@ def _is_noncrossing(blocks: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NcPartition:
+class NcPartition(NamedTuple):
     """A noncrossing partition of {1, ..., n} in canonical form.
 
     Blocks are stored sorted internally and ordered by their minima; two
@@ -87,14 +85,6 @@ class NcPartition:
         if not _is_noncrossing(canon):
             raise CrossingPartition(f"blocks {canon} cross")
         return NcPartition(n, canon)
-
-    def block_of(self) -> dict[int, int]:
-        """Map each element to the index of its block in canonical order."""
-        out: dict[int, int] = {}
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = i
-        return out
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -167,38 +157,30 @@ def enumerate_nc(n: int) -> list[NcPartition]:
 
 
 def kreweras(pi: NcPartition) -> NcPartition:
-    """The Kreweras complement of pi.
+    """The Kreweras complement of pi, as the permutation pi^(-1) gamma.
 
-    On the interleaved points 1, 1', 2, 2', ..., n, n' (pi on unprimed,
-    complement on primed), Kr(pi) is the coarsest partition of the primed
-    points whose union with pi is noncrossing. Two primed points i' < j'
-    are joined exactly when {i+1, ..., j} is a union of blocks of pi.
+    Read each block of pi as the cycle that runs through it in increasing
+    order, and let gamma be the long cycle (1 2 ... n). The cycles of
+    pi^(-1) gamma are the blocks of Kr(pi) (Nica-Speicher, Lectures on the
+    Combinatorics of Free Probability, Lecture 18).
     """
     n = pi.n
-    of_pi = pi.block_of()
-    blocks = [set(b) for b in pi.blocks]
-
-    def interval_is_union(i: int, j: int) -> bool:
-        members = set(range(i + 1, j + 1))
-        touched = {of_pi[x] for x in members}
-        return all(blocks[b] <= members for b in touched)
-
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if interval_is_union(i, j):
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return NcPartition.from_blocks(n, groups.values())
+    pred = [0] * (n + 1)  # pred[b]: the predecessor of b in its cycle of pi
+    for block in pi.blocks:
+        for a, b in zip(block[-1:] + block[:-1], block):
+            pred[b] = a
+    seen = [False] * (n + 1)
+    blocks = []
+    for start in range(1, n + 1):  # each new cycle opens at its minimum
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = pred[x % n + 1]
+        if cycle:
+            blocks.append(tuple(sorted(cycle)))
+    return NcPartition(n, tuple(blocks))
 
 
 def mobius_to_top(pi: NcPartition) -> int:

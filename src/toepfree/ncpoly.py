@@ -13,10 +13,9 @@ sums run on integers with a single reduction per result; ``terms`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import EngineError
 
@@ -26,18 +25,17 @@ Word = tuple[str, ...]
 RationalLike = Fraction | int | str
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple("Generator", [("id", str), ("family", str)])):
     """An abstract generator of the model algebra, tagged with its family."""
 
-    id: str
-    family: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(cls, id: str, family: str) -> "Generator":
+        if not id:
             raise ValueError("generator id must be nonempty")
-        if not self.family:
-            raise ValueError(f"generator {self.id!r} has empty family")
+        if not family:
+            raise ValueError(f"generator {id!r} has empty family")
+        return super().__new__(cls, id, family)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -326,8 +324,7 @@ class ZeroDenominatorError(ExpressionError):
     """A rational literal with denominator zero."""
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int' | 'ident' | 'op'
     text: str
     pos: int
@@ -473,4 +470,9 @@ def parse_expr(
     ids = frozenset(
         s.id if isinstance(s, Generator) else str(s) for s in symbols
     )
-    return _Parser(_tokenize(text), ids, len(text)).parse()
+    parser = _Parser(_tokenize(text), ids, len(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        pass  # raised below, outside the handler, so no traceback is chained
+    parser._fail("expression nested too deeply")

@@ -23,10 +23,9 @@ coefficients and the order of B-products is immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -437,8 +436,7 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
     return BSeries(f.s, f.order, f.degree, coeffs)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     free: bool
     witness: IndexWord | None
 
@@ -497,8 +495,7 @@ def check_even(
     return by_cumulants
 
 
-@dataclass(frozen=True)
-class PatternRow:
+class PatternRow(NamedTuple):
     """One entry of the sparsity pattern of R_A for a free-generator tuple:
     which single-generator cumulant (if any) the entry carries."""
 

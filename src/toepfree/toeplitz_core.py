@@ -22,7 +22,6 @@ matrix embedding (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -209,21 +208,30 @@ def b_inv(x: BScalar) -> BScalar:
     return _reduced(sign * den, tuple(sign * x.den * v for v in e))
 
 
-@dataclass(frozen=True)
 class TVariable:
-    """An N-tuple of polynomials: a B-valued random variable."""
+    """An N-tuple of polynomials: a B-valued random variable.
+
+    ``entries`` holds the N polynomials. Instances are immutable and
+    hashable, and compare by their entries.
+    """
+
+    __slots__ = ("entries",)
 
     entries: tuple[NcPolynomial, ...]
 
+    def __init__(self, entries: Iterable[NcPolynomial]):
+        object.__setattr__(self, "entries", tuple(entries))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("TVariable is immutable")
+
     @staticmethod
     def of(entries: Iterable[NcPolynomial]) -> "TVariable":
-        return TVariable(tuple(entries))
+        return TVariable(entries)
 
     @staticmethod
     def from_bscalar(b: BScalar) -> "TVariable":
-        return TVariable(
-            tuple(NcPolynomial.constant(x) for x in b.entries)
-        )
+        return TVariable(NcPolynomial.constant(x) for x in b.entries)
 
     @staticmethod
     def zero(order: int) -> "TVariable":
@@ -240,10 +248,21 @@ class TVariable:
         return t_mul(self, other)
 
     def scale(self, c: RationalLike) -> "TVariable":
-        return TVariable(tuple(poly_scale(c, p) for p in self.entries))
+        return TVariable(poly_scale(c, p) for p in self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TVariable):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def to_json_obj(self) -> list[list[dict[str, object]]]:
         return [p.to_json_obj() for p in self.entries]
+
+    def __repr__(self) -> str:
+        return f"TVariable({self})"
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.entries) + ")"
@@ -252,9 +271,7 @@ class TVariable:
 def t_add(x: TVariable, y: TVariable) -> TVariable:
     """Entrywise sum."""
     _require_same_order(x, y)
-    return TVariable(
-        tuple(poly_add(a, b) for a, b in zip(x.entries, y.entries))
-    )
+    return TVariable(poly_add(a, b) for a, b in zip(x.entries, y.entries))
 
 
 def t_mul(x: TVariable, y: TVariable) -> TVariable:
@@ -266,10 +283,8 @@ def t_mul(x: TVariable, y: TVariable) -> TVariable:
     _require_same_order(x, y)
     xs, ys = x.entries, y.entries
     return TVariable(
-        tuple(
-            poly_sum_of_products((xs[k], ys[j - k]) for k in range(j + 1))
-            for j in range(x.order)
-        )
+        poly_sum_of_products((xs[k], ys[j - k]) for k in range(j + 1))
+        for j in range(x.order)
     )
 
 

@@ -1,12 +1,13 @@
 """Reference routes that only the tests use.
 
-The lattice of NC(n) as an order: ``leq``, ``zeta``, ``delta``, the
-``NcLattice`` of one n with its refinement order and its Möbius function
-computed by the recursion mu(theta, pi) = -sum over theta <= sigma < pi of
-mu(theta, sigma), ``mobius`` on a pair, ``interleave`` of two partitions
-on odd and even slots, the extremes ``zero_partition``/``one_partition``
-and the even-block enumeration ``enumerate_nc_even``. The library builds
-no order relation: it reads mu off the Kreweras complement in closed form
+The lattice of NC(n) as an order: ``block_of`` (each element's block),
+``leq``, ``zeta``, ``delta``, the ``NcLattice`` of one n with its
+refinement order and its Möbius function computed by the recursion
+mu(theta, pi) = -sum over theta <= sigma < pi of mu(theta, sigma),
+``mobius`` on a pair, ``interleave`` of two partitions on odd and even
+slots, the extremes ``zero_partition``/``one_partition`` and the
+even-block enumeration ``enumerate_nc_even``. The library builds no order
+relation: it reads mu off the Kreweras complement in closed form
 (``nc_lattice.mobius_to_top`` and ``nc_lattice.mobius_intervals``).
 
 ``cumulant_words_mobius`` computes the scalar cumulant of plain words by
@@ -120,10 +121,15 @@ def _require_same_n(theta, pi):
         )
 
 
+def block_of(pi):
+    """Map each element to the index of its block in canonical order."""
+    return {x: i for i, block in enumerate(pi.blocks) for x in block}
+
+
 def leq(theta, pi):
     """Refinement order: every block of theta lies inside a block of pi."""
     _require_same_n(theta, pi)
-    of_pi = pi.block_of()
+    of_pi = block_of(pi)
     return all(
         len({of_pi[x] for x in block}) == 1 for block in theta.blocks
     )

@@ -482,6 +482,22 @@ def test_every_public_function_and_method_has_a_user():
     assert unused == []
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every query is a fresh process, so the CLI's imports are paid on
+    each call; ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis``
+    and ``tokenize``. A fresh interpreter that imports the CLI must have
+    loaded neither module."""
+    probe = (
+        "import sys, toepfree.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_console_script_is_installed():
     """The `toepfree` script declared in pyproject.toml runs and works.
 
@@ -569,6 +585,9 @@ def broken_configs():
     unknown_kind = json.loads(base)
     unknown_kind["families"][0]["generators"][0]["distribution"]["kind"] = "odd"
 
+    deeply_nested = json.loads(base)
+    deeply_nested["variables"][0]["entries"][0] = "(" * 400 + "s" + ")" * 400
+
     return {
         "wrong-entry-count": wrong_count,
         "unknown-symbol": unknown_symbol,
@@ -579,6 +598,7 @@ def broken_configs():
         "unknown-top-key": unknown_key,
         "non-string-entry": non_string_entry,
         "unknown-distribution": unknown_kind,
+        "deeply-nested-entry": deeply_nested,
     }
 
 
@@ -588,7 +608,7 @@ def test_config_errors_exit_2(tmp_path, label):
     path.write_text(json.dumps(broken_configs()[label]))
     code, _, err = run("moments", "--vars", "X", "--config", str(path))
     assert code == 2, (label, err)
-    assert err.startswith("error: config:"), err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
 
 
 def test_missing_and_malformed_config_exit_2(tmp_path):
@@ -600,6 +620,11 @@ def test_missing_and_malformed_config_exit_2(tmp_path):
     bad.write_text("{not json")
     code, _, err = run("moments", "--vars", "X", "--config", str(bad))
     assert code == 2 and "line 1" in err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000)
+    code, _, err = run("moments", "--vars", "X", "--config", str(deep))
+    assert code == 2, err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
 
 
 def test_degree_over_cap_exits_3(cfg):

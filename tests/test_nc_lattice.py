@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     OddLength,
+    block_of,
     delta,
     enumerate_nc_even,
     interleave,
@@ -152,7 +153,19 @@ def test_from_blocks_canonicalizes():
     assert p.blocks == ((1, 2), (3, 4))
     assert str(p) == "{(1,2),(3,4)}"
     assert p.to_json_obj() == [[1, 2], [3, 4]]
-    assert p.block_of() == {1: 0, 2: 0, 3: 1, 4: 1}
+    assert block_of(p) == {1: 0, 2: 0, 3: 1, 4: 1}
+
+
+def test_partition_is_an_immutable_value():
+    p = NcPartition.from_blocks(4, [[4, 3], [2, 1]])
+    q = NcPartition(4, ((1, 2), (3, 4)))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != NcPartition(4, ((1,), (2,), (3, 4)))
+    assert repr(p) == "NcPartition(n=4, blocks=((1, 2), (3, 4)))"
+    with pytest.raises(AttributeError):
+        p.blocks = ((1, 2, 3, 4),)
+    with pytest.raises(AttributeError):
+        p.n = 3
 
 
 def test_from_blocks_rejects_crossings_and_bad_covers():

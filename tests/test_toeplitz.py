@@ -169,6 +169,22 @@ def test_bscalar_stored_form_golden():
         x.den = 1
 
 
+def test_tvariable_is_an_immutable_value():
+    x = TVariable.of([gen("a"), NcPolynomial.constant(2)])
+    y = TVariable([gen("a"), NcPolynomial.constant(F(4, 2))])
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != TVariable.of([gen("a"), NcPolynomial.constant(3)])
+    assert repr(x) == f"TVariable({x})"
+    with pytest.raises(AttributeError):
+        x.entries = ()
+    # not a tuple: no length, and an int times it is no repetition
+    assert not isinstance(x, tuple)
+    with pytest.raises(TypeError):
+        len(x)
+    with pytest.raises(TypeError):
+        2 * x
+
+
 def _is_canonical(b: BScalar) -> bool:
     """A positive denominator sharing no factor with all the numerators."""
     return b.den > 0 and gcd(b.den, *b.nums) == 1 and len(b.nums) == b.order
