@@ -91,7 +91,8 @@ class Config(NamedTuple):
 
 
 def _pointer(*parts: object) -> str:
-    return "/" + "/".join(str(p) for p in parts)
+    """A JSON pointer to parts; a first part that is a pointer is extended."""
+    return "/" + "/".join(str(p) for p in parts).removeprefix("/")
 
 
 def _config_fail(pointer: str, message: str) -> ConfigError:

@@ -8,13 +8,14 @@ holds coefficientwise for B-valued series (Speicher, Mem. AMS 627, 1998,
 Ch. 3), so the moment series of variables is read off their R-transform.
 Boxed convolution multiplies R-transforms the way t_mul multiplies free
 variables, through the sum over pi in NC(n) paired with its Kreweras
-complement. All three maps are summed by the first block of pi: a sum over
-the blocks V that hold position 1 of the coefficient at w|V times values
-on the regions V leaves, memoized on shorter words, so no NC(n) is
-enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
-Probability, Lectures 10, 11 and 17). On top of that sit the freeness and
-evenness predicates, the sparsity pattern of R-transforms of
-free-generator tuples, symmetric R-transforms, and compression scaling.
+complement. All three maps are summed by the first block of pi, on integer
+numerators with one reduction per coefficient: a sum over the blocks V
+that hold position 1 of the coefficient at w|V times values on the
+regions V leaves, memoized on shorter words, so no NC(n) is enumerated
+(Nica-Speicher, Lectures on the Combinatorics of Free Probability,
+Lectures 10, 11 and 17). On top of that sit the freeness and evenness
+predicates, the sparsity pattern of R-transforms of free-generator
+tuples, symmetric R-transforms, and compression scaling.
 
 Everything here works coefficientwise in exact rational arithmetic; B is
 commutative, so the scalar recursions hold verbatim for B-valued
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
@@ -42,6 +44,7 @@ from .toeplitz_core import (
     IndexWord,
     TVariable,
     _most_letters,
+    _reduced,
     b_mul,
     b_pow,
     t_cumulants,
@@ -274,25 +277,25 @@ def r_transform(
     return BSeries(len(vars_), order, d, coeffs)
 
 
-def _times(x: BScalar | None, y: BScalar | None) -> BScalar | None:
-    """x · y, where None stands for the unit and costs no product."""
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return b_mul(x, y)
+def _mul(x: tuple | None, y: BScalar | None) -> tuple | None:
+    """x * y for an integer weight x = (den, nums); None is the unit."""
+    if x is None or y is None:
+        return x if y is None else (y.den, y.nums)
+    (den, xs), ys = x, y.nums
+    nums = [0] * len(xs)
+    for i, a in enumerate(xs):
+        if a:
+            for j in range(i, len(xs)):
+                nums[j] += a * ys[j - i]
+    return den * y.den, nums
 
 
-def _add_to(
-    sums: dict[IndexWord, BScalar | None],
-    letters: IndexWord,
-    value: BScalar | None,
-) -> None:
-    """sums[letters] += value, skipping zero. A unit (None) is never
-    added to a held sum: only the block {1, ..., k} has k letters with
-    last position k, and only it can have no region factor."""
-    if value is None or not value.is_zero():
-        sums[letters] = sums[letters] + value if letters in sums else value
+def _add(x: tuple, y: tuple) -> tuple:
+    """x + y for integer weights, over the lcm of their denominators."""
+    (dx, xs), (dy, ys) = x, y
+    den = dx if dx == dy else lcm(dx, dy)
+    sx, sy = den // dx, den // dy
+    return den, [a * sx + b * sy for a, b in zip(xs, ys)]
 
 
 def _first_block_sum(
@@ -301,6 +304,7 @@ def _first_block_sum(
     coeffs: Mapping[IndexWord, BScalar],
     region: Callable[[int, int], BScalar | None],
     closed: bool = False,
+    base: BScalar | None = None,
 ) -> BScalar:
     """The first-block sum over the blocks V of word's positions that hold
     the first position, and also the last one when closed:
@@ -308,35 +312,35 @@ def _first_block_sum(
         sum over V = {v_1 = 0 < v_2 < ... < v_k} of
         coeffs[word|V] * prod over s of region(v_s, v_{s+1}),
 
-    with 0-based positions and, unless closed, v_{k+1} = len(word). A word
-    missing from coeffs has coefficient 0, and region returns None for a
-    factor 1 (an empty gap). Blocks are grown one position at a time; those
-    with equal letters and equal last position are merged before they grow,
-    so they share their region products, and a zero region cuts off every
-    block grown through it.
+    with 0-based positions and, unless closed, v_{k+1} = len(word); base
+    minus that sum when base is given. A word missing from coeffs has
+    coefficient 0, and region returns None for a factor 1 (an empty gap).
+    Blocks grow one position at a time, merged by letters and last position
+    so that they share region products; a zero region cuts them off. Every
+    weight is an unreduced integer pair (den, nums) until the result.
     """
     n = len(word)
     # extend[b]: letters of the blocks whose last position is b -> the sum
-    # of their region products so far
-    extend: list[dict[IndexWord, BScalar | None]] = [{} for _ in range(n)]
+    # of their region products so far; None (the unit) only for {0, ..., b}
+    extend: list[dict[IndexWord, tuple | None]] = [{} for _ in range(n)]
     extend[0][word[:1]] = None
-    ends: dict[IndexWord, BScalar | None] = {}
+    total = (base.den, [-v for v in base.nums]) if base else (1, [0] * order)
     for last in range(n):
-        for letters, weight in extend[last].items():
+        grown, ended = extend[last], None  # ended: the blocks ending at last
+        steps = [(b, y) for b in range(last + 1, n) if grown and (
+            (y := region(last, b)) is None or any(y.nums))]
+        for letters, weight in grown.items():
             if letters in coeffs and (not closed or last == n - 1):
-                tail = None if closed else region(last, n)
-                _add_to(ends, letters, _times(weight, tail))
-            for nxt in range(last + 1, n):
-                step = region(last, nxt)
-                if step is not None and step.is_zero():
-                    continue
-                _add_to(
-                    extend[nxt], letters + (word[nxt],), _times(weight, step)
-                )
-    total = BScalar.zero(order)
-    for letters, weight in ends.items():
-        total = total + _times(weight, coeffs[letters])
-    return total
+                value = _mul(weight, coeffs[letters])
+                ended = value if ended is None else _add(ended, value)
+            for nxt, step in steps:
+                key, value = letters + (word[nxt],), _mul(weight, step)
+                into = extend[nxt]
+                into[key] = _add(into[key], value) if key in into else value
+        if ended is not None:
+            total = _add(total, _mul(ended, None if closed else region(last, n)))
+    den, nums = total
+    return _reduced(den, tuple([-v for v in nums] if base else nums))
 
 
 def _require_calculus_cap(degree: int) -> None:
@@ -372,14 +376,15 @@ def r_from_moments(m: BSeries) -> BSeries:
     r(w|V) * prod m(gaps of V). No Möbius value is needed."""
     _require_calculus_cap(m.degree)
     r: dict[IndexWord, BScalar] = {}
+    held, zero = m._coeffs, BScalar.zero(m.order)
 
     for word in all_index_words(m.s, m.degree):
 
         def gap(a: int, b: int) -> BScalar | None:
-            return m.coef(word[a + 1 : b]) if b > a + 1 else None
+            return held.get(word[a + 1 : b], zero) if b > a + 1 else None
 
         # r holds no word of this length yet, so the V = [n] term is absent
-        value = m.coef(word) - _first_block_sum(m.order, word, r, gap)
+        value = _first_block_sum(m.order, word, r, gap, base=held.get(word, zero))
         if not value.is_zero():
             r[word] = value
     return BSeries(m.s, m.order, m.degree, r)
@@ -459,11 +464,8 @@ def check_freeness(
     _check_vars(combined)
     d = _resolve_degree(functional, degree)
     cut = len(group_a)
-    words = [
-        word
-        for word in all_index_words(len(combined), d)
-        if min(word) <= cut < max(word)
-    ]
+    words = [word for word in all_index_words(len(combined), d)
+             if min(word) <= cut < max(word)]
     for word, value in zip(words, t_cumulants(functional, combined, words)):
         if not value.is_zero():
             return FreenessReport(False, word)
@@ -533,11 +535,7 @@ def free_family_sparsity(
     gen_ids: list[str] = []
     for j, entry in enumerate(a.entries, start=1):
         terms = entry.terms
-        if (
-            len(terms) != 1
-            or terms[0][1] != 1
-            or len(terms[0][0]) != 1
-        ):
+        if len(terms) != 1 or terms[0][1] != 1 or len(terms[0][0]) != 1:
             raise PreconditionError(
                 f"entry {j} is not a bare generator: {entry}"
             )

@@ -284,31 +284,35 @@ def b_add_fraction(xs, ys):
     return tuple(a + b for a, b in zip(xs, ys))
 
 
-def _table_cumulant(functional, letters):
+def _table_cumulant(functional, family_of, letters):
     """kappa of a block of letters: the table entry of their family, or 0
     when they mix families."""
-    families = {functional.generators[g].family for g in letters}
-    if len(families) != 1:
-        return Fraction(0)
-    return functional.families.get(families.pop(), {}).get(
-        tuple(letters), Fraction(0)
-    )
+    family = family_of[letters[0]]
+    for g in letters:
+        if family_of[g] != family:
+            return Fraction(0)
+    return functional.families.get(family, {}).get(letters, Fraction(0))
 
 
 def phi_word_nc(functional, word):
-    """phi(w) = sum over pi in NC(n) of prod over blocks V of kappa(w|V)."""
+    """phi(w) = sum over pi in NC(n) of prod over blocks V of kappa(w|V).
+    A block's kappa is looked up once per word, though many pi share it."""
     if not word:
         return Fraction(1)
+    family_of = {g: gen.family for g, gen in functional.generators.items()}
+    kappa = {}
     total = Fraction(0)
     for pi in nc_lattice.enumerate_nc(len(word)):
         product = Fraction(1)
         for block in pi.blocks:
-            product *= _table_cumulant(
-                functional, tuple(word[i - 1] for i in block)
-            )
+            if block not in kappa:
+                letters = tuple(word[i - 1] for i in block)
+                kappa[block] = _table_cumulant(functional, family_of, letters)
+            product *= kappa[block]
             if not product:
                 break
-        total += product
+        else:
+            total += product
     return total
 
 

@@ -611,6 +611,31 @@ def test_config_errors_exit_2(tmp_path, label):
     assert err.startswith("error: config:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    ("label", "line"),
+    [
+        (
+            "float-parameter",
+            "error: config: at /families/0/generators/0/distribution/variance: "
+            "floating-point values are not accepted; use 'p/q' strings\n",
+        ),
+        (
+            "non-string-entry",
+            "error: config: at /variables/0/entries/1: "
+            "expected a nonempty string, got 5\n",
+        ),
+    ],
+    ids=["generator-parameter", "variable-entry"],
+)
+def test_config_error_pointer_is_exact(tmp_path, label, line):
+    """A nested config error names its JSON pointer with one leading slash
+    and one slash per level."""
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(broken_configs()[label]))
+    code, _, err = run("moments", "--vars", "X", "--config", str(path))
+    assert (code, err) == (2, line)
+
+
 def test_missing_and_malformed_config_exit_2(tmp_path):
     code, _, err = run(
         "moments", "--vars", "X", "--config", str(tmp_path / "absent.json")

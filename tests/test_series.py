@@ -77,16 +77,22 @@ zero = NcPolynomial.zero()
 
 
 def random_series(
-    rng: random.Random, s: int, order: int, degree: int, density: float = 1.0
+    rng: random.Random,
+    s: int,
+    order: int,
+    degree: int,
+    density: float = 1.0,
+    max_den: int = 2,
 ) -> BSeries:
     """A random series; each word has a coefficient with probability
-    density (a dense series draws no extra random numbers)."""
+    density (a dense series draws no extra random numbers), its entries
+    over denominators 1..max_den."""
     coeffs = {}
     for w in all_index_words(s, degree):
         if density < 1 and rng.random() >= density:
             continue
         coeffs[w] = BScalar.of(
-            [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(order)]
+            [F(rng.randint(-3, 3), rng.randint(1, max_den)) for _ in range(order)]
         )
     return BSeries(s, order, degree, coeffs)
 
@@ -428,6 +434,74 @@ def test_series_calculus_matches_nc_oracles():
     assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
 
 
+def test_series_calculus_aligns_coprime_denominators():
+    """Entries over the denominators 1..9, so that the kernel's sums align
+    coprime denominators such as 5, 7, 8 and 9 over their lcm, at Toeplitz
+    orders 1 and 5: all three maps still equal their NC(n) sums."""
+    rng = random.Random(9241)
+    for order in (1, 5):
+        for s, degree, density in ((1, 5, 1.0), (2, 4, 1.0), (2, 5, 0.4)):
+            f = random_series(rng, s, order, degree, density, max_den=9)
+            g = random_series(rng, s, order, degree, density, max_den=9)
+            dens = {v.den for v in f._coeffs.values()}
+            assert len(dens) > 3, dens
+            assert moments_from_r(f) == moments_from_r_nc(f)
+            assert r_from_moments(f) == r_from_moments_mobius(f)
+            assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+
+
+def test_series_calculus_drops_a_sum_that_cancels():
+    """A first-block sum that cancels to exactly zero comes back as the
+    reduced zero, and the maps do not store it: m(1,1) = r(1,1) + r(1)^2,
+    r(1,1) = m(1,1) - m(1)^2, and (f boxtimes g)(1,1) = f(1,1) g(1)^2 +
+    f(1)^2 g(1,1)."""
+    half = BScalar.of([1, F(1, 2)])
+    r = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([-1, -1])})
+    m = moments_from_r(r)
+    assert m.words() == [(1,)] and m == moments_from_r_nc(r)
+    got = series_module._first_block_sum(
+        2, (1, 1), r._coeffs, lambda a, b: half if b > a + 1 else None
+    )
+    assert (got.den, got.nums) == (1, (0, 0))
+    square = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([1, 1])})
+    assert r_from_moments(square).words() == [(1,)]
+    assert r_from_moments(square) == r_from_moments_mobius(square)
+    one = BScalar.of([1, 0])
+    f = BSeries(1, 2, 2, {(1,): one, (1, 1): half})
+    g = BSeries(1, 2, 2, {(1,): one, (1, 1): half.scale(-1)})
+    assert boxed_convolution(f, g).words() == [(1,)]
+    assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+
+
+def test_series_calculus_stays_fused(monkeypatch):
+    """The three maps sum every word on integer numerators inside the
+    first-block kernel: with the BScalar product and sum disabled, they
+    still return the values of the NC(n) oracles (taken beforehand)."""
+    rng = random.Random(6323)
+    cases = []
+    for s, order, degree in ((1, 3, 5), (2, 2, 4), (3, 1, 3)):
+        f = random_series(rng, s, order, degree, max_den=9)
+        g = random_series(rng, s, order, degree, 0.5, max_den=9)
+        want = (
+            moments_from_r_nc(f),
+            r_from_moments_mobius(f),
+            boxed_convolution_kreweras(f, g),
+        )
+        cases.append((f, g, want))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a series map built a BScalar product or sum")
+
+    monkeypatch.setattr(toeplitz_core, "b_mul", boom)
+    monkeypatch.setattr(toeplitz_core, "b_add", boom)
+    monkeypatch.setattr(series_module, "b_mul", boom)
+    with pytest.raises(AssertionError, match="product or sum"):
+        BScalar.one(2) + BScalar.one(2)
+    for f, g, want in cases:
+        got = (moments_from_r(f), r_from_moments(f), boxed_convolution(f, g))
+        assert got == want
+
+
 def test_series_calculus_leaves_no_cyclic_garbage():
     """With the cyclic collector off, nothing the three series maps build
     is left in a reference cycle: their memos are freed on return."""
@@ -453,13 +527,12 @@ def test_series_calculus_leaves_no_cyclic_garbage():
 
 def test_series_calculus_cap_is_checked_before_any_word(monkeypatch):
     """All three maps refuse a series over the degree cap up front, and a
-    series at the cap gets past the check into the B-products."""
+    series at the cap gets past the check into the first-block kernel."""
 
     def boom(*args, **kwargs):
         raise AssertionError("summed a word")
 
-    monkeypatch.setattr(series_module, "b_mul", boom)
-    monkeypatch.setattr(toeplitz_core, "b_mul", boom)
+    monkeypatch.setattr(series_module, "_first_block_sum", boom)
     cap = nc_lattice.DEFAULT_DEGREE_CAP
 
     def chain(degree):
@@ -724,25 +797,30 @@ def test_toeplitz_product_uses_no_fraction_arithmetic(monkeypatch):
 
 
 def test_series_calculus_uses_no_fraction_arithmetic(monkeypatch):
-    """One b_mul and one b_add of N = 3 scalars, and a degree-3
-    moments_from_r, run on integers alone: no Fraction is multiplied or
-    added inside them. The moments still match the NC(n) oracle."""
+    """One b_mul and one b_add of N = 3 scalars, and the three series maps
+    at degree 3, run on integers alone: no Fraction is multiplied or added
+    inside them. The maps still match their NC(n) oracles."""
     rng = random.Random(5107)
     x, y = (
         BScalar.of([F(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(3)])
         for _ in range(2)
     )
     r = random_series(rng, 2, 3, 3)
+    g = random_series(rng, 2, 3, 3, max_den=9)
     with monkeypatch.context() as patch:
         counts = _count_fraction_arithmetic(patch)
         xy, x_plus_y = b_mul(x, y), b_add(x, y)
         m = moments_from_r(r)
+        r_back = r_from_moments(g)
+        boxed = boxed_convolution(r, g)
         assert counts == {"mul": 0, "add": 0}
         assert F(1) * F(1) + F(1) == 2  # the counters are live
         assert counts == {"mul": 1, "add": 1}
     assert xy.entries == b_mul_fraction(x.entries, y.entries)
     assert x_plus_y.entries == b_add_fraction(x.entries, y.entries)
     assert m == moments_from_r_nc(r)
+    assert r_back == r_from_moments_mobius(g)
+    assert boxed == boxed_convolution_kreweras(r, g)
 
 
 def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
