@@ -91,8 +91,15 @@ class Config(NamedTuple):
 
 
 def _pointer(*parts: object) -> str:
-    """A JSON pointer to parts; a first part that is a pointer is extended."""
-    return "/" + "/".join(str(p) for p in parts).removeprefix("/")
+    """A JSON pointer (RFC 6901) to parts, with ~ and / in each part
+    escaped as ~0 and ~1; a first part of several that starts with / is a
+    pointer, which is extended as it is."""
+    head = ""
+    if len(parts) > 1 and str(parts[0]).startswith("/"):
+        head, parts = str(parts[0]), parts[1:]
+    return head + "".join(
+        "/" + str(p).replace("~", "~0").replace("/", "~1") for p in parts
+    )
 
 
 def _config_fail(pointer: str, message: str) -> ConfigError:
@@ -356,6 +363,13 @@ def _resolve_vars(config: Config, spec: str, flag: str) -> list[TVariable]:
     return [config.variables[name] for name in names]
 
 
+def _resolve_var(config: Config, spec: str) -> TVariable:
+    vars_ = _resolve_vars(config, spec, "--var")
+    if len(vars_) != 1:
+        raise UsageError(f"--var takes one variable, got {len(vars_)}")
+    return vars_[0]
+
+
 def _require_positive_n(n: int) -> None:
     if n < 1:
         raise UsageError(f"--n must be positive, got {n}")
@@ -480,7 +494,7 @@ def _cmd_check_free(config: Config, args: argparse.Namespace) -> Emission:
 
 
 def _cmd_check_even(config: Config, args: argparse.Namespace) -> Emission:
-    (var,) = _resolve_vars(config, args.var, "--var")
+    var = _resolve_var(config, args.var)
     result = check_even(config.functional, var, args.degree)
     payload = {"query": "check-even", "even": result}
     rows: list[Row] = [
@@ -490,13 +504,13 @@ def _cmd_check_even(config: Config, args: argparse.Namespace) -> Emission:
 
 
 def _cmd_compress(config: Config, args: argparse.Namespace) -> Emission:
-    (var,) = _resolve_vars(config, args.var, "--var")
+    var = _resolve_var(config, args.var)
     base = r_transform(config.functional, [var], args.degree)
     return _series_emission("compress", compress_r_transform(base, args.alpha))
 
 
 def _cmd_sparsity(config: Config, args: argparse.Namespace) -> Emission:
-    (var,) = _resolve_vars(config, args.var, "--var")
+    var = _resolve_var(config, args.var)
     series, pattern = free_family_sparsity(config.functional, var, args.degree)
     series_obj = series.to_json_obj()
     payload = {

@@ -8,62 +8,45 @@ holds coefficientwise for B-valued series (Speicher, Mem. AMS 627, 1998,
 Ch. 3), so the moment series of variables is read off their R-transform.
 Boxed convolution multiplies R-transforms the way t_mul multiplies free
 variables, through the sum over pi in NC(n) paired with its Kreweras
-complement. All three maps are summed by the first block of pi, on integer
-numerators with one reduction per coefficient: a sum over the blocks V
-that hold position 1 of the coefficient at w|V times values on the
-regions V leaves, memoized on shorter words, so no NC(n) is enumerated
-(Nica-Speicher, Lectures on the Combinatorics of Free Probability,
-Lectures 10, 11 and 17). On top of that sit the freeness and evenness
+complement. All three maps are summed by the first block of pi: a sum
+over the blocks V that hold position 1 of the coefficient at w|V times
+values on the regions V leaves, memoized on shorter words, so no NC(n)
+is enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
+Probability, Lectures 10, 11 and 17). The sums are homogeneous: scaled
+by lam^|w| for one lam per input series, every value is integral, and
+is packed into one integer, entry j in a k-bit slot j (Kronecker
+substitution), so a B-product is one integer product cut mod 2^(Nk)
+and a sum one addition. On top of that sit the freeness and evenness
 predicates, the sparsity pattern of R-transforms of free-generator
 tuples, symmetric R-transforms, and compression scaling.
 
-Everything here works coefficientwise in exact rational arithmetic; B is
-commutative, so the scalar recursions hold verbatim for B-valued
-coefficients and the order of B-products is immaterial.
+Everything here is exact. B is commutative, so the scalar recursions hold
+verbatim for B-valued coefficients, in any order of B-products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
-    DegreeCapExceeded,
-    DimensionMismatch,
-    InternalConsistencyError,
-    PreconditionError,
-    ZeroTrace,
+    DegreeCapExceeded, DimensionMismatch, InternalConsistencyError,
+    PreconditionError, ZeroTrace,
 )
 from .ncpoly import RationalLike, as_fraction, format_rational
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
-    BScalar,
-    IndexWord,
-    TVariable,
-    _most_letters,
-    _reduced,
-    b_mul,
-    b_pow,
-    t_cumulants,
+    BScalar, IndexWord, TVariable, _most_letters, _reduced, b_mul, t_cumulants,
 )
 
 __all__ = [
-    "BSeries",
-    "all_index_words",
-    "boxed_convolution",
-    "check_even",
-    "check_freeness",
-    "check_series_request",
-    "compress_r_transform",
-    "free_family_sparsity",
-    "moment_series",
-    "moments_from_r",
-    "r_from_moments",
-    "r_transform",
-    "symm_r_transform",
+    "BSeries", "all_index_words", "boxed_convolution", "check_even",
+    "check_freeness", "check_series_request", "compress_r_transform",
+    "free_family_sparsity", "moment_series", "moments_from_r",
+    "r_from_moments", "r_transform", "symm_r_transform",
 ]
 
 
@@ -83,13 +66,8 @@ class BSeries:
 
     __slots__ = ("s", "order", "degree", "_coeffs")
 
-    def __init__(
-        self,
-        s: int,
-        order: int,
-        degree: int,
-        coefficients: Mapping[IndexWord, BScalar],
-    ):
+    def __init__(self, s: int, order: int, degree: int,
+                 coefficients: Mapping[IndexWord, BScalar]):
         if s < 1:
             raise ValueError(f"need at least one indeterminate, got s={s}")
         if order < 1:
@@ -138,12 +116,8 @@ class BSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
-        return (
-            self.s == other.s
-            and self.order == other.order
-            and self.degree == other.degree
-            and self._coeffs == other._coeffs
-        )
+        return (self.s, self.order, self.degree, self._coeffs) == (
+            other.s, other.order, other.degree, other._coeffs)
 
     def __hash__(self) -> int:
         return hash(
@@ -169,9 +143,7 @@ class BSeries:
             )
             for row in obj["coefficients"]  # type: ignore[union-attr]
         }
-        return BSeries(
-            int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs
-        )
+        return BSeries(int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs)
 
     def __repr__(self) -> str:
         return (
@@ -223,13 +195,8 @@ def _require_word_cap(
     L_n[j] = max over k <= j of L_{n-1}[k] + max_i deg x^(i)_{j-k}. The
     bound ignores cancellation between terms.
     """
-    entry = [
-        max(
-            (x.entries[j].degree() for x in vars_ if x.entries[j]),
-            default=float("-inf"),
-        )
-        for j in range(vars_[0].order)
-    ]
+    entry = [max((x.entries[j].degree() for x in vars_ if x.entries[j]),
+                 default=float("-inf")) for j in range(vars_[0].order)]
     # row m of the table holds L_{degree-m}
     longest = max(max(row) for row in _most_letters([entry] * degree)[:-1])
     if longest > functional.degree_cap:
@@ -277,70 +244,109 @@ def r_transform(
     return BSeries(len(vars_), order, d, coeffs)
 
 
-def _mul(x: tuple | None, y: BScalar | None) -> tuple | None:
-    """x * y for an integer weight x = (den, nums); None is the unit."""
-    if x is None or y is None:
-        return x if y is None else (y.den, y.nums)
-    (den, xs), ys = x, y.nums
-    nums = [0] * len(xs)
-    for i, a in enumerate(xs):
-        if a:
-            for j in range(i, len(xs)):
-                nums[j] += a * ys[j - i]
-    return den * y.den, nums
+#: the primes below 100, which a scale takes one by one
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+           61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def _add(x: tuple, y: tuple) -> tuple:
-    """x + y for integer weights, over the lcm of their denominators."""
-    (dx, xs), (dy, ys) = x, y
-    den = dx if dx == dy else lcm(dx, dy)
-    sx, sy = den // dx, den // dy
-    return den, [a * sx + b * sy for a, b in zip(xs, ys)]
+def _packed(*series: BSeries) -> tuple[int, int, list[dict[IndexWord, int]]]:
+    """Each series f packed: entry j of lam_f^|w| f(w), an integer, in the
+    k-bit slot j of one weight. Returns lam, the product of the lam_f, k
+    and the packed series.
+
+    lam_f holds p^ceil(v/n) for each prime p < 100, v the largest power
+    of p in the denominator of a word of length n, and the rest of each
+    length's lcm, so den(w) | lam_f^|w|, and lam_f^|w| f(w) has entries
+    below 2^(beta_f |w|). Bound: the scaled maps are homogeneous, so a
+    kernel weight for a word of length n <= D sums at most 32^n products
+    of scaled inputs, lengths adding up to at most n per series: 2^(n-1)
+    first blocks, NC(n) sums of 4^n terms and, in r_from_moments, Moebius
+    values |mu| <= 4^n. A product of at most 2n factors takes N^(2n-1)
+    convolution paths per entry, each below 2^(beta n), beta the sum of
+    the beta_f. So every entry of every weight is below 2^(k-2): truncated
+    products lie within 2^(Nk-1) of 0, so they are their balanced residues
+    mod 2^(Nk), and entries are balanced k-bit digits.
+    """
+    lam, beta, scaled = 1, 0, []
+    for f in series:
+        dens: dict[int, int] = {}
+        for word, value in f._coeffs.items():
+            dens[len(word)] = lcm(dens.get(len(word), 1), value.den)
+        lam_f, bits = 1, 0
+        for n, den in dens.items():
+            for p in _PRIMES:
+                v = 0
+                while den % p == 0:
+                    den, v = den // p, v + 1
+                lam_f = lcm(lam_f, p ** -(-v // n))
+            lam_f = lcm(lam_f, den)
+        scaled.append(rows := {})
+        for word, value in f._coeffs.items():
+            factor = lam_f ** len(word) // value.den
+            rows[word] = row = [c * factor for c in value.nums]
+            bits = max(bits, -(-max(map(abs, row)).bit_length() // len(word)))
+        lam, beta = lam * lam_f, beta + bits
+    k = series[0].degree * (beta + 5 + 2 * series[0].order.bit_length()) + 2
+    return lam, k, [
+        {w: sum(c << j * k for j, c in enumerate(row)) for w, row in s.items()}
+        for s in scaled
+    ]
+
+
+def _decoded(f: BSeries, lam: int, k: int, packed: dict) -> BSeries:
+    """The series of f's shape whose coefficient at w is the packed weight
+    at w, read as balanced k-bit digits, over lam^|w|."""
+    half, low, coeffs = 1 << (k - 1), (1 << k) - 1, {}
+    for word, x in packed.items():
+        nums = []
+        for _ in range(f.order - 1):
+            nums.append(((x + half) & low) - half)
+            x = (x + half) >> k
+        coeffs[word] = _reduced(lam ** len(word), (*nums, x))
+    return BSeries(f.s, f.order, f.degree, coeffs)
 
 
 def _first_block_sum(
-    order: int,
-    word: IndexWord,
-    coeffs: Mapping[IndexWord, BScalar],
-    region: Callable[[int, int], BScalar | None],
-    closed: bool = False,
-    base: BScalar | None = None,
-) -> BScalar:
+    word: IndexWord, coeffs: Mapping[IndexWord, int],
+    region: Callable[[int, int], int], span: int, closed: bool = False,
+) -> int:
     """The first-block sum over the blocks V of word's positions that hold
     the first position, and also the last one when closed:
 
         sum over V = {v_1 = 0 < v_2 < ... < v_k} of
         coeffs[word|V] * prod over s of region(v_s, v_{s+1}),
 
-    with 0-based positions and, unless closed, v_{k+1} = len(word); base
-    minus that sum when base is given. A word missing from coeffs has
-    coefficient 0, and region returns None for a factor 1 (an empty gap).
-    Blocks grow one position at a time, merged by letters and last position
-    so that they share region products; a zero region cuts them off. Every
-    weight is an unreduced integer pair (den, nums) until the result.
+    with 0-based positions and, unless closed, v_{k+1} = len(word). Every
+    weight is packed in span = N k bits (see _packed): a sum is +, and a
+    product ((x y + H) & M) - H, H = 2^(span-1), M = 2^span - 1, is cut
+    mod t^N. A word missing from coeffs has coefficient 0, and region
+    returns 1 for an empty gap. Blocks grow one position at a time, merged
+    by letters and last position so that they share region products; a
+    zero region cuts them off.
     """
+    high, mask = 1 << (span - 1), (1 << span) - 1
     n = len(word)
     # extend[b]: letters of the blocks whose last position is b -> the sum
-    # of their region products so far; None (the unit) only for {0, ..., b}
-    extend: list[dict[IndexWord, tuple | None]] = [{} for _ in range(n)]
-    extend[0][word[:1]] = None
-    total = (base.den, [-v for v in base.nums]) if base else (1, [0] * order)
+    # of their region products so far
+    extend: list[dict[IndexWord, int]] = [{} for _ in range(n)]
+    extend[0][word[:1]] = 1
+    total = 0
     for last in range(n):
-        grown, ended = extend[last], None  # ended: the blocks ending at last
+        grown, ended = extend[last], 0  # ended: the blocks ending at last
         steps = [(b, y) for b in range(last + 1, n) if grown and (
-            (y := region(last, b)) is None or any(y.nums))]
+            y := region(last, b))]
         for letters, weight in grown.items():
             if letters in coeffs and (not closed or last == n - 1):
-                value = _mul(weight, coeffs[letters])
-                ended = value if ended is None else _add(ended, value)
+                ended += ((weight * coeffs[letters] + high) & mask) - high
             for nxt, step in steps:
-                key, value = letters + (word[nxt],), _mul(weight, step)
+                key = letters + (word[nxt],)
+                value = ((weight * step + high) & mask) - high
                 into = extend[nxt]
-                into[key] = _add(into[key], value) if key in into else value
-        if ended is not None:
-            total = _add(total, _mul(ended, None if closed else region(last, n)))
-    den, nums = total
-    return _reduced(den, tuple([-v for v in nums] if base else nums))
+                into[key] = into[key] + value if key in into else value
+        if ended and not closed:
+            ended = ((ended * region(last, n) + high) & mask) - high
+        total += ended
+    return total
 
 
 def _require_calculus_cap(degree: int) -> None:
@@ -358,15 +364,16 @@ def moments_from_r(r: BSeries) -> BSeries:
     m(w) = sum over V holding position 1 of r(w|V) * prod m(gaps of V),
     each gap being a shorter word (an empty gap counts 1)."""
     _require_calculus_cap(r.degree)
-    m: dict[IndexWord, BScalar] = {}
+    lam, k, (coeffs,) = _packed(r)
+    m: dict[IndexWord, int] = {}
 
     for word in all_index_words(r.s, r.degree):
 
-        def gap(a: int, b: int) -> BScalar | None:
-            return m[word[a + 1 : b]] if b > a + 1 else None
+        def gap(a: int, b: int) -> int:
+            return m[word[a + 1 : b]] if b > a + 1 else 1
 
-        m[word] = _first_block_sum(r.order, word, r._coeffs, gap)
-    return BSeries(r.s, r.order, r.degree, m)
+        m[word] = _first_block_sum(word, coeffs, gap, r.order * k)
+    return _decoded(r, lam, k, m)
 
 
 def r_from_moments(m: BSeries) -> BSeries:
@@ -375,19 +382,19 @@ def r_from_moments(m: BSeries) -> BSeries:
     r(w) = m(w) - sum over V holding position 1, V != [n], of
     r(w|V) * prod m(gaps of V). No Möbius value is needed."""
     _require_calculus_cap(m.degree)
-    r: dict[IndexWord, BScalar] = {}
-    held, zero = m._coeffs, BScalar.zero(m.order)
+    lam, k, (held,) = _packed(m)
+    r: dict[IndexWord, int] = {}
 
     for word in all_index_words(m.s, m.degree):
 
-        def gap(a: int, b: int) -> BScalar | None:
-            return held.get(word[a + 1 : b], zero) if b > a + 1 else None
+        def gap(a: int, b: int) -> int:
+            return held.get(word[a + 1 : b], 0) if b > a + 1 else 1
 
         # r holds no word of this length yet, so the V = [n] term is absent
-        value = _first_block_sum(m.order, word, r, gap, base=held.get(word, zero))
-        if not value.is_zero():
+        value = held.get(word, 0) - _first_block_sum(word, r, gap, m.order * k)
+        if value:
             r[word] = value
-    return BSeries(m.s, m.order, m.degree, r)
+    return _decoded(m, lam, k, r)
 
 
 def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
@@ -406,39 +413,39 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
         E(y_1..y_q) = sum over U holding 1 and q of f(y|U)
                       * prod over consecutive a < b in U of D(y[a .. b-1]).
 
-    D and E are memoized on the subword."""
+    D and E are memoized on the subword, scaled by lam_f^(|x|-1) lam_g^|x|
+    and lam_f^|y| lam_g^(|y|-1), so c(w) comes out times (lam_f lam_g)^n."""
     _require_same_shape(f, g)
     _require_calculus_cap(f.degree)
-    order = f.order
-    d_memo: dict[IndexWord, BScalar] = {}
-    e_memo: dict[IndexWord, BScalar] = {}
+    lam, k, (fs, gs) = _packed(f, g)
+    span = f.order * k
+    d_memo: dict[IndexWord, int] = {}
+    e_memo: dict[IndexWord, int] = {}
 
-    def d(x: IndexWord) -> BScalar:
+    def d(x: IndexWord) -> int:
         if x not in d_memo:
             d_memo[x] = _first_block_sum(
-                order, x, g._coeffs, lambda a, b: e(x[a + 1 : b + 1]), True
+                x, gs, lambda a, b: e(x[a + 1 : b + 1]), span, True
             )
         return d_memo[x]
 
-    def e(y: IndexWord) -> BScalar:
+    def e(y: IndexWord) -> int:
         if y not in e_memo:
             e_memo[y] = _first_block_sum(
-                order, y, f._coeffs, lambda a, b: d(y[a:b]), True
+                y, fs, lambda a, b: d(y[a:b]), span, True
             )
         return e_memo[y]
 
     try:
         coeffs = {
-            word: _first_block_sum(
-                order, word, f._coeffs, lambda a, b: d(word[a:b])
-            )
+            word: _first_block_sum(word, fs, lambda a, b: d(word[a:b]), span)
             for word in all_index_words(f.s, f.degree)
         }
     finally:
         # d and e close over each other; unbind them so that their memos
         # are freed on return instead of at the next cyclic collection
         del d, e
-    return BSeries(f.s, f.order, f.degree, coeffs)
+    return _decoded(f, lam, k, coeffs)
 
 
 class FreenessReport(NamedTuple):
@@ -507,12 +514,7 @@ class PatternRow(NamedTuple):
     value: Fraction
 
     def to_json_obj(self) -> dict[str, object]:
-        return {
-            "degree": self.degree,
-            "entry": self.entry,
-            "source": self.source,
-            "value": format_rational(self.value),
-        }
+        return {**self._asdict(), "value": format_rational(self.value)}
 
 
 def free_family_sparsity(
@@ -565,12 +567,9 @@ def free_family_sparsity(
     for n in range(1, series.degree + 1):
         coef = series.coef((1,) * n)
         for j in range(1, n_entries + 1):
-            value = coef.entries[j - 1]
-            source: str | None = None
-            expected = Fraction(0)
+            value, source, expected = coef.entries[j - 1], None, Fraction(0)
             if (j - 1) % n == 0:
-                m = (j - 1) // n + 1
-                source = gen_ids[m - 1]
+                source = gen_ids[(j - 1) // n]
                 expected = functional.cumulant_words(((source,),) * n)
             if value != expected:
                 raise InternalConsistencyError(
@@ -596,7 +595,10 @@ def symm_r_transform(
             f"b0 has order {b0.order}, variables have order {order}"
         )
     r = r_transform(functional, vars_, degree)
-    coeffs = {w: b_mul(b_pow(b0, len(w) - 1), value) for w, value in r.items()}
+    # b0^(n-1) for n = 1..D, one product per degree
+    one = BScalar.one(order)
+    powers = list(accumulate([b0] * (r.degree - 1), b_mul, initial=one))
+    coeffs = {w: b_mul(powers[len(w) - 1], value) for w, value in r.items()}
     return BSeries(r.s, order, r.degree, coeffs)
 
 
@@ -606,8 +608,6 @@ def compress_r_transform(r: BSeries, alpha0: RationalLike) -> BSeries:
     alpha = as_fraction(alpha0)
     if alpha == 0:
         raise ZeroTrace("compression needs a projection of nonzero trace")
-    coeffs = {
-        word: value.scale(alpha ** (len(word) - 1))
-        for word, value in r.items()
-    }
+    powers = [alpha**n for n in range(r.degree)]
+    coeffs = {w: value.scale(powers[len(w) - 1]) for w, value in r.items()}
     return BSeries(r.s, r.order, r.degree, coeffs)

@@ -546,6 +546,8 @@ def test_console_script_is_installed():
         ["moments", "--vars", "X", "--degree", "-1", "--config", "CFG"],
         ["moments", "--vars", "X", "--config", "CFG", "--format", "xml"],
         ["moments", "--vars", " ", "--config", "CFG"],
+        ["check-even", "--var", "X,Y", "--config", "CFG"],
+        ["compress", "--var", "X,Y", "--alpha", "1/2", "--config", "CFG"],
     ],
 )
 def test_usage_errors_exit_1(cfg, argv):
@@ -585,6 +587,15 @@ def broken_configs():
     unknown_kind = json.loads(base)
     unknown_kind["families"][0]["generators"][0]["distribution"]["kind"] = "odd"
 
+    slash_cumulant_key = json.loads(base)
+    slash_cumulant_key["families"][0]["generators"][0]["distribution"] = {
+        "kind": "custom",
+        "cumulants": {"s/x": 0.5},
+    }
+
+    escaped_top_key = json.loads(base)
+    escaped_top_key["a~/b"] = 1
+
     deeply_nested = json.loads(base)
     deeply_nested["variables"][0]["entries"][0] = "(" * 400 + "s" + ")" * 400
 
@@ -599,6 +610,8 @@ def broken_configs():
         "non-string-entry": non_string_entry,
         "unknown-distribution": unknown_kind,
         "deeply-nested-entry": deeply_nested,
+        "slash-cumulant-key": slash_cumulant_key,
+        "escaped-top-key": escaped_top_key,
     }
 
 
@@ -624,12 +637,22 @@ def test_config_errors_exit_2(tmp_path, label):
             "error: config: at /variables/0/entries/1: "
             "expected a nonempty string, got 5\n",
         ),
+        (
+            "slash-cumulant-key",
+            "error: config: at "
+            "/families/0/generators/0/distribution/cumulants/s~1x: "
+            "floating-point values are not accepted; use 'p/q' strings\n",
+        ),
+        (
+            "escaped-top-key",
+            "error: config: at /a~0~1b: unknown configuration key\n",
+        ),
     ],
-    ids=["generator-parameter", "variable-entry"],
+    ids=["generator-parameter", "variable-entry", "cumulant-key", "top-key"],
 )
 def test_config_error_pointer_is_exact(tmp_path, label, line):
     """A nested config error names its JSON pointer with one leading slash
-    and one slash per level."""
+    and one slash per level; ~ and / in a key read ~0 and ~1 (RFC 6901)."""
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(broken_configs()[label]))
     code, _, err = run("moments", "--vars", "X", "--config", str(path))

@@ -452,17 +452,19 @@ def test_series_calculus_aligns_coprime_denominators():
 
 def test_series_calculus_drops_a_sum_that_cancels():
     """A first-block sum that cancels to exactly zero comes back as the
-    reduced zero, and the maps do not store it: m(1,1) = r(1,1) + r(1)^2,
-    r(1,1) = m(1,1) - m(1)^2, and (f boxtimes g)(1,1) = f(1,1) g(1)^2 +
-    f(1)^2 g(1,1)."""
+    packed zero, which decodes to no stored word, and the maps do not
+    store it: m(1,1) = r(1,1) + r(1)^2, r(1,1) = m(1,1) - m(1)^2, and
+    (f boxtimes g)(1,1) = f(1,1) g(1)^2 + f(1)^2 g(1,1)."""
     half = BScalar.of([1, F(1, 2)])
     r = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([-1, -1])})
     m = moments_from_r(r)
     assert m.words() == [(1,)] and m == moments_from_r_nc(r)
+    lam, k, (packed,) = series_module._packed(r)
     got = series_module._first_block_sum(
-        2, (1, 1), r._coeffs, lambda a, b: half if b > a + 1 else None
+        (1, 1), packed, lambda a, b: packed[(1,)] if b > a + 1 else 1, 2 * k
     )
-    assert (got.den, got.nums) == (1, (0, 0))
+    assert got == 0
+    assert series_module._decoded(r, lam, k, {(1, 1): got}).is_zero()
     square = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([1, 1])})
     assert r_from_moments(square).words() == [(1,)]
     assert r_from_moments(square) == r_from_moments_mobius(square)
@@ -921,6 +923,111 @@ def test_truncation_coherence(fn_mix, pool_mix):
         small = moment_series(fn_mix, pool_mix, d)
         assert small.degree == d
         assert small.items() == [(w, v) for w, v in big.items() if len(w) <= d]
+
+
+# --------------------------------------------------------------------------
+# the packed first-block kernel
+# --------------------------------------------------------------------------
+
+
+def _series_over(rng, s, order, degree, dens, bits):
+    """A dense series whose entries are numerators of random sign below
+    2^bits in absolute value over denominators drawn from dens."""
+    return BSeries(s, order, degree, {
+        w: BScalar.of(
+            [F(rng.randint(1 - 2**bits, 2**bits - 1), rng.choice(dens))
+             for _ in range(order)]
+        )
+        for w in all_index_words(s, degree)
+    })
+
+
+@pytest.mark.parametrize(
+    ("s", "order", "degree", "dens", "bits"),
+    [
+        (2, 2, 4, (10_007, 1, 3), 3),
+        (1, 1, 6, (2**61 - 1, 2), 3),
+        (2, 2, 4, (12, 909, 2**20, 72), 3),
+        (2, 2, 4, (1, 2, 3), 120),
+        (1, 5, 5, (1, 5, 7), 3),
+        (1, 8, 4, (2, 3), 4),
+    ],
+    ids=["prime-10007", "prime-2^61-1", "non-powers", "2^120-numerators",
+         "order-5", "order-8"],
+)
+def test_packed_kernel_matches_nc_oracles(s, order, degree, dens, bits):
+    """The packed maps equal their NC(n) sums over denominators with prime
+    factors above 100 (a scale's cofactor taken whole), denominators that
+    are not perfect powers, numerators up to 2^120 of mixed signs, and
+    Toeplitz orders 1, 2, 5 and 8."""
+    rng = random.Random(f"{s}{order}{degree}{dens}{bits}")
+    f = _series_over(rng, s, order, degree, dens, bits)
+    g = _series_over(rng, s, order, degree, dens[::-1], bits)
+    assert moments_from_r(f) == moments_from_r_nc(f)
+    assert r_from_moments(f) == r_from_moments_mobius(f)
+    assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+
+
+@pytest.mark.parametrize("order", [1, 2, 8])
+def test_packed_kernel_is_exact_without_cancellation(order):
+    """A worst case for the slot width: every entry positive and as large
+    as its per-letter bit size allows (2^(3n) - 1 at a word of length n,
+    integers, so the scale is 1). No term cancels, and the maps still
+    equal their NC(n) sums; the moment series, whose entries grow the
+    most, goes back to R and into boxed convolution with itself."""
+    r = BSeries(1, order, 6, {
+        w: BScalar.of([2 ** (3 * len(w)) - 1] * order)
+        for w in all_index_words(1, 6)
+    })
+    m = moments_from_r(r)
+    assert m == moments_from_r_nc(r)
+    assert r_from_moments(m) == r == r_from_moments_mobius(m)
+    assert boxed_convolution(m, r) == boxed_convolution_kreweras(m, r)
+
+
+def test_packed_scale_is_tight_per_prime():
+    """The scale takes p^ceil(v/n) of each prime below 100 and the rest of
+    a denominator whole: 12 at length 1, 909 = 3^2 * 101 at length 2 and
+    2^20 at length 4 give lcm(12, 3 * 101, 2^5) = 9696."""
+    f = BSeries(1, 2, 4, {
+        (1,): BScalar.of([F(1, 12), 0]),
+        (1, 1): BScalar.of([F(1, 909), 1]),
+        (1, 1, 1, 1): BScalar.of([0, F(-3, 2**20)]),
+    })
+    lam, _, _ = series_module._packed(f)
+    assert lam == 2**5 * 3 * 101
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 4),
+    degree=st.integers(1, 5),
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([2, 3, 5, 7, 97, 101, 10_007]),
+                     max_size=6),
+            st.integers(-(2**70), 2**70),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_property_packed_scale_clears_every_denominator(order, degree, rows):
+    """For every stored word w, den(w) divides lam^|w|, and the packed
+    series decodes back to itself."""
+    words = list(all_index_words(2, degree))
+    coeffs = {}
+    for at, (primes, num) in enumerate(rows):
+        den = 1
+        for p in primes:
+            den *= p
+        entries = [F(num * (j + 1) + j, den) for j in range(order)]
+        coeffs[words[at * 7 % len(words)]] = BScalar.of(entries)
+    f = BSeries(2, order, degree, coeffs)
+    lam, k, (packed,) = series_module._packed(f)
+    for word, value in f.items():
+        assert lam ** len(word) % value.den == 0, (word, value.den, lam)
+    assert series_module._decoded(f, lam, k, packed) == f
 
 
 # --------------------------------------------------------------------------
