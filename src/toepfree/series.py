@@ -28,25 +28,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
-    DegreeCapExceeded, DimensionMismatch, InternalConsistencyError,
-    PreconditionError, ZeroTrace,
+    DegreeCapExceeded,
+    DimensionMismatch,
+    InternalConsistencyError,
+    PreconditionError,
+    ZeroTrace,
 )
 from .ncpoly import RationalLike, as_fraction, format_rational
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
-    BScalar, IndexWord, TVariable, _most_letters, _reduced, b_mul, t_cumulants,
+    BScalar,
+    IndexWord,
+    TVariable,
+    _most_letters,
+    _reduced,
+    b_mul,
+    t_cumulants,
 )
 
 __all__ = [
-    "BSeries", "all_index_words", "boxed_convolution", "check_even",
-    "check_freeness", "check_series_request", "compress_r_transform",
-    "free_family_sparsity", "moment_series", "moments_from_r",
-    "r_from_moments", "r_transform", "symm_r_transform",
+    "BSeries",
+    "all_index_words",
+    "boxed_convolution",
+    "check_even",
+    "check_freeness",
+    "check_series_request",
+    "compress_r_transform",
+    "free_family_sparsity",
+    "moment_series",
+    "moments_from_r",
+    "r_from_moments",
+    "r_transform",
+    "symm_r_transform",
 ]
 
 
@@ -66,8 +84,13 @@ class BSeries:
 
     __slots__ = ("s", "order", "degree", "_coeffs")
 
-    def __init__(self, s: int, order: int, degree: int,
-                 coefficients: Mapping[IndexWord, BScalar]):
+    def __init__(
+        self,
+        s: int,
+        order: int,
+        degree: int,
+        coefficients: Mapping[IndexWord, BScalar],
+    ):
         if s < 1:
             raise ValueError(f"need at least one indeterminate, got s={s}")
         if order < 1:
@@ -116,8 +139,12 @@ class BSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
-        return (self.s, self.order, self.degree, self._coeffs) == (
-            other.s, other.order, other.degree, other._coeffs)
+        return (
+            self.s == other.s
+            and self.order == other.order
+            and self.degree == other.degree
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self) -> int:
         return hash(
@@ -143,7 +170,9 @@ class BSeries:
             )
             for row in obj["coefficients"]  # type: ignore[union-attr]
         }
-        return BSeries(int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs)
+        return BSeries(
+            int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs
+        )
 
     def __repr__(self) -> str:
         return (
@@ -195,8 +224,13 @@ def _require_word_cap(
     L_n[j] = max over k <= j of L_{n-1}[k] + max_i deg x^(i)_{j-k}. The
     bound ignores cancellation between terms.
     """
-    entry = [max((x.entries[j].degree() for x in vars_ if x.entries[j]),
-                 default=float("-inf")) for j in range(vars_[0].order)]
+    entry = [
+        max(
+            (x.entries[j].degree() for x in vars_ if x.entries[j]),
+            default=float("-inf"),
+        )
+        for j in range(vars_[0].order)
+    ]
     # row m of the table holds L_{degree-m}
     longest = max(max(row) for row in _most_letters([entry] * degree)[:-1])
     if longest > functional.degree_cap:
@@ -244,42 +278,75 @@ def r_transform(
     return BSeries(len(vars_), order, d, coeffs)
 
 
-#: the primes below 100, which a scale takes one by one
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-           61, 67, 71, 73, 79, 83, 89, 97)
+def _root(b: int) -> int:
+    """The least q of which b > 1 is a power."""
+    for e in range(b.bit_length(), 1, -1):
+        q = 1 << -(-b.bit_length() // e)  # at least the e-th root of b
+        while (y := ((e - 1) * q + b // q ** (e - 1)) // e) < q:
+            q = y
+        if q**e == b:
+            return q
+    return b
+
+
+def _scale(f: BSeries) -> int:
+    """An integer lam with den(w) | lam^|w| for every word w of f.
+
+    The denominators split into pairwise coprime bases by gcds (factor
+    refinement); each base is taken as its least root q, and lam holds
+    q^ceil(v/n) for v the largest power of q in the denominator of a word
+    of length n. That is the least such lam when every q is a prime, as it
+    is unless two primes only ever come together, so no prime, however
+    large, makes lam^|w| wider than the denominators need."""
+    dens: dict[int, int] = {}
+    for word, value in f._coeffs.items():
+        dens[len(word)] = lcm(dens.get(len(word), 1), value.den)
+    bases: list[int] = []
+    todo = list({value.den for value in f._coeffs.values()} - {1})
+    while todo:
+        x = todo.pop()
+        for b in bases:
+            while x % b == 0:
+                x //= b
+        for i, b in enumerate(bases):
+            if (g := gcd(x, b)) > 1:
+                del bases[i]
+                todo += [y for y in (b // g, g, x // g) if y > 1]
+                break
+        else:
+            if x > 1:
+                bases.append(x)
+    lam = 1
+    for q in map(_root, bases):
+        need = 0
+        for n, den in dens.items():
+            v = 0
+            while den % q == 0:
+                den, v = den // q, v + 1
+            need = max(need, -(-v // n))
+        lam *= q**need
+    return lam
 
 
 def _packed(*series: BSeries) -> tuple[int, int, list[dict[IndexWord, int]]]:
     """Each series f packed: entry j of lam_f^|w| f(w), an integer, in the
-    k-bit slot j of one weight. Returns lam, the product of the lam_f, k
-    and the packed series.
+    k-bit slot j of one weight, lam_f = _scale(f). Returns lam, the product
+    of the lam_f, k and the packed series.
 
-    lam_f holds p^ceil(v/n) for each prime p < 100, v the largest power
-    of p in the denominator of a word of length n, and the rest of each
-    length's lcm, so den(w) | lam_f^|w|, and lam_f^|w| f(w) has entries
-    below 2^(beta_f |w|). Bound: the scaled maps are homogeneous, so a
-    kernel weight for a word of length n <= D sums at most 32^n products
-    of scaled inputs, lengths adding up to at most n per series: 2^(n-1)
-    first blocks, NC(n) sums of 4^n terms and, in r_from_moments, Moebius
-    values |mu| <= 4^n. A product of at most 2n factors takes N^(2n-1)
-    convolution paths per entry, each below 2^(beta n), beta the sum of
-    the beta_f. So every entry of every weight is below 2^(k-2): truncated
-    products lie within 2^(Nk-1) of 0, so they are their balanced residues
-    mod 2^(Nk), and entries are balanced k-bit digits.
+    Bound: lam_f^|w| f(w) has entries below 2^(beta_f |w|), and the scaled
+    maps are homogeneous, so a kernel weight for a word of length n <= D
+    sums at most 32^n products of scaled inputs, lengths adding up to at
+    most n per series: 2^(n-1) first blocks, NC(n) sums of 4^n terms and,
+    in r_from_moments, Moebius values |mu| <= 4^n. A product of at most 2n
+    factors takes N^(2n-1) convolution paths per entry, each below
+    2^(beta n), beta the sum of the beta_f. So every entry of every weight
+    is below 2^(k-2): truncated products lie within 2^(Nk-1) of 0, so they
+    are their balanced residues mod 2^(Nk), and entries are balanced k-bit
+    digits.
     """
     lam, beta, scaled = 1, 0, []
     for f in series:
-        dens: dict[int, int] = {}
-        for word, value in f._coeffs.items():
-            dens[len(word)] = lcm(dens.get(len(word), 1), value.den)
-        lam_f, bits = 1, 0
-        for n, den in dens.items():
-            for p in _PRIMES:
-                v = 0
-                while den % p == 0:
-                    den, v = den // p, v + 1
-                lam_f = lcm(lam_f, p ** -(-v // n))
-            lam_f = lcm(lam_f, den)
+        lam_f, bits = _scale(f), 0
         scaled.append(rows := {})
         for word, value in f._coeffs.items():
             factor = lam_f ** len(word) // value.den
@@ -514,7 +581,12 @@ class PatternRow(NamedTuple):
     value: Fraction
 
     def to_json_obj(self) -> dict[str, object]:
-        return {**self._asdict(), "value": format_rational(self.value)}
+        return {
+            "degree": self.degree,
+            "entry": self.entry,
+            "source": self.source,
+            "value": format_rational(self.value),
+        }
 
 
 def free_family_sparsity(
@@ -567,9 +639,12 @@ def free_family_sparsity(
     for n in range(1, series.degree + 1):
         coef = series.coef((1,) * n)
         for j in range(1, n_entries + 1):
-            value, source, expected = coef.entries[j - 1], None, Fraction(0)
+            value = coef.entries[j - 1]
+            source: str | None = None
+            expected = Fraction(0)
             if (j - 1) % n == 0:
-                source = gen_ids[(j - 1) // n]
+                m = (j - 1) // n + 1
+                source = gen_ids[m - 1]
                 expected = functional.cumulant_words(((source,),) * n)
             if value != expected:
                 raise InternalConsistencyError(
@@ -595,7 +670,6 @@ def symm_r_transform(
             f"b0 has order {b0.order}, variables have order {order}"
         )
     r = r_transform(functional, vars_, degree)
-    # b0^(n-1) for n = 1..D, one product per degree
     one = BScalar.one(order)
     powers = list(accumulate([b0] * (r.degree - 1), b_mul, initial=one))
     coeffs = {w: b_mul(powers[len(w) - 1], value) for w, value in r.items()}

@@ -956,10 +956,10 @@ def _series_over(rng, s, order, degree, dens, bits):
          "order-5", "order-8"],
 )
 def test_packed_kernel_matches_nc_oracles(s, order, degree, dens, bits):
-    """The packed maps equal their NC(n) sums over denominators with prime
-    factors above 100 (a scale's cofactor taken whole), denominators that
-    are not perfect powers, numerators up to 2^120 of mixed signs, and
-    Toeplitz orders 1, 2, 5 and 8."""
+    """The packed maps equal their NC(n) sums over denominators with large
+    prime factors (bases the scale splits off by gcds alone), denominators
+    that are not perfect powers, numerators up to 2^120 of mixed signs,
+    and Toeplitz orders 1, 2, 5 and 8."""
     rng = random.Random(f"{s}{order}{degree}{dens}{bits}")
     f = _series_over(rng, s, order, degree, dens, bits)
     g = _series_over(rng, s, order, degree, dens[::-1], bits)
@@ -986,16 +986,36 @@ def test_packed_kernel_is_exact_without_cancellation(order):
 
 
 def test_packed_scale_is_tight_per_prime():
-    """The scale takes p^ceil(v/n) of each prime below 100 and the rest of
-    a denominator whole: 12 at length 1, 909 = 3^2 * 101 at length 2 and
-    2^20 at length 4 give lcm(12, 3 * 101, 2^5) = 9696."""
+    """The scale takes p^ceil(v/n) of every prime p: 12 at length 1, 909 =
+    3^2 * 101 at length 2 and 2^20 at length 4 give 2^5 * 3 * 101, though
+    2 only comes as 4 = 2^2 and 101 is split off by gcds alone."""
     f = BSeries(1, 2, 4, {
         (1,): BScalar.of([F(1, 12), 0]),
         (1, 1): BScalar.of([F(1, 909), 1]),
         (1, 1, 1, 1): BScalar.of([0, F(-3, 2**20)]),
     })
-    lam, _, _ = series_module._packed(f)
-    assert lam == 2**5 * 3 * 101
+    assert series_module._scale(f) == 2**5 * 3 * 101
+
+
+@pytest.mark.parametrize(
+    ("variance", "lam"),
+    [(F(1, 101), 101), (F(1, 2**61 - 1), 2**61 - 1), (F(1, 36), 6)],
+)
+def test_packed_scale_of_moments_stays_per_letter(variance, lam):
+    """The moments of a semicircular element of variance 1/p have
+    denominators p^(n/2) at length n; the scale stays p^(1/2) per letter
+    rounded up, p, for a large prime p as for a small one, and not the
+    p^(D/2) that taking each length's denominator whole would give."""
+    r = BSeries(1, 1, 8, {(1, 1): BScalar.of([variance])})
+    m = moments_from_r(r)
+    assert m.coef((1,) * 8) == BScalar.of([14 * variance**4])
+    assert series_module._scale(r) == series_module._scale(m) == lam
+    mixed = BSeries(2, 1, 6, {
+        (1, 1): BScalar.of([variance]),
+        (2, 2): BScalar.of([F(2, 103)]),
+        (1, 2, 2, 1): BScalar.of([F(1, 7)]),
+    })
+    assert series_module._scale(moments_from_r(mixed)) == lam * 103 * 7
 
 
 @settings(max_examples=60, deadline=None)
