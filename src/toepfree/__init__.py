@@ -7,108 +7,79 @@ exact rational arithmetic. The independent second code paths that every
 principal computation is tested against (lattice Möbius inversion,
 explicit matrix products, sums over all of NC(n)) live in the test suite,
 in ``tests/oracles.py``, and are not part of the package.
+
+The top-level names are bound lazily (PEP 562): ``import toepfree`` loads
+no submodule, and the first use of a name imports its home module.
 """
 
-from .errors import (
-    ConfigError,
-    CrossingPartition,
-    DegreeCapExceeded,
-    DimensionMismatch,
-    EngineError,
-    InternalConsistencyError,
-    MathDomainError,
-    NonInvertible,
-    PreconditionError,
-    ZeroTrace,
-)
-from .nc_lattice import (
-    NcPartition,
-    catalan,
-    enumerate_nc,
-    kreweras,
-)
-from .ncpoly import (
-    Generator,
-    NcPolynomial,
-    format_rational,
-    parse_expr,
-    parse_rational,
-)
-from .scalar_space import (
-    MomentFunctional,
-    build_space,
-    builtin_distribution,
-)
-from .series import (
-    BSeries,
-    boxed_convolution,
-    check_even,
-    check_freeness,
-    compress_r_transform,
-    free_family_sparsity,
-    moment_series,
-    moments_from_r,
-    r_from_moments,
-    r_transform,
-    symm_r_transform,
-)
-from .toeplitz_core import (
-    BScalar,
-    TVariable,
-    b_add,
-    b_inv,
-    b_mul,
-    b_pow,
-    chain_product,
-    expect,
-    t_cumulant,
-    t_mul,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BScalar",
-    "BSeries",
-    "ConfigError",
-    "CrossingPartition",
-    "DegreeCapExceeded",
-    "DimensionMismatch",
-    "EngineError",
-    "Generator",
-    "InternalConsistencyError",
-    "MathDomainError",
-    "MomentFunctional",
-    "NcPartition",
-    "NcPolynomial",
-    "NonInvertible",
-    "PreconditionError",
-    "TVariable",
-    "ZeroTrace",
-    "b_add",
-    "b_inv",
-    "b_mul",
-    "b_pow",
-    "boxed_convolution",
-    "build_space",
-    "builtin_distribution",
-    "catalan",
-    "chain_product",
-    "check_even",
-    "check_freeness",
-    "compress_r_transform",
-    "enumerate_nc",
-    "expect",
-    "format_rational",
-    "free_family_sparsity",
-    "kreweras",
-    "moment_series",
-    "moments_from_r",
-    "parse_expr",
-    "parse_rational",
-    "r_from_moments",
-    "r_transform",
-    "symm_r_transform",
-    "t_cumulant",
-    "t_mul",
-]
+_EXPORTS = {
+    "errors": (
+        "ConfigError",
+        "CrossingPartition",
+        "DegreeCapExceeded",
+        "DimensionMismatch",
+        "EngineError",
+        "InternalConsistencyError",
+        "MathDomainError",
+        "NonInvertible",
+        "PreconditionError",
+        "ZeroTrace",
+    ),
+    "nc_lattice": ("NcPartition", "catalan", "enumerate_nc", "kreweras"),
+    "ncpoly": (
+        "Generator",
+        "NcPolynomial",
+        "format_rational",
+        "parse_expr",
+        "parse_rational",
+    ),
+    "scalar_space": ("MomentFunctional", "build_space", "builtin_distribution"),
+    "series": (
+        "BSeries",
+        "boxed_convolution",
+        "check_even",
+        "check_freeness",
+        "compress_r_transform",
+        "free_family_sparsity",
+        "moment_series",
+        "moments_from_r",
+        "r_from_moments",
+        "r_transform",
+        "symm_r_transform",
+    ),
+    "toeplitz_core": (
+        "BScalar",
+        "TVariable",
+        "b_add",
+        "b_inv",
+        "b_mul",
+        "b_pow",
+        "chain_product",
+        "expect",
+        "t_cumulant",
+        "t_mul",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    """Import the home module of a public name on first use and keep the
+    value in the package namespace, so that later reads skip this hook."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -482,20 +482,79 @@ def test_every_public_function_and_method_has_a_user():
     assert unused == []
 
 
+def _loaded_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    probe = f"import sys; {statement}; print(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _package_part(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "toepfree" or m.startswith("toepfree.")}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Every query is a fresh process, so the CLI's imports are paid on
     each call; ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis``
     and ``tokenize``. A fresh interpreter that imports the CLI must have
     loaded neither module."""
-    probe = (
-        "import sys, toepfree.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert {"dataclasses", "inspect"} & _loaded_after("import toepfree.cli") == set()
+
+
+def test_startup_loads_only_what_is_used():
+    """``import toepfree`` loads no submodule (its names are bound on first
+    use), nor ``fractions`` or ``argparse``. Importing the CLI loads every
+    compute module up front, as perfbench/tracer.py expects when it reads
+    them from sys.modules, but not ``csv``, which only CSV output uses."""
+    loaded = _loaded_after("import toepfree")
+    assert _package_part(loaded) == {"toepfree"}
+    assert {"fractions", "argparse"} & loaded == set()
+    loaded = _loaded_after("import toepfree.cli")
+    assert _package_part(loaded) == {"toepfree"} | {
+        f"toepfree.{m}"
+        for m in (
+            "cli",
+            "errors",
+            "nc_lattice",
+            "ncpoly",
+            "scalar_space",
+            "series",
+            "toeplitz_core",
+        )
+    }
+    assert "csv" not in loaded
+
+
+def test_lazy_namespace_contract():
+    """Each public name read from the package is the object its home module
+    defines, kept in the package namespace after the first read; the names
+    are bound by a star import; an unknown name raises an AttributeError
+    naming it; and in a fresh interpreter ``dir`` lists every name before
+    any is read, and reading one imports only its home module and what that
+    module imports."""
+    assert len(toepfree.__all__) == 43
+    assert toepfree.__all__ == sorted(set(toepfree.__all__))
+    for name in toepfree.__all__:
+        value = getattr(toepfree, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert vars(toepfree)[name] is value
+    namespace: dict = {}
+    exec("from toepfree import *", namespace)
+    assert set(toepfree.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        toepfree.no_such_name
+    loaded = _package_part(
+        _loaded_after(
+            "import toepfree; "
+            "assert set(toepfree.__all__) <= set(dir(toepfree)); "
+            "toepfree.catalan"
+        )
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert "toepfree.nc_lattice" in loaded
+    assert "toepfree.series" not in loaded
 
 
 def test_console_script_is_installed():
