@@ -9,7 +9,8 @@ explicit matrix products, sums over all of NC(n)) live in the test suite,
 in ``tests/oracles.py``, and are not part of the package.
 
 The top-level names are bound lazily (PEP 562): ``import toepfree`` loads
-no submodule, and the first use of a name imports its home module.
+no submodule, and the first use of a name, or of a compute module such as
+``toepfree.series``, imports its home module.
 """
 
 from importlib import import_module
@@ -71,8 +72,11 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str) -> object:
-    """Import the home module of a public name on first use and keep the
-    value in the package namespace, so that later reads skip this hook."""
+    """Import the home module of a public name, or a compute module itself,
+    on first use and keep the value in the package namespace, so that later
+    reads skip this hook."""
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -82,4 +86,4 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -14,9 +14,15 @@ on the error stream.
 
 from __future__ import annotations
 
-# The package's modules come before the standard library's: argparse, json
-# and re loaded first would sit under the peak of compiling the package
-# from source, about 0.1 MB more peak RSS per process.
+import argparse
+import io
+import json
+import os
+import re
+import sys
+from itertools import product
+from typing import Mapping, NamedTuple, Sequence
+
 from . import nc_lattice
 from .errors import (
     ConfigError,
@@ -44,15 +50,6 @@ from .series import (
     r_transform,
 )
 from .toeplitz_core import TVariable, t_cumulants
-
-import argparse
-import io
-import json
-import os
-import re
-import sys
-from itertools import product
-from typing import Mapping, NamedTuple, Sequence
 
 NC_MOBIUS_CAP = 7
 

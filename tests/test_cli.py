@@ -532,9 +532,9 @@ def test_lazy_namespace_contract():
     """Each public name read from the package is the object its home module
     defines, kept in the package namespace after the first read; the names
     are bound by a star import; an unknown name raises an AttributeError
-    naming it; and in a fresh interpreter ``dir`` lists every name before
-    any is read, and reading one imports only its home module and what that
-    module imports."""
+    naming it; in a fresh interpreter ``dir`` lists every name before any is
+    read, and reading one imports only its home module and what that module
+    imports; and each compute module is a package attribute."""
     assert len(toepfree.__all__) == 43
     assert toepfree.__all__ == sorted(set(toepfree.__all__))
     for name in toepfree.__all__:
@@ -555,6 +555,26 @@ def test_lazy_namespace_contract():
     )
     assert "toepfree.nc_lattice" in loaded
     assert "toepfree.series" not in loaded
+    # the compute modules stay reachable as package attributes, which is the
+    # only way to names outside __all__ such as nc_lattice.mobius_to_top
+    loaded = _package_part(
+        _loaded_after(
+            "import toepfree; "
+            "assert {'series', 'nc_lattice'} <= set(dir(toepfree)); "
+            "toepfree.series.moments_from_r; "
+            "toepfree.nc_lattice.mobius_to_top"
+        )
+    )
+    assert {"toepfree.series", "toepfree.nc_lattice"} <= loaded
+    for module in (
+        "errors",
+        "nc_lattice",
+        "ncpoly",
+        "scalar_space",
+        "series",
+        "toeplitz_core",
+    ):
+        assert getattr(toepfree, module) is sys.modules[f"toepfree.{module}"]
 
 
 def test_console_script_is_installed():
