@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from itertools import product
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -308,21 +308,23 @@ Row = tuple[str, str, int, str]
 
 
 class Emission(NamedTuple):
-    """One command's result: a JSON payload plus flat 4-column rows."""
+    """One command's result: a JSON payload, and a function that builds
+    its flat 4-column rows, called only for CSV output."""
 
     payload: object
-    rows: list[Row]
+    rows: Callable[[], list[Row]]
 
 
 def _compact(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _series_rows(query: str, series_obj: Mapping[str, object]) -> list[Row]:
+def _series_rows(query: str, items: Iterable[Mapping[str, object]]) -> list[Row]:
+    """One row per entry of each {"word", "value"} item."""
     rows: list[Row] = []
-    for item in series_obj["coefficients"]:  # type: ignore[index]
-        word = _compact(item["word"])  # type: ignore[index]
-        for at, value in enumerate(item["value"], start=1):  # type: ignore[index]
+    for item in items:
+        word = _compact(item["word"])
+        for at, value in enumerate(item["value"], start=1):  # type: ignore[arg-type]
             rows.append((query, word, at, value))
     return rows
 
@@ -334,7 +336,7 @@ def _emit(args: argparse.Namespace, emission: Emission) -> None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_TABLE_HEADER)
-        writer.writerows(emission.rows)
+        writer.writerows(emission.rows())
         text = buffer.getvalue()
     else:
         text = json.dumps(emission.payload, indent=2) + "\n"
@@ -379,19 +381,20 @@ def _require_positive_n(n: int) -> None:
 def _cmd_nc_list(args: argparse.Namespace) -> Emission:
     _require_positive_n(args.n)
     partitions = nc_lattice.enumerate_nc(args.n)
-    rows: list[Row] = []
-    out_rows = []
-    for at, pi in enumerate(partitions, start=1):
-        blocks = pi.to_json_obj()
-        out_rows.append({"word": blocks, "entry": at, "value": len(pi.blocks)})
-        rows.append(("nc-list", _compact(blocks), at, str(len(pi.blocks))))
+    out_rows = [
+        {"word": pi.to_json_obj(), "entry": at, "value": len(pi.blocks)}
+        for at, pi in enumerate(partitions, start=1)
+    ]
     payload = {
         "query": "nc-list",
         "n": args.n,
         "count": len(partitions),
         "rows": out_rows,
     }
-    return Emission(payload, rows)
+    return Emission(payload, lambda: [
+        ("nc-list", _compact(row["word"]), row["entry"], str(row["value"]))
+        for row in out_rows
+    ])
 
 
 def _cmd_nc_mobius(args: argparse.Namespace) -> Emission:
@@ -401,15 +404,19 @@ def _cmd_nc_mobius(args: argparse.Namespace) -> Emission:
             f"mobius table for n = {args.n} exceeds the cap n <= "
             f"{NC_MOBIUS_CAP}"
         )
-    rows: list[Row] = []
-    out_rows = []
-    for lo, hi, mu in nc_lattice.mobius_intervals(args.n):
-        value = format_rational(mu)
-        pair = [lo.to_json_obj(), hi.to_json_obj()]
-        out_rows.append({"word": pair, "entry": 0, "value": value})
-        rows.append(("nc-mobius", _compact(pair), 0, value))
+    out_rows = [
+        {
+            "word": [lo.to_json_obj(), hi.to_json_obj()],
+            "entry": 0,
+            "value": format_rational(mu),
+        }
+        for lo, hi, mu in nc_lattice.mobius_intervals(args.n)
+    ]
     payload = {"query": "nc-mobius", "n": args.n, "rows": out_rows}
-    return Emission(payload, rows)
+    return Emission(payload, lambda: [
+        ("nc-mobius", _compact(row["word"]), 0, row["value"])
+        for row in out_rows
+    ])
 
 
 def _degree_table(
@@ -421,14 +428,10 @@ def _degree_table(
     check_series_request(config.functional, vars_, degree)
     words = list(product(range(1, len(vars_) + 1), repeat=degree))
     values = walk(config.functional, vars_, words)
-    out_rows = []
-    rows: list[Row] = []
-    for word, coefficient in zip(words, values):
-        value = coefficient.to_json_obj()
-        out_rows.append({"word": list(word), "value": value})
-        word_json = _compact(list(word))
-        for at, cell in enumerate(value, start=1):
-            rows.append((query, word_json, at, cell))
+    out_rows = [
+        {"word": list(word), "value": coefficient.to_json_obj()}
+        for word, coefficient in zip(words, values)
+    ]
     payload = {
         "query": query,
         "s": len(vars_),
@@ -436,7 +439,7 @@ def _degree_table(
         "degree": degree,
         "rows": out_rows,
     }
-    return Emission(payload, rows)
+    return Emission(payload, lambda: _series_rows(query, out_rows))
 
 
 def _degree_moments(functional, vars_, words):
@@ -455,7 +458,7 @@ def _cmd_cumulants(config: Config, args: argparse.Namespace) -> Emission:
 
 def _series_emission(query: str, series) -> Emission:
     obj = series.to_json_obj()
-    return Emission(obj, _series_rows(query, obj))
+    return Emission(obj, lambda: _series_rows(query, obj["coefficients"]))
 
 
 def _cmd_rtransform(config: Config, args: argparse.Namespace) -> Emission:
@@ -483,25 +486,23 @@ def _cmd_check_free(config: Config, args: argparse.Namespace) -> Emission:
     report = check_freeness(config.functional, group_a, group_b, args.degree)
     witness = list(report.witness) if report.witness else None
     payload = {"query": "check-free", "free": report.free, "witness": witness}
-    rows: list[Row] = [
+    return Emission(payload, lambda: [
         (
             "check-free",
             _compact(witness if witness is not None else []),
             0,
             "true" if report.free else "false",
         )
-    ]
-    return Emission(payload, rows)
+    ])
 
 
 def _cmd_check_even(config: Config, args: argparse.Namespace) -> Emission:
     var = _resolve_var(config, args.var)
     result = check_even(config.functional, var, args.degree)
     payload = {"query": "check-even", "even": result}
-    rows: list[Row] = [
+    return Emission(payload, lambda: [
         ("check-even", "[]", 0, "true" if result else "false")
-    ]
-    return Emission(payload, rows)
+    ])
 
 
 def _cmd_compress(config: Config, args: argparse.Namespace) -> Emission:
@@ -519,17 +520,17 @@ def _cmd_sparsity(config: Config, args: argparse.Namespace) -> Emission:
         "series": series_obj,
         "pattern": [row.to_json_obj() for row in pattern],
     }
-    rows = _series_rows("sparsity", series_obj)
-    for row in pattern:
-        rows.append(
-            (
-                "sparsity-pattern",
-                _compact([row.degree, row.source]),
-                row.entry,
-                format_rational(row.value),
-            )
+    return Emission(payload, lambda: _series_rows(
+        "sparsity", series_obj["coefficients"]
+    ) + [
+        (
+            "sparsity-pattern",
+            _compact([row.degree, row.source]),
+            row.entry,
+            format_rational(row.value),
         )
-    return Emission(payload, rows)
+        for row in pattern
+    ])
 
 
 # --------------------------------------------------------------------------

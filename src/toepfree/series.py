@@ -12,7 +12,12 @@ complement. All three maps are summed by the first block of pi: a sum
 over the blocks V that hold position 1 of the coefficient at w|V times
 values on the regions V leaves, memoized on shorter words, so no NC(n)
 is enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
-Probability, Lectures 10, 11 and 17). The sums are homogeneous: scaled
+Probability, Lectures 10, 11 and 17). One walk over the index words,
+shortest first, sums them (_walk): the blocks of a word that end before
+its last position are those of its prefix, so each word adds only the
+blocks that end at its last position, and a word of length n costs O(n)
+region values instead of the O(n^2) of summing it from position 1. The
+sums are homogeneous: scaled
 by lam^|w| for one lam per input series, every value is integral, and
 is packed into one integer, entry j in a k-bit slot j (Kronecker
 substitution), so a B-product is one integer product cut mod 2^(Nk)
@@ -29,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -66,6 +71,13 @@ __all__ = [
     "r_transform",
     "symm_r_transform",
 ]
+
+
+#: The most index words of its top length D that one request may ask for:
+#: s^D over s letters. A series, a degree table or a freeness scan makes
+#: the words of every length up to D, fewer than 2 s^D of them for s > 1,
+#: so the cap bounds their time and the walk's memory before any is made.
+WORD_CAP = 2**14
 
 
 def all_index_words(s: int, degree: int) -> Iterable[IndexWord]:
@@ -181,14 +193,6 @@ class BSeries:
         )
 
 
-def _require_same_shape(f: BSeries, g: BSeries) -> None:
-    if (f.s, f.order, f.degree) != (g.s, g.order, g.degree):
-        raise DimensionMismatch(
-            f"series shapes differ: (s={f.s}, N={f.order}, D={f.degree}) "
-            f"vs (s={g.s}, N={g.order}, D={g.degree})"
-        )
-
-
 def _check_vars(vars_: Sequence[TVariable]) -> int:
     if not vars_:
         raise ValueError("need at least one variable")
@@ -211,6 +215,16 @@ def _resolve_degree(functional: MomentFunctional, degree: int | None) -> int:
             f"{functional.degree_cap}"
         )
     return resolved
+
+
+def _require_word_count(s: int, degree: int) -> None:
+    """Refuse a request for more than WORD_CAP words of length degree
+    over s letters before any word is made."""
+    if s**degree > WORD_CAP:
+        raise DegreeCapExceeded(
+            f"{s**degree} index words of length {degree} in {s} letters "
+            f"exceed the word cap {WORD_CAP}"
+        )
 
 
 def _require_word_cap(
@@ -246,10 +260,12 @@ def check_series_request(
     degree: int | None,
 ) -> tuple[int, int]:
     """The checks made before any coefficient of a series in vars_ is
-    computed: equal variable orders, a degree within the functional's cap
-    and scalar words within it. Returns the order and the degree."""
+    computed: equal variable orders, a degree within the functional's cap,
+    at most WORD_CAP index words of that length and scalar words within
+    the cap. Returns the order and the degree."""
     order = _check_vars(vars_)
     d = _resolve_degree(functional, degree)
+    _require_word_count(len(vars_), d)
     _require_word_cap(functional, vars_, d)
     return order, d
 
@@ -334,15 +350,21 @@ def _packed(*series: BSeries) -> tuple[int, int, list[dict[IndexWord, int]]]:
     of the lam_f, k and the packed series.
 
     Bound: lam_f^|w| f(w) has entries below 2^(beta_f |w|), and the scaled
-    maps are homogeneous, so a kernel weight for a word of length n <= D
-    sums at most 32^n products of scaled inputs, lengths adding up to at
-    most n per series: 2^(n-1) first blocks, NC(n) sums of 4^n terms and,
-    in r_from_moments, Moebius values |mu| <= 4^n. A product of at most 2n
-    factors takes N^(2n-1) convolution paths per entry, each below
-    2^(beta n), beta the sum of the beta_f. So every entry of every weight
-    is below 2^(k-2): truncated products lie within 2^(Nk-1) of 0, so they
-    are their balanced residues mod 2^(Nk), and entries are balanced k-bit
-    digits.
+    maps are homogeneous, so each weight the walk forms for a word of
+    length n <= D (a block's region product, a closed or an open sum, a
+    value of a map) sums at most 32^n products of scaled inputs, lengths
+    adding up to at most n per series: 2^(n-1) first blocks, NC(n) sums of
+    4^n terms and, in r_from_moments, Moebius values |mu| <= 4^n. Taking a
+    word's blocks from its prefix forms these same sums once per prefix
+    instead of once per word, so the bound is that of summing every word
+    from position 1. A product of at most 2n factors takes N^(2n-1)
+    convolution paths per entry, each below 2^(beta n), beta the sum of
+    the beta_f. So every entry of every weight is below 2^(k-2): truncated
+    products lie within 2^(Nk-1) of 0, so they are their balanced residues
+    mod 2^(Nk), and entries are balanced k-bit digits. The walk cuts a sum
+    of products once rather than each product: an integer product is the
+    truncated product mod 2^(Nk), and reduction mod 2^(Nk) commutes with
+    sums and products, so the sum's balanced residue is the same weight.
     """
     lam, beta, scaled = 1, 0, []
     for f in series:
@@ -373,73 +395,100 @@ def _decoded(f: BSeries, lam: int, k: int, packed: dict) -> BSeries:
     return BSeries(f.s, f.order, f.degree, coeffs)
 
 
-def _first_block_sum(
-    word: IndexWord, coeffs: Mapping[IndexWord, int],
-    region: Callable[[int, int], int], span: int, closed: bool = False,
-) -> int:
-    """The first-block sum over the blocks V of word's positions that hold
-    the first position, and also the last one when closed:
+def _walk(
+    f: BSeries, k: int, coeffs: Mapping[IndexWord, int],
+    region: Callable[[IndexWord, int], int],
+    closed: dict[IndexWord, int], per_letter: bool = False,
+) -> Iterator[tuple[IndexWord, int]]:
+    """The first-block sums of every word w of f's shape (over {1..f.s},
+    of length at most f.degree), shortest first. A generator, it stores
+    each word's closed sum, over the blocks V that hold its first and its
+    last position,
 
-        sum over V = {v_1 = 0 < v_2 < ... < v_k} of
-        coeffs[word|V] * prod over s of region(v_s, v_{s+1}),
+        closed[w] = sum over V = {v_1 = 0 < ... < v_k = len(w) - 1} of
+                    coeffs[w|V] * prod over j < k of region(u_j, v_j),
 
-    with 0-based positions and, unless closed, v_{k+1} = len(word). Every
-    weight is packed in span = N k bits (see _packed): a sum is +, and a
-    product ((x y + H) & M) - H, H = 2^(span-1), M = 2^span - 1, is cut
-    mod t^N. A word missing from coeffs has coefficient 0, and region
-    returns 1 for an empty gap. Blocks grow one position at a time, merged
-    by letters and last position so that they share region products; a
-    zero region cuts them off.
+    and then yields w with its open sum, over the V that hold position 0,
+
+        sum over a < len(w) of closed[w[:a+1]] * region(w, a),
+
+    and waits, so that the caller can store what later regions read.
+    Positions are 0-based, and region(u, a) is the value on the region
+    from a block's position a to the next block position len(u), so u_j =
+    w[:v_{j+1}]. Set per_letter when that value also reads the letter at
+    the next position: then u_j = w[:v_{j+1}+1], the blocks are grown per
+    letter, and the open sum is 0, as no letter follows the word.
+
+    A word's blocks that end before its last position are its prefix's,
+    so each word keeps, per position b, the letters of its blocks ending
+    at b and the sum of their region products, and only the blocks ending
+    at its last position are new: the prefix's blocks, each times the
+    region into that position, merged by letters. A zero region cuts them
+    off, a word missing from coeffs has coefficient 0, and every weight is
+    packed in span = N k bits (see _packed): a sum is + and a sum of
+    products x is cut mod t^N as ((x + H) & M) - H, H = 2^(span-1),
+    M = 2^span - 1.
     """
+    span = f.order * k
     high, mask = 1 << (span - 1), (1 << span) - 1
-    n = len(word)
-    # extend[b]: letters of the blocks whose last position is b -> the sum
-    # of their region products so far
-    extend: list[dict[IndexWord, int]] = [{} for _ in range(n)]
-    extend[0][word[:1]] = 1
-    total = 0
-    for last in range(n):
-        grown, ended = extend[last], 0  # ended: the blocks ending at last
-        steps = [(b, y) for b in range(last + 1, n) if grown and (
-            y := region(last, b))]
-        for letters, weight in grown.items():
-            if letters in coeffs and (not closed or last == n - 1):
-                ended += ((weight * coeffs[letters] + high) & mask) - high
-            for nxt, step in steps:
-                key = letters + (word[nxt],)
-                value = ((weight * step + high) & mask) - high
-                into = extend[nxt]
-                into[key] = into[key] + value if key in into else value
-        if ended and not closed:
-            ended = ((ended * region(last, n) + high) & mask) - high
-        total += ended
-    return total
+
+    def inflow(u, blocks):
+        into = {} if blocks else {(): 1}
+        for a, ends in enumerate(blocks):
+            if y := region(u, a):
+                for letters, weight in ends.items():
+                    into[letters] = into.get(letters, 0) + weight * y
+        return {key: ((x + high) & mask) - high for key, x in into.items()}
+
+    # word -> per position b, the letters of its blocks ending at b -> the
+    # sum of their region products
+    states = {(): ()}
+    for n in range(1, f.degree + 1):
+        grown = {}
+        for prefix, blocks in states.items():
+            for c in range(1, f.s + 1):
+                word = prefix + (c,)
+                if per_letter or c == 1:
+                    flow = inflow(word if per_letter else prefix, blocks)
+                ends = {key + (c,): weight for key, weight in flow.items()}
+                total = 0
+                for letters, weight in ends.items():
+                    if letters in coeffs:
+                        total += weight * coeffs[letters]
+                closed[word] = ((total + high) & mask) - high
+                if n < f.degree:
+                    grown[word] = (*blocks, ends)
+                total = sum(
+                    closed[word[: a + 1]] * region(word, a)
+                    for a in range(0 if per_letter else n)
+                )
+                yield word, ((total + high) & mask) - high
+        states = grown
 
 
-def _require_calculus_cap(degree: int) -> None:
-    """Refuse a series past the degree cap before any word is summed."""
+def _require_calculus_cap(f: BSeries) -> None:
+    """Refuse a series past the degree cap or the word cap before any
+    word is summed."""
     cap = nc_lattice.DEFAULT_DEGREE_CAP
-    if degree > cap:
+    if f.degree > cap:
         raise DegreeCapExceeded(
-            f"series degree {degree} exceeds the degree cap {cap}"
+            f"series degree {f.degree} exceeds the degree cap {cap}"
         )
+    _require_word_count(f.s, f.degree)
 
 
 def moments_from_r(r: BSeries) -> BSeries:
     """The zeta direction, M-coef(w) = sum over pi in NC(n) of the block
     products of R-coefficients, summed by the first block V of pi:
     m(w) = sum over V holding position 1 of r(w|V) * prod m(gaps of V),
-    each gap being a shorter word (an empty gap counts 1)."""
-    _require_calculus_cap(r.degree)
+    each gap being a shorter word (an empty gap counts 1): the walk's
+    open sum over r, with the gaps as regions."""
+    _require_calculus_cap(r)
     lam, k, (coeffs,) = _packed(r)
-    m: dict[IndexWord, int] = {}
-
-    for word in all_index_words(r.s, r.degree):
-
-        def gap(a: int, b: int) -> int:
-            return m[word[a + 1 : b]] if b > a + 1 else 1
-
-        m[word] = _first_block_sum(word, coeffs, gap, r.order * k)
+    m = {(): 1}
+    for word, value in _walk(r, k, coeffs, lambda u, a: m[u[a + 1 :]], {}):
+        m[word] = value
+    del m[()]
     return _decoded(r, lam, k, m)
 
 
@@ -448,19 +497,19 @@ def r_from_moments(m: BSeries) -> BSeries:
     solved for its V = [n] term:
     r(w) = m(w) - sum over V holding position 1, V != [n], of
     r(w|V) * prod m(gaps of V). No Möbius value is needed."""
-    _require_calculus_cap(m.degree)
+    _require_calculus_cap(m)
     lam, k, (held,) = _packed(m)
-    r: dict[IndexWord, int] = {}
-
-    for word in all_index_words(m.s, m.degree):
-
-        def gap(a: int, b: int) -> int:
-            return held.get(word[a + 1 : b], 0) if b > a + 1 else 1
-
-        # r holds no word of this length yet, so the V = [n] term is absent
-        value = held.get(word, 0) - _first_block_sum(word, r, gap, m.order * k)
-        if value:
+    held[()] = 1
+    r, closed = {}, {}
+    for word, value in _walk(
+        m, k, r, lambda u, a: held.get(u[a + 1 :], 0), closed
+    ):
+        # the walk summed w before r(w) was stored, so its sums lack
+        # exactly the V = [n] term, r(w) times empty gaps
+        if value := held.get(word, 0) - value:
             r[word] = value
+            # close that block, of weight 1, for the longer words
+            closed[word] += value
     return _decoded(m, lam, k, r)
 
 
@@ -480,39 +529,25 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
         E(y_1..y_q) = sum over U holding 1 and q of f(y|U)
                       * prod over consecutive a < b in U of D(y[a .. b-1]).
 
-    D and E are memoized on the subword, scaled by lam_f^(|x|-1) lam_g^|x|
-    and lam_f^|y| lam_g^(|y|-1), so c(w) comes out times (lam_f lam_g)^n."""
-    _require_same_shape(f, g)
-    _require_calculus_cap(f.degree)
+    D and E are the closed sums of two walks advanced in lockstep, word by
+    word, each reading the other's shorter words. Split at v_k, c(w) is
+    the sum over a of E(w[..a]) D(w[a..]), E's open sum; it reads D(w)
+    itself, so the walk of D goes first. D and E are scaled by
+    lam_f^(|x|-1) lam_g^|x| and lam_f^|y| lam_g^(|y|-1), so c(w) comes out
+    times (lam_f lam_g)^n."""
+    if (f.s, f.order, f.degree) != (g.s, g.order, g.degree):
+        raise DimensionMismatch(
+            f"series shapes differ: (s={f.s}, N={f.order}, D={f.degree}) "
+            f"vs (s={g.s}, N={g.order}, D={g.degree})"
+        )
+    _require_calculus_cap(f)
     lam, k, (fs, gs) = _packed(f, g)
-    span = f.order * k
-    d_memo: dict[IndexWord, int] = {}
-    e_memo: dict[IndexWord, int] = {}
-
-    def d(x: IndexWord) -> int:
-        if x not in d_memo:
-            d_memo[x] = _first_block_sum(
-                x, gs, lambda a, b: e(x[a + 1 : b + 1]), span, True
-            )
-        return d_memo[x]
-
-    def e(y: IndexWord) -> int:
-        if y not in e_memo:
-            e_memo[y] = _first_block_sum(
-                y, fs, lambda a, b: d(y[a:b]), span, True
-            )
-        return e_memo[y]
-
-    try:
-        coeffs = {
-            word: _first_block_sum(word, fs, lambda a, b: d(word[a:b]), span)
-            for word in all_index_words(f.s, f.degree)
-        }
-    finally:
-        # d and e close over each other; unbind them so that their memos
-        # are freed on return instead of at the next cyclic collection
-        del d, e
-    return _decoded(f, lam, k, coeffs)
+    d, e = {}, {}
+    walks = zip(
+        _walk(f, k, gs, lambda x, a: e[x[a + 1 :]], d, True),
+        _walk(f, k, fs, lambda y, a: d[y[a:]], e),
+    )
+    return _decoded(f, lam, k, {word: value for _, (word, value) in walks})
 
 
 class FreenessReport(NamedTuple):
@@ -537,6 +572,7 @@ def check_freeness(
     combined = list(group_a) + list(group_b)
     _check_vars(combined)
     d = _resolve_degree(functional, degree)
+    _require_word_count(len(combined), d)
     cut = len(group_a)
     words = [word for word in all_index_words(len(combined), d)
              if min(word) <= cut < max(word)]

@@ -10,6 +10,7 @@ independent code paths; the sparsity, evenness, and compression results
 each get their own oracle-backed suite.
 """
 
+import collections
 import gc
 import itertools
 import json
@@ -54,6 +55,7 @@ from toepfree.series import (
     boxed_convolution,
     check_even,
     check_freeness,
+    check_series_request,
     compress_r_transform,
     free_family_sparsity,
     moment_series,
@@ -460,11 +462,13 @@ def test_series_calculus_drops_a_sum_that_cancels():
     m = moments_from_r(r)
     assert m.words() == [(1,)] and m == moments_from_r_nc(r)
     lam, k, (packed,) = series_module._packed(r)
-    got = series_module._first_block_sum(
-        (1, 1), packed, lambda a, b: packed[(1,)] if b > a + 1 else 1, 2 * k
-    )
-    assert got == 0
-    assert series_module._decoded(r, lam, k, {(1, 1): got}).is_zero()
+    sums = {(): 1}
+    for word, value in series_module._walk(
+        r, k, packed, lambda u, a: sums[u[a + 1 :]], {}
+    ):
+        sums[word] = value
+    assert sums[(1, 1)] == 0
+    assert series_module._decoded(r, lam, k, {(1, 1): sums[(1, 1)]}).is_zero()
     square = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([1, 1])})
     assert r_from_moments(square).words() == [(1,)]
     assert r_from_moments(square) == r_from_moments_mobius(square)
@@ -529,12 +533,12 @@ def test_series_calculus_leaves_no_cyclic_garbage():
 
 def test_series_calculus_cap_is_checked_before_any_word(monkeypatch):
     """All three maps refuse a series over the degree cap up front, and a
-    series at the cap gets past the check into the first-block kernel."""
+    series at the cap gets past the check into the first-block walk."""
 
     def boom(*args, **kwargs):
         raise AssertionError("summed a word")
 
-    monkeypatch.setattr(series_module, "_first_block_sum", boom)
+    monkeypatch.setattr(series_module, "_walk", boom)
     cap = nc_lattice.DEFAULT_DEGREE_CAP
 
     def chain(degree):
@@ -552,6 +556,163 @@ def test_series_calculus_cap_is_checked_before_any_word(monkeypatch):
         )
         with pytest.raises(AssertionError, match="summed a word"):
             apply(chain(cap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.integers(1, 3),
+    order=st.integers(1, 4),
+    degree=st.integers(1, 5),
+    density=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_series_walk_matches_nc_oracles_on_random_series(
+    s, order, degree, density, seed
+):
+    """On random series, sparse or dense, the walk's three maps equal their
+    sums over NC(n): zeta, Moebius, and boxed convolution in both argument
+    orders."""
+    rng = random.Random(seed)
+    f = random_series(rng, s, order, degree, density, max_den=5)
+    g = random_series(rng, s, order, degree, density, max_den=5)
+    assert moments_from_r(f) == moments_from_r_nc(f)
+    assert r_from_moments(f) == r_from_moments_mobius(f)
+    assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+    assert boxed_convolution(g, f) == boxed_convolution_kreweras(g, f)
+
+
+def test_boxed_convolution_with_a_prefix_cut_off():
+    """g(1) = 0 makes the region after position 0 of every word that
+    starts with letter 1 zero in the walk of E, so no block of E reaches
+    position 1 there and E(1, c) = 0; the sums still come out right. At
+    (1, 1) only pi = {1}{2}, Kr(pi) = {12}, survives: f(1)^2 g(1, 1), and
+    at (1, 1, 1) only pi = 0_3: f(1)^3 g(1, 1, 1)."""
+    f = BSeries(2, 2, 3, {
+        (1,): BScalar.of([2, 1]),
+        (2,): BScalar.of([1, F(1, 3)]),
+        (1, 1): BScalar.of([F(1, 2), 0]),
+        (1, 2): BScalar.of([1, -1]),
+        (2, 1, 1): BScalar.of([3, 0]),
+    })
+    g = BSeries(2, 2, 3, {
+        (2,): BScalar.of([1, 2]),
+        (1, 1): BScalar.of([3, 0]),
+        (2, 1): BScalar.of([0, 1]),
+        (1, 1, 1): BScalar.of([5, F(1, 2)]),
+    })
+    got = boxed_convolution(f, g)
+    assert got == boxed_convolution_kreweras(f, g)
+    f1 = f.coef((1,))
+    assert got.coef((1,)).is_zero()
+    assert got.coef((1, 1)) == b_mul(b_mul(f1, f1), g.coef((1, 1)))
+    assert got.coef((1, 1, 1)) == b_mul(
+        b_mul(f1, b_mul(f1, f1)), g.coef((1, 1, 1))
+    )
+    assert boxed_convolution(g, f) == boxed_convolution_kreweras(g, f)
+
+
+def test_walk_evaluates_linear_regions_per_word():
+    """The walk takes each word's blocks from its prefix: on a dense s = 2,
+    D = 6 series, region(u, a) is asked only for a < |u|, for each u at
+    most twice (into the next position, once per prefix, and for the open
+    sum), so a word costs O(|w|) regions, not the O(|w|^2) of summing it
+    from position 0. A per-letter walk asks each once. The sums are still
+    moments_from_r's."""
+    rng = random.Random(3111)
+    f = random_series(rng, 2, 2, 6)
+    words = list(all_index_words(2, 6))
+    lam, k, (packed,) = series_module._packed(f)
+    calls = []
+    sums = {(): 1}
+
+    def gap(u, a):
+        calls.append((u, a))
+        return sums[u[a + 1 :]]
+
+    for word, value in series_module._walk(f, k, packed, gap, {}):
+        sums[word] = value
+    del sums[()]
+    assert series_module._decoded(f, lam, k, sums) == moments_from_r(f)
+    assert all(0 <= a < len(u) for u, a in calls)
+    assert max(collections.Counter(calls).values()) == 2
+    assert len(calls) <= 2 * sum(map(len, words))
+
+    calls.clear()
+
+    def one(u, a):
+        calls.append((u, a))
+        return 1
+
+    walked = series_module._walk(f, k, packed, one, {}, True)
+    assert [word for word, _ in walked] == words
+    assert all(0 <= a < len(u) - 1 for u, a in calls)
+    assert len(set(calls)) == len(calls) <= sum(map(len, words))
+
+
+def test_series_requests_refuse_oversized_word_sets(
+    monkeypatch, tmp_path, capsys
+):
+    """A request for more than WORD_CAP words of its top length is refused
+    before any word is made, with one error line that names the number:
+    the degree tables, the series commands, check-free and the three
+    series maps. A request of exactly WORD_CAP words passes the check."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("made a word")
+
+    monkeypatch.setattr(cli, "product", boom)
+    monkeypatch.setattr(series_module, "all_index_words", boom)
+    monkeypatch.setattr(series_module, "t_cumulants", boom)
+    monkeypatch.setattr(series_module, "_walk", boom)
+    config = {
+        "N": 2,
+        "degree_cap": 8,
+        "families": [
+            {"name": "semi", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": 1}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["s", "1"]},
+            {"name": "Y", "entries": ["2*s", "0"]},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    eight = ",".join(["X", "Y"] * 4)
+    message = (
+        "error: degree-cap-exceeded: 16777216 index words of length 8 "
+        f"in 8 letters exceed the word cap {series_module.WORD_CAP}\n"
+    )
+    for argv in (
+        ["cumulants", "--vars", eight],
+        ["moments", "--vars", eight],
+        ["rtransform", "--vars", eight],
+        ["boxconv", "--left", eight, "--right", eight],
+        ["check-free", "--a", "X,Y,X,Y", "--b", "Y,X,Y,X"],
+    ):
+        assert cli.main([*argv, "--degree", "8", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message), argv
+
+    loaded = cli.load_config(str(path))
+    fn, x = loaded.functional, loaded.variables["X"]
+    assert series_module.WORD_CAP == 4**7
+    assert check_series_request(fn, [x] * 4, 7) == (2, 7)
+    with pytest.raises(DegreeCapExceeded, match="^65536 index words of len"):
+        check_series_request(fn, [x] * 4, 8)
+    wide = BSeries(series_module.WORD_CAP + 1, 1, 1, {})
+    for apply in (
+        moments_from_r, r_from_moments, lambda f: boxed_convolution(f, f)
+    ):
+        with pytest.raises(DegreeCapExceeded) as err:
+            apply(wide)
+        assert str(err.value) == (
+            f"{series_module.WORD_CAP + 1} index words of length 1 in "
+            f"{series_module.WORD_CAP + 1} letters exceed the word cap "
+            f"{series_module.WORD_CAP}"
+        )
+        with pytest.raises(AssertionError, match="made a word"):
+            apply(BSeries(series_module.WORD_CAP, 1, 1, {}))
 
 
 def test_series_calculus_never_enumerates_nc(monkeypatch, tmp_path, capsys):
@@ -599,6 +760,51 @@ def test_series_calculus_never_enumerates_nc(monkeypatch, tmp_path, capsys):
     got = {tuple(row["word"]): row["value"] for row in obj["coefficients"]}
     rc = BScalar.of([2, F(1, 3)])
     assert got[(1, 1)] == b_mul(BScalar.of([1, 0]), b_mul(rc, rc)).to_json_obj()
+
+
+def test_json_output_builds_no_csv_rows(monkeypatch, tmp_path, capsys):
+    """The flat CSV rows are built only for --format csv: with the word
+    formatter they need disabled, every command that prints a table or a
+    series still prints its JSON, and CSV output reaches it."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built a CSV row")
+
+    monkeypatch.setattr(cli, "_compact", boom)
+    config = {
+        "N": 2,
+        "degree_cap": 4,
+        "families": [
+            {"name": "a", "generators": [{"id": "s", "distribution": {
+                "kind": "semicircular", "variance": 1}}]},
+            {"name": "b", "generators": [{"id": "p", "distribution": {
+                "kind": "free_poisson", "rate": 1}}]},
+        ],
+        "variables": [
+            {"name": "X", "entries": ["s", "1"]},
+            {"name": "A", "entries": ["s", "p"]},
+        ],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    for argv in (
+        ["moments", "--vars", "X"],
+        ["cumulants", "--vars", "X"],
+        ["rtransform", "--vars", "X"],
+        ["boxconv", "--left", "X", "--right", "X"],
+        ["compress", "--var", "X", "--alpha", "1/2"],
+        ["sparsity", "--var", "A"],
+        ["check-free", "--a", "X", "--b", "X"],
+        ["check-even", "--var", "X"],
+        ["nc", "list", "--n", "3"],
+        ["nc", "mobius", "--n", "3"],
+    ):
+        tail = [] if argv[0] == "nc" else ["--degree", "3", "--config", str(path)]
+        assert cli.main([*argv, *tail]) == 0, argv
+        json.loads(capsys.readouterr().out)
+    with pytest.raises(AssertionError, match="built a CSV row"):
+        cli.main(["rtransform", "--vars", "X", "--degree", "3",
+                  "--config", str(path), "--format", "csv"])
 
 
 @pytest.mark.parametrize("command", ["moments", "cumulants"])
