@@ -12,18 +12,17 @@ complement. All three maps are summed by the first block of pi: a sum
 over the blocks V that hold position 1 of the coefficient at w|V times
 values on the regions V leaves, memoized on shorter words, so no NC(n)
 is enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
-Probability, Lectures 10, 11 and 17). One walk over the index words,
-shortest first, sums them (_walk): the blocks of a word that end before
-its last position are those of its prefix, so each word adds only the
-blocks that end at its last position, and a word of length n costs O(n)
-region values instead of the O(n^2) of summing it from position 1. The
-sums are homogeneous: scaled
-by lam^|w| for one lam per input series, every value is integral, and
-is packed into one integer, entry j in a k-bit slot j (Kronecker
-substitution), so a B-product is one integer product cut mod 2^(Nk)
-and a sum one addition. On top of that sit the freeness and evenness
-predicates, the sparsity pattern of R-transforms of free-generator
-tuples, symmetric R-transforms, and compression scaling.
+Probability, Lectures 10, 11 and 17). One walk over the words, shortest
+first, sums them (_walk): a word's blocks that end before its last
+position are its prefix's, so a word of length n costs O(n) region
+values, not O(n^2). Words are integer ids, so every coefficient, memo
+and region is a list read. The sums are homogeneous: scaled by lam^|w|
+for one lam per input series, every value is integral and is packed
+into one integer, entry j in a k-bit slot j (Kronecker substitution),
+so a B-product is one integer product cut mod 2^(Nk) and a sum one
+addition. On top of that sit the freeness and evenness predicates, the
+sparsity pattern of R-transforms of free-generator tuples, symmetric
+R-transforms, and compression scaling.
 
 Everything here is exact. B is commutative, so the scalar recursions hold
 verbatim for B-valued coefficients, in any order of B-products.
@@ -34,7 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -91,18 +91,15 @@ class BSeries:
     """A truncated B-valued formal series in s noncommuting indeterminates.
 
     Immutable; zero coefficients are never stored, so two series are equal
-    exactly when they agree coefficientwise.
+    exactly when they agree coefficientwise. The calculus keeps the
+    series' scaled integer rows (see _packed) in a private slot outside
+    equality and hashing.
     """
 
-    __slots__ = ("s", "order", "degree", "_coeffs")
+    __slots__ = ("s", "order", "degree", "_coeffs", "_rows")
 
-    def __init__(
-        self,
-        s: int,
-        order: int,
-        degree: int,
-        coefficients: Mapping[IndexWord, BScalar],
-    ):
+    def __init__(self, s: int, order: int, degree: int,
+                 coefficients: Mapping[IndexWord, BScalar]):
         if s < 1:
             raise ValueError(f"need at least one indeterminate, got s={s}")
         if order < 1:
@@ -127,10 +124,7 @@ class BSeries:
                 )
             if not value.is_zero():
                 clean[word] = value
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_coeffs", clean)
+        _fill(self, s, order, degree, clean, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BSeries is immutable")
@@ -151,17 +145,12 @@ class BSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
-        return (
-            self.s == other.s
-            and self.order == other.order
-            and self.degree == other.degree
-            and self._coeffs == other._coeffs
-        )
+        return (self.s, self.order, self.degree, self._coeffs) == (
+            other.s, other.order, other.degree, other._coeffs)
 
     def __hash__(self) -> int:
-        return hash(
-            (self.s, self.order, self.degree, frozenset(self._coeffs.items()))
-        )
+        return hash((self.s, self.order, self.degree,
+                     frozenset(self._coeffs.items())))
 
     def to_json_obj(self) -> dict[str, object]:
         return {
@@ -177,20 +166,23 @@ class BSeries:
     @staticmethod
     def from_json_obj(obj: Mapping[str, object]) -> "BSeries":
         coeffs = {
-            tuple(int(i) for i in row["word"]): BScalar.of(
-                as_fraction(v) for v in row["value"]
-            )
+            tuple(int(i) for i in row["word"]): BScalar.of(row["value"])
             for row in obj["coefficients"]  # type: ignore[union-attr]
         }
-        return BSeries(
-            int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs
-        )
+        return BSeries(int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs)
 
     def __repr__(self) -> str:
         return (
             f"BSeries(s={self.s}, N={self.order}, D={self.degree}, "
             f"{len(self._coeffs)} coefficients)"
         )
+
+
+def _fill(f: BSeries, *values: object) -> BSeries:
+    """Set f's slots, in their order, with no check; returns f."""
+    for name, value in zip(BSeries.__slots__, values):
+        object.__setattr__(f, name, value)
+    return f
 
 
 def _check_vars(vars_: Sequence[TVariable]) -> int:
@@ -227,9 +219,8 @@ def _require_word_count(s: int, degree: int) -> None:
         )
 
 
-def _require_word_cap(
-    functional: MomentFunctional, vars_: Sequence[TVariable], degree: int
-) -> None:
+def _require_word_cap(functional: MomentFunctional,
+                      vars_: Sequence[TVariable], degree: int) -> None:
     """Refuse a series whose scalar words would outgrow the degree cap,
     before any coefficient is computed.
 
@@ -238,13 +229,8 @@ def _require_word_cap(
     L_n[j] = max over k <= j of L_{n-1}[k] + max_i deg x^(i)_{j-k}. The
     bound ignores cancellation between terms.
     """
-    entry = [
-        max(
-            (x.entries[j].degree() for x in vars_ if x.entries[j]),
-            default=float("-inf"),
-        )
-        for j in range(vars_[0].order)
-    ]
+    entry = [max((x.entries[j].degree() for x in vars_ if x.entries[j]),
+                 default=float("-inf")) for j in range(vars_[0].order)]
     # row m of the table holds L_{degree-m}
     longest = max(max(row) for row in _most_letters([entry] * degree)[:-1])
     if longest > functional.degree_cap:
@@ -254,11 +240,9 @@ def _require_word_cap(
         )
 
 
-def check_series_request(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    degree: int | None,
-) -> tuple[int, int]:
+def check_series_request(functional: MomentFunctional,
+                         vars_: Sequence[TVariable],
+                         degree: int | None) -> tuple[int, int]:
     """The checks made before any coefficient of a series in vars_ is
     computed: equal variable orders, a degree within the functional's cap,
     at most WORD_CAP index words of that length and scalar words within
@@ -270,22 +254,16 @@ def check_series_request(
     return order, d
 
 
-def moment_series(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    degree: int | None = None,
-) -> BSeries:
+def moment_series(functional: MomentFunctional, vars_: Sequence[TVariable],
+                  degree: int | None = None) -> BSeries:
     """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment, read
     off the R-transform by moments_from_r. M_n needs every R_k with
     k <= n, so the whole series is checked and computed."""
     return moments_from_r(r_transform(functional, vars_, degree))
 
 
-def r_transform(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    degree: int | None = None,
-) -> BSeries:
+def r_transform(functional: MomentFunctional, vars_: Sequence[TVariable],
+                degree: int | None = None) -> BSeries:
     """R(z_1..z_s): coefficient at (i_1..i_n) is the tuple cumulant."""
     order, d = check_series_request(functional, vars_, degree)
     # lexicographic order walks the word trie, sharing prefix products
@@ -344,10 +322,19 @@ def _scale(f: BSeries) -> int:
     return lam
 
 
-def _packed(*series: BSeries) -> tuple[int, int, list[dict[IndexWord, int]]]:
+def _words_by_id(s: int, degree: int) -> list[IndexWord]:
+    """The words over {1..s} of length <= degree at their ids: id(()) = 0
+    and id(w + (c,)) = s id(w) + c count them shortest first."""
+    return [(), *all_index_words(s, degree)]
+
+
+def _packed(words: list[IndexWord],
+            *series: BSeries) -> tuple[int, int, list[list[int]]]:
     """Each series f packed: entry j of lam_f^|w| f(w), an integer, in the
-    k-bit slot j of one weight, lam_f = _scale(f). Returns lam, the product
-    of the lam_f, k and the packed series.
+    k-bit slot j of one weight, listed at the ids of words (0 where f has
+    no coefficient). Returns lam, the product of the lam_f, k and the
+    packed series. f keeps lam_f = _scale(f) and its rows in a private
+    slot, or, made by a map, the map's lam and the rows it decoded from.
 
     Bound: lam_f^|w| f(w) has entries below 2^(beta_f |w|), and the scaled
     maps are homogeneous, so each weight the walk forms for a word of
@@ -365,105 +352,129 @@ def _packed(*series: BSeries) -> tuple[int, int, list[dict[IndexWord, int]]]:
     of products once rather than each product: an integer product is the
     truncated product mod 2^(Nk), and reduction mod 2^(Nk) commutes with
     sums and products, so the sum's balanced residue is the same weight.
+    Ids and kept rows change no sum: ids only name the words, every lam_f
+    that clears f's denominators gives the same values over lam^n, and
+    beta_f is read off the rows in use.
     """
     lam, beta, scaled = 1, 0, []
     for f in series:
-        lam_f, bits = _scale(f), 0
-        scaled.append(rows := {})
-        for word, value in f._coeffs.items():
-            factor = lam_f ** len(word) // value.den
-            rows[word] = row = [c * factor for c in value.nums]
-            bits = max(bits, -(-max(map(abs, row)).bit_length() // len(word)))
-        lam, beta = lam * lam_f, beta + bits
+        if f._rows is None:
+            lam_f = _scale(f)
+            powers = [lam_f**n for n in range(f.degree + 1)]
+            ids = dict(zip(words, range(len(words))))
+            rows = {ids[w]: [c * (powers[len(w)] // v.den) for c in v.nums]
+                    for w, v in f._coeffs.items()}
+            object.__setattr__(f, "_rows", (lam_f, rows))
+        lam_f, rows = f._rows
+        beta += max((-(-max(max(c), -min(c)).bit_length() // len(words[x]))
+                     for x, c in rows.items()), default=0)
+        lam *= lam_f
+        scaled.append(rows)
     k = series[0].degree * (beta + 5 + 2 * series[0].order.bit_length()) + 2
-    return lam, k, [
-        {w: sum(c << j * k for j, c in enumerate(row)) for w, row in s.items()}
-        for s in scaled
-    ]
+    tables = []
+    for rows in scaled:
+        tables.append(table := [0] * len(words))
+        for x, row in rows.items():
+            for c in reversed(row):
+                table[x] = (table[x] << k) + c
+    return lam, k, tables
 
 
-def _decoded(f: BSeries, lam: int, k: int, packed: dict) -> BSeries:
-    """The series of f's shape whose coefficient at w is the packed weight
-    at w, read as balanced k-bit digits, over lam^|w|."""
-    half, low, coeffs = 1 << (k - 1), (1 << k) - 1, {}
-    for word, x in packed.items():
-        nums = []
-        for _ in range(f.order - 1):
-            nums.append(((x + half) & low) - half)
-            x = (x + half) >> k
-        coeffs[word] = _reduced(lam ** len(word), (*nums, x))
-    return BSeries(f.s, f.order, f.degree, coeffs)
+def _decoded(f: BSeries, lam: int, k: int, words: list[IndexWord],
+             packed: list[int]) -> BSeries:
+    """The series of f's shape whose coefficient at words[x], x > 0, is the
+    packed weight packed[x] read as balanced k-bit digits, over lam^|w|.
+    Zeros are dropped, and the series keeps the digits as its rows."""
+    half, low = 1 << (k - 1), (1 << k) - 1
+    # half carried into every digit but the last makes each nonnegative
+    carry = sum(half << j * k for j in range(f.order - 1))
+    powers = [lam**n for n in range(f.degree + 1)]
+    coeffs, rows = {}, {}
+    for x in range(1, len(packed)):
+        if value := packed[x]:
+            rows[x] = nums = []
+            value += carry
+            for _ in range(f.order - 1):
+                nums.append((value & low) - half)
+                value >>= k
+            nums.append(value)
+            word = words[x]
+            coeffs[word] = _reduced(powers[len(word)], tuple(nums))
+    return _fill(object.__new__(BSeries), f.s, f.order, f.degree, coeffs,
+                 (lam, rows))
 
 
-def _walk(
-    f: BSeries, k: int, coeffs: Mapping[IndexWord, int],
-    region: Callable[[IndexWord, int], int],
-    closed: dict[IndexWord, int], per_letter: bool = False,
-) -> Iterator[tuple[IndexWord, int]]:
+def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
+          shift: int, closed: list[int],
+          per_letter: bool = False) -> Iterator[tuple[int, int]]:
     """The first-block sums of every word w of f's shape (over {1..f.s},
-    of length at most f.degree), shortest first. A generator, it stores
-    each word's closed sum, over the blocks V that hold its first and its
-    last position,
+    of length at most f.degree), shortest first, on the ids of
+    _words_by_id: coeffs, table and closed are lists at ids. A generator,
+    it stores each word's closed sum, over the blocks V that hold its first
+    and its last position,
 
         closed[w] = sum over V = {v_1 = 0 < ... < v_k = len(w) - 1} of
-                    coeffs[w|V] * prod over j < k of region(u_j, v_j),
+                    coeffs[w|V] * prod over j < k of region(v_j, v_{j+1}),
 
-    and then yields w with its open sum, over the V that hold position 0,
+    then yields w's id with its open sum, over the V that hold position 0,
 
-        sum over a < len(w) of closed[w[:a+1]] * region(w, a),
+        sum over a < len(w) of closed[w[:a+1]] * region(a, len(w)),
 
     and waits, so that the caller can store what later regions read.
-    Positions are 0-based, and region(u, a) is the value on the region
-    from a block's position a to the next block position len(u), so u_j =
-    w[:v_{j+1}]. Set per_letter when that value also reads the letter at
-    the next position: then u_j = w[:v_{j+1}+1], the blocks are grown per
-    letter, and the open sum is 0, as no letter follows the word.
+    Positions are 0-based; region(a, b) = table[w[a + shift : b]], the
+    letters after (shift 1) or from (shift 0) position a, up to b. Set
+    per_letter when it also reads the letter at b, table[w[a + 1 : b + 1]]:
+    then the blocks grow per letter, and the open sum is 0.
 
-    A word's blocks that end before its last position are its prefix's,
-    so each word keeps, per position b, the letters of its blocks ending
-    at b and the sum of their region products, and only the blocks ending
-    at its last position are new: the prefix's blocks, each times the
-    region into that position, merged by letters. A zero region cuts them
-    off, a word missing from coeffs has coefficient 0, and every weight is
-    packed in span = N k bits (see _packed): a sum is + and a sum of
-    products x is cut mod t^N as ((x + H) & M) - H, H = 2^(span-1),
-    M = 2^span - 1.
+    A word's blocks that end before its last position are its prefix's:
+    a word keeps, per position b, the ids of the letters of its blocks
+    ending at b with the sums of their region products, and adds only the
+    blocks ending at its last position, the prefix's blocks times the
+    region into it, merged by ids. It also keeps its prefixes' and
+    suffixes' ids (w + (c,) takes suffix id t to s t + c) and its row,
+    region(a, len(w)) for a < len(w): read once, it serves its open sum
+    and its children's blocks. A zero region cuts off its blocks, and
+    every weight is packed in span = N k bits (see _packed): a sum is +
+    and a sum of products x is cut mod t^N as ((x + H) & M) - H,
+    H = 2^(span-1), M = 2^span - 1.
     """
-    span = f.order * k
+    s, span = f.s, f.order * k
     high, mask = 1 << (span - 1), (1 << span) - 1
 
-    def inflow(u, blocks):
-        into = {} if blocks else {(): 1}
-        for a, ends in enumerate(blocks):
-            if y := region(u, a):
-                for letters, weight in ends.items():
-                    into[letters] = into.get(letters, 0) + weight * y
+    def inflow(blocks, row):
+        into = {} if blocks else {0: 1}
+        for ends, y in zip(blocks, row):
+            if y:
+                for key, weight in ends.items():
+                    into[key] = into.get(key, 0) + weight * y
         return {key: ((x + high) & mask) - high for key, x in into.items()}
 
-    # word -> per position b, the letters of its blocks ending at b -> the
-    # sum of their region products
-    states = {(): ()}
+    # per word: id, prefixes' ids, suffixes' ids down to the empty word,
+    # per position its blocks (letters' id -> region products) and its row
+    level = [(0, (), [0], (), ())]
     for n in range(1, f.degree + 1):
-        grown = {}
-        for prefix, blocks in states.items():
-            for c in range(1, f.s + 1):
-                word = prefix + (c,)
-                if per_letter or c == 1:
-                    flow = inflow(word if per_letter else prefix, blocks)
-                ends = {key + (c,): weight for key, weight in flow.items()}
-                total = 0
-                for letters, weight in ends.items():
-                    if letters in coeffs:
-                        total += weight * coeffs[letters]
-                closed[word] = ((total + high) & mask) - high
+        grown = []
+        for parent, prefixes, suffixes, blocks, row in level:
+            if not per_letter:
+                flow = inflow(blocks, row)
+            for c in range(1, s + 1):
+                x = parent * s + c
+                heads = (*prefixes, x)
+                tails = [t * s + c for t in suffixes] + [0]
+                if per_letter:
+                    flow = inflow(blocks, [table[t] for t in tails[1:n]])
+                ends, total = {}, 0
+                for key, weight in flow.items():
+                    ends[key := key * s + c] = weight
+                    total += weight * coeffs[key]
+                closed[x] = ((total + high) & mask) - high
+                if not per_letter:
+                    row = [table[t] for t in tails[shift : n + shift]]
+                    total = sum(map(mul, map(closed.__getitem__, heads), row))
+                yield x, 0 if per_letter else ((total + high) & mask) - high
                 if n < f.degree:
-                    grown[word] = (*blocks, ends)
-                total = sum(
-                    closed[word[: a + 1]] * region(word, a)
-                    for a in range(0 if per_letter else n)
-                )
-                yield word, ((total + high) & mask) - high
-        states = grown
+                    grown.append((x, heads, tails, (*blocks, ends), row))
+        level = grown
 
 
 def _require_calculus_cap(f: BSeries) -> None:
@@ -484,12 +495,12 @@ def moments_from_r(r: BSeries) -> BSeries:
     each gap being a shorter word (an empty gap counts 1): the walk's
     open sum over r, with the gaps as regions."""
     _require_calculus_cap(r)
-    lam, k, (coeffs,) = _packed(r)
-    m = {(): 1}
-    for word, value in _walk(r, k, coeffs, lambda u, a: m[u[a + 1 :]], {}):
-        m[word] = value
-    del m[()]
-    return _decoded(r, lam, k, m)
+    words = _words_by_id(r.s, r.degree)
+    lam, k, (coeffs,) = _packed(words, r)
+    m = [1] + [0] * (len(words) - 1)
+    for x, value in _walk(r, k, coeffs, m, 1, [0] * len(words)):
+        m[x] = value
+    return _decoded(r, lam, k, words, m)
 
 
 def r_from_moments(m: BSeries) -> BSeries:
@@ -498,19 +509,18 @@ def r_from_moments(m: BSeries) -> BSeries:
     r(w) = m(w) - sum over V holding position 1, V != [n], of
     r(w|V) * prod m(gaps of V). No Möbius value is needed."""
     _require_calculus_cap(m)
-    lam, k, (held,) = _packed(m)
-    held[()] = 1
-    r, closed = {}, {}
-    for word, value in _walk(
-        m, k, r, lambda u, a: held.get(u[a + 1 :], 0), closed
-    ):
+    words = _words_by_id(m.s, m.degree)
+    lam, k, (held,) = _packed(words, m)
+    held[0] = 1
+    r, closed = [0] * len(words), [0] * len(words)
+    for x, value in _walk(m, k, r, held, 1, closed):
         # the walk summed w before r(w) was stored, so its sums lack
         # exactly the V = [n] term, r(w) times empty gaps
-        if value := held.get(word, 0) - value:
-            r[word] = value
+        if value := held[x] - value:
+            r[x] = value
             # close that block, of weight 1, for the longer words
-            closed[word] += value
-    return _decoded(m, lam, k, r)
+            closed[x] += value
+    return _decoded(m, lam, k, words, r)
 
 
 def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
@@ -541,13 +551,13 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
             f"vs (s={g.s}, N={g.order}, D={g.degree})"
         )
     _require_calculus_cap(f)
-    lam, k, (fs, gs) = _packed(f, g)
-    d, e = {}, {}
-    walks = zip(
-        _walk(f, k, gs, lambda x, a: e[x[a + 1 :]], d, True),
-        _walk(f, k, fs, lambda y, a: d[y[a:]], e),
-    )
-    return _decoded(f, lam, k, {word: value for _, (word, value) in walks})
+    words = _words_by_id(f.s, f.degree)
+    lam, k, (fs, gs) = _packed(words, f, g)
+    d, e, c = [0] * len(words), [0] * len(words), [0] * len(words)
+    walks = zip(_walk(f, k, gs, e, 1, d, True), _walk(f, k, fs, d, 0, e))
+    for _, (x, value) in walks:
+        c[x] = value
+    return _decoded(f, lam, k, words, c)
 
 
 class FreenessReport(NamedTuple):
@@ -555,12 +565,9 @@ class FreenessReport(NamedTuple):
     witness: IndexWord | None
 
 
-def check_freeness(
-    functional: MomentFunctional,
-    group_a: Sequence[TVariable],
-    group_b: Sequence[TVariable],
-    degree: int | None = None,
-) -> FreenessReport:
+def check_freeness(functional: MomentFunctional,
+                   group_a: Sequence[TVariable], group_b: Sequence[TVariable],
+                   degree: int | None = None) -> FreenessReport:
     """Whether all mixed cumulants across the two groups vanish.
 
     Scans every index word of length 2..D over the concatenated family
@@ -582,11 +589,8 @@ def check_freeness(
     return FreenessReport(True, None)
 
 
-def check_even(
-    functional: MomentFunctional,
-    x: TVariable,
-    degree: int | None = None,
-) -> bool:
+def check_even(functional: MomentFunctional, x: TVariable,
+               degree: int | None = None) -> bool:
     """Whether every odd cumulant K_n(X,...,X), n <= D, vanishes.
 
     Read twice, from the odd cumulants of R and from the odd moments
@@ -625,11 +629,9 @@ class PatternRow(NamedTuple):
         }
 
 
-def free_family_sparsity(
-    functional: MomentFunctional,
-    a: TVariable,
-    degree: int | None = None,
-) -> tuple[BSeries, list[PatternRow]]:
+def free_family_sparsity(functional: MomentFunctional, a: TVariable,
+                         degree: int | None = None
+                         ) -> tuple[BSeries, list[PatternRow]]:
     """R_A for A = (a_1, ..., a_N) with free single-generator entries.
 
     Requires every entry to be a bare generator and the entries' families
@@ -691,12 +693,9 @@ def free_family_sparsity(
     return series, rows
 
 
-def symm_r_transform(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    b0: BScalar,
-    degree: int | None = None,
-) -> BSeries:
+def symm_r_transform(functional: MomentFunctional,
+                     vars_: Sequence[TVariable], b0: BScalar,
+                     degree: int | None = None) -> BSeries:
     """The b0-symmetric R-transform: each degree-n coefficient is the
     tuple cumulant multiplied by b0^(n-1) (b0 is central, so the
     interleaved insertions collapse to a single power)."""

@@ -461,14 +461,13 @@ def test_series_calculus_drops_a_sum_that_cancels():
     r = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([-1, -1])})
     m = moments_from_r(r)
     assert m.words() == [(1,)] and m == moments_from_r_nc(r)
-    lam, k, (packed,) = series_module._packed(r)
-    sums = {(): 1}
-    for word, value in series_module._walk(
-        r, k, packed, lambda u, a: sums[u[a + 1 :]], {}
-    ):
-        sums[word] = value
-    assert sums[(1, 1)] == 0
-    assert series_module._decoded(r, lam, k, {(1, 1): sums[(1, 1)]}).is_zero()
+    words = series_module._words_by_id(1, 2)
+    lam, k, (packed,) = series_module._packed(words, r)
+    sums = [1, 0, 0]
+    for x, value in series_module._walk(r, k, packed, sums, 1, [0, 0, 0]):
+        sums[x] = value
+    assert words[2] == (1, 1) and sums[2] == 0
+    assert series_module._decoded(r, lam, k, words, [0, 0, sums[2]]).is_zero()
     square = BSeries(1, 2, 2, {(1,): half, (1, 1): BScalar.of([1, 1])})
     assert r_from_moments(square).words() == [(1,)]
     assert r_from_moments(square) == r_from_moments_mobius(square)
@@ -612,41 +611,43 @@ def test_boxed_convolution_with_a_prefix_cut_off():
 
 
 def test_walk_evaluates_linear_regions_per_word():
-    """The walk takes each word's blocks from its prefix: on a dense s = 2,
-    D = 6 series, region(u, a) is asked only for a < |u|, for each u at
-    most twice (into the next position, once per prefix, and for the open
-    sum), so a word costs O(|w|) regions, not the O(|w|^2) of summing it
-    from position 0. A per-letter walk asks each once. The sums are still
-    moments_from_r's."""
+    """The walk takes each word's blocks from its prefix and keeps each
+    word's row of regions: on a dense s = 2, D = 6 series, the region
+    table is read exactly once per word u and position a < |u|, at the id
+    of u[a+1:], for u's open sum and for the blocks of u's children
+    alike, so a word costs O(|w|) regions, not the O(|w|^2) of summing it
+    from position 0. A per-letter walk reads u[a+1:] once per a < |u| - 1.
+    The sums are still moments_from_r's."""
     rng = random.Random(3111)
     f = random_series(rng, 2, 2, 6)
-    words = list(all_index_words(2, 6))
-    lam, k, (packed,) = series_module._packed(f)
-    calls = []
-    sums = {(): 1}
+    words = series_module._words_by_id(2, 6)
+    ids = {word: x for x, word in enumerate(words)}
+    lam, k, (packed,) = series_module._packed(words, f)
+    reads = []
 
-    def gap(u, a):
-        calls.append((u, a))
-        return sums[u[a + 1 :]]
+    class Counted(list):
+        def __getitem__(self, x):
+            reads.append(x)
+            return super().__getitem__(x)
 
-    for word, value in series_module._walk(f, k, packed, gap, {}):
-        sums[word] = value
-    del sums[()]
-    assert series_module._decoded(f, lam, k, sums) == moments_from_r(f)
-    assert all(0 <= a < len(u) for u, a in calls)
-    assert max(collections.Counter(calls).values()) == 2
-    assert len(calls) <= 2 * sum(map(len, words))
+    sums = Counted([0] * len(words))
+    sums[0] = 1
+    walked = series_module._walk(f, k, packed, sums, 1, [0] * len(words))
+    for x, value in walked:
+        sums[x] = value
+    counted = list(reads)
+    assert series_module._decoded(f, lam, k, words, sums) == moments_from_r(f)
+    want = [ids[u[a + 1 :]] for u in words for a in range(len(u))]
+    assert collections.Counter(counted) == collections.Counter(want)
+    assert len(counted) == sum(map(len, words))
 
-    calls.clear()
-
-    def one(u, a):
-        calls.append((u, a))
-        return 1
-
-    walked = series_module._walk(f, k, packed, one, {}, True)
-    assert [word for word, _ in walked] == words
-    assert all(0 <= a < len(u) - 1 for u, a in calls)
-    assert len(set(calls)) == len(calls) <= sum(map(len, words))
+    reads.clear()
+    ones = Counted([1] * len(words))
+    walked = series_module._walk(f, k, packed, ones, 1, [0] * len(words), True)
+    assert [words[x] for x, _ in walked] == words[1:]
+    want = [ids[u[a + 1 :]] for u in words for a in range(len(u) - 1)]
+    assert collections.Counter(reads) == collections.Counter(want)
+    assert len(reads) <= sum(map(len, words))
 
 
 def test_series_requests_refuse_oversized_word_sets(
@@ -664,6 +665,11 @@ def test_series_requests_refuse_oversized_word_sets(
     monkeypatch.setattr(series_module, "all_index_words", boom)
     monkeypatch.setattr(series_module, "t_cumulants", boom)
     monkeypatch.setattr(series_module, "_walk", boom)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a word table")
+
+    monkeypatch.setattr(series_module, "_words_by_id", no_table)
     config = {
         "N": 2,
         "degree_cap": 8,
@@ -711,6 +717,13 @@ def test_series_requests_refuse_oversized_word_sets(
             f"{series_module.WORD_CAP + 1} letters exceed the word cap "
             f"{series_module.WORD_CAP}"
         )
+        with pytest.raises(AssertionError, match="built a word table"):
+            apply(BSeries(series_module.WORD_CAP, 1, 1, {}))
+    monkeypatch.undo()
+    monkeypatch.setattr(series_module, "all_index_words", boom)
+    for apply in (
+        moments_from_r, r_from_moments, lambda f: boxed_convolution(f, f)
+    ):
         with pytest.raises(AssertionError, match="made a word"):
             apply(BSeries(series_module.WORD_CAP, 1, 1, {}))
 
@@ -1250,10 +1263,57 @@ def test_property_packed_scale_clears_every_denominator(order, degree, rows):
         entries = [F(num * (j + 1) + j, den) for j in range(order)]
         coeffs[words[at * 7 % len(words)]] = BScalar.of(entries)
     f = BSeries(2, order, degree, coeffs)
-    lam, k, (packed,) = series_module._packed(f)
+    words = series_module._words_by_id(2, degree)
+    lam, k, (packed,) = series_module._packed(words, f)
     for word, value in f.items():
         assert lam ** len(word) % value.den == 0, (word, value.den, lam)
-    assert series_module._decoded(f, lam, k, packed) == f
+    assert series_module._decoded(f, lam, k, words, packed) == f
+
+
+def test_series_scale_cache_is_not_observable(monkeypatch):
+    """A series keeps its scaled rows in a private slot, and a map's output
+    keeps the rows it was decoded from: repeated and chained calls, and
+    calls on equal series rebuilt from JSON (nothing kept), agree; the
+    slot is outside == and hash and cannot be set; a chained map does not
+    scale its input again; and a map's output, packed from the rows it
+    carries, decodes back to itself."""
+    rng = random.Random(7717)
+    f = random_series(rng, 2, 3, 4, 0.7, max_den=9)
+    g = random_series(rng, 2, 3, 4, 0.7, max_den=9)
+
+    def fresh(h):
+        return BSeries.from_json_obj(json.loads(json.dumps(h.to_json_obj())))
+
+    m = moments_from_r(f)
+    box = boxed_convolution(f, g)
+    assert moments_from_r(f) == m == moments_from_r(fresh(f))
+    assert r_from_moments(m) == f == r_from_moments(fresh(m))
+    assert moments_from_r(r_from_moments(m)) == m
+    assert boxed_convolution(f, g) == box
+    assert box == boxed_convolution(fresh(f), fresh(g))
+    assert boxed_convolution(m, box) == boxed_convolution(fresh(m), fresh(box))
+    assert box == boxed_convolution_kreweras(f, g)
+
+    assert f._rows is not None and fresh(f)._rows is None
+    assert f == fresh(f) and hash(f) == hash(fresh(f))
+    assert {m: 1}[fresh(m)] == 1
+    with pytest.raises(AttributeError, match="immutable"):
+        f._rows = None
+    with pytest.raises(AttributeError, match="immutable"):
+        m.degree = 2
+
+    words = series_module._words_by_id(2, 4)
+    for out in (m, r_from_moments(m), box):
+        assert out._rows is not None
+        lam, k, (packed,) = series_module._packed(words, out)
+        assert series_module._decoded(out, lam, k, words, packed) == out
+
+    def boom(*args, **kwargs):
+        raise AssertionError("scaled a series again")
+
+    monkeypatch.setattr(series_module, "_scale", boom)
+    assert r_from_moments(moments_from_r(f)) == f
+    assert boxed_convolution(m, box) == boxed_convolution_kreweras(m, box)
 
 
 # --------------------------------------------------------------------------
