@@ -14,13 +14,13 @@ on the error stream.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import re
 import sys
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
@@ -60,13 +60,6 @@ _TABLE_HEADER = ("query", "word", "entry", "value")
 
 class UsageError(EngineError):
     """A bad command line: unknown names, malformed flags, shape misuse."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems through UsageError."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
 
 
 def _slug(exc: BaseException) -> str:
@@ -329,7 +322,7 @@ def _series_rows(query: str, items: Iterable[Mapping[str, object]]) -> list[Row]
     return rows
 
 
-def _emit(args: argparse.Namespace, emission: Emission) -> None:
+def _emit(args: SimpleNamespace, emission: Emission) -> None:
     if args.format == "csv":
         import csv  # JSON is the default; only CSV output loads csv
 
@@ -340,9 +333,8 @@ def _emit(args: argparse.Namespace, emission: Emission) -> None:
         text = buffer.getvalue()
     else:
         text = json.dumps(emission.payload, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -378,7 +370,7 @@ def _require_positive_n(n: int) -> None:
         raise UsageError(f"--n must be positive, got {n}")
 
 
-def _cmd_nc_list(args: argparse.Namespace) -> Emission:
+def _cmd_nc_list(args: SimpleNamespace) -> Emission:
     _require_positive_n(args.n)
     partitions = nc_lattice.enumerate_nc(args.n)
     out_rows = [
@@ -397,7 +389,7 @@ def _cmd_nc_list(args: argparse.Namespace) -> Emission:
     ])
 
 
-def _cmd_nc_mobius(args: argparse.Namespace) -> Emission:
+def _cmd_nc_mobius(args: SimpleNamespace) -> Emission:
     _require_positive_n(args.n)
     if args.n > NC_MOBIUS_CAP:
         raise DegreeCapExceeded(
@@ -419,15 +411,18 @@ def _cmd_nc_mobius(args: argparse.Namespace) -> Emission:
     ])
 
 
-def _degree_table(
-    query: str, config: Config, args: argparse.Namespace, walk
-) -> Emission:
+def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
+    """The moments or cumulants table of args.command at one degree."""
+    query = args.command
     vars_ = _resolve_vars(config, args.vars, "--vars")
     cap = config.functional.degree_cap
     degree = args.degree if args.degree is not None else cap
     check_series_request(config.functional, vars_, degree)
     words = list(product(range(1, len(vars_) + 1), repeat=degree))
-    values = walk(config.functional, vars_, words)
+    if query == "cumulants":
+        values = t_cumulants(config.functional, vars_, words)
+    else:  # the moments of the words of one degree, read off the series
+        values = map(moment_series(config.functional, vars_, degree).coef, words)
     out_rows = [
         {"word": list(word), "value": coefficient.to_json_obj()}
         for word, coefficient in zip(words, values)
@@ -442,32 +437,18 @@ def _degree_table(
     return Emission(payload, lambda: _series_rows(query, out_rows))
 
 
-def _degree_moments(functional, vars_, words):
-    """The moments of the words of one degree, read off the series."""
-    series = moment_series(functional, vars_, len(words[0]))
-    return map(series.coef, words)
-
-
-def _cmd_moments(config: Config, args: argparse.Namespace) -> Emission:
-    return _degree_table("moments", config, args, _degree_moments)
-
-
-def _cmd_cumulants(config: Config, args: argparse.Namespace) -> Emission:
-    return _degree_table("cumulants", config, args, t_cumulants)
-
-
 def _series_emission(query: str, series) -> Emission:
     obj = series.to_json_obj()
     return Emission(obj, lambda: _series_rows(query, obj["coefficients"]))
 
 
-def _cmd_rtransform(config: Config, args: argparse.Namespace) -> Emission:
+def _cmd_rtransform(config: Config, args: SimpleNamespace) -> Emission:
     vars_ = _resolve_vars(config, args.vars, "--vars")
     series = r_transform(config.functional, vars_, args.degree)
     return _series_emission("rtransform", series)
 
 
-def _cmd_boxconv(config: Config, args: argparse.Namespace) -> Emission:
+def _cmd_boxconv(config: Config, args: SimpleNamespace) -> Emission:
     left = _resolve_vars(config, args.left, "--left")
     right = _resolve_vars(config, args.right, "--right")
     if len(left) != len(right):
@@ -480,7 +461,7 @@ def _cmd_boxconv(config: Config, args: argparse.Namespace) -> Emission:
     return _series_emission("boxconv", boxed_convolution(f, g))
 
 
-def _cmd_check_free(config: Config, args: argparse.Namespace) -> Emission:
+def _cmd_check_free(config: Config, args: SimpleNamespace) -> Emission:
     group_a = _resolve_vars(config, args.a, "--a")
     group_b = _resolve_vars(config, args.b, "--b")
     report = check_freeness(config.functional, group_a, group_b, args.degree)
@@ -496,7 +477,7 @@ def _cmd_check_free(config: Config, args: argparse.Namespace) -> Emission:
     ])
 
 
-def _cmd_check_even(config: Config, args: argparse.Namespace) -> Emission:
+def _cmd_check_even(config: Config, args: SimpleNamespace) -> Emission:
     var = _resolve_var(config, args.var)
     result = check_even(config.functional, var, args.degree)
     payload = {"query": "check-even", "even": result}
@@ -505,13 +486,13 @@ def _cmd_check_even(config: Config, args: argparse.Namespace) -> Emission:
     ])
 
 
-def _cmd_compress(config: Config, args: argparse.Namespace) -> Emission:
+def _cmd_compress(config: Config, args: SimpleNamespace) -> Emission:
     var = _resolve_var(config, args.var)
     base = r_transform(config.functional, [var], args.degree)
     return _series_emission("compress", compress_r_transform(base, args.alpha))
 
 
-def _cmd_sparsity(config: Config, args: argparse.Namespace) -> Emission:
+def _cmd_sparsity(config: Config, args: SimpleNamespace) -> Emission:
     var = _resolve_var(config, args.var)
     series, pattern = free_family_sparsity(config.functional, var, args.degree)
     series_obj = series.to_json_obj()
@@ -538,114 +519,136 @@ def _cmd_sparsity(config: Config, args: argparse.Namespace) -> Emission:
 # --------------------------------------------------------------------------
 
 
-def _rational_flag(text: str):
-    try:
-        return parse_rational(text)
-    except (ValueError, ExpressionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+class _Flag(NamedTuple):
+    """One command-line flag, as both parsers read it."""
+
+    name: str
+    metavar: str | None = None
+    type: Callable[[str], object] | None = None
+    required: bool = False
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="output format (default json)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", help="write output to PATH instead of stdout"
-    )
+_N = _Flag("--n", "K", int, True)
+_VARS = _Flag("--vars", "X,Y", required=True)
+_OUTPUT_FLAGS = (
+    _Flag("--format", choices=("json", "csv"), default="json",
+          help="output format (default json)"),
+    _Flag("--out", "PATH", help="write output to PATH instead of stdout"),
+)
+_CONFIG_FLAGS = (
+    _Flag("--config", "PATH", required=True, help="JSON configuration file"),
+    _Flag("--degree", "N", int,
+          help="truncation degree (default: the configured cap)"),
+    *_OUTPUT_FLAGS,
+)
+
+#: every command in help order, with its help text and its flags in order
+#: (a config command's own, then _CONFIG_FLAGS): the one place a flag is
+#: declared, read by _parse_canonical and by build_parser
+_COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
+    "nc list": ("enumerate NC(n)", (_N, *_OUTPUT_FLAGS)),
+    "nc mobius": ("full Moebius table of NC(n)", (_N, *_OUTPUT_FLAGS)),
+} | {
+    command: (help_text, (*flags, *_CONFIG_FLAGS))
+    for command, help_text, *flags in [
+        ("moments", "moment table at one degree", _VARS),
+        ("cumulants", "cumulant table at one degree", _VARS),
+        ("rtransform", "R-transform series up to a degree", _VARS),
+        ("boxconv", "boxed convolution of two R-transforms",
+         _Flag("--left", "X,...", required=True),
+         _Flag("--right", "Y,...", required=True)),
+        ("check-free", "do all mixed cumulants across two groups vanish",
+         _Flag("--a", "X,...", required=True),
+         _Flag("--b", "Y,...", required=True)),
+        ("check-even", "do all odd moments and cumulants vanish",
+         _Flag("--var", "X", required=True)),
+        ("compress", "R-transform after compression by a projection",
+         _Flag("--var", "X", required=True),
+         _Flag("--alpha", "p/q", parse_rational, True,
+               help="trace of the projection (must be nonzero)")),
+        ("sparsity", "R-transform sparsity pattern of a free-generator tuple",
+         _Flag("--var", "A", required=True)),
+    ]
+}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config", metavar="PATH", required=True,
-        help="JSON configuration file",
-    )
-    parser.add_argument(
-        "--degree", type=int, metavar="N",
-        help="truncation degree (default: the configured cap)",
-    )
-    _add_output_flags(parser)
+def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """argv parsed straight from _COMMANDS if it is canonical, else None.
+
+    Canonical: a command, then only ``--flag value`` pairs, each a flag of
+    that command spelled in full and given once with a value not starting
+    with ``-`` that converts by its type into its choices, every required
+    flag present. Such a line gets argparse's attributes: command,
+    nc_command for nc, and each flag's dest, its default when absent."""
+    head = 2 if argv[:1] == ["nc"] else 1
+    command = " ".join(argv[:head])
+    if command not in _COMMANDS or (len(argv) - head) % 2:
+        return None
+    flags = {flag.name: flag for flag in _COMMANDS[command][1]}
+    values: dict[str, object] = {}
+    for name, text in zip(argv[head::2], argv[head + 1 :: 2]):
+        flag = flags.get(name)
+        if flag is None or name in values or text.startswith("-"):
+            return None
+        try:
+            value = flag.type(text) if flag.type else text
+        except (ValueError, ExpressionError):
+            return None
+        if flag.choices and value not in flag.choices:
+            return None
+        values[name] = value
+    if any(flag.required and name not in values for name, flag in flags.items()):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    if head == 2:
+        args.nc_command = argv[1]
+    for name, flag in flags.items():
+        setattr(args, name[2:], values.get(name, flag.default))
+    return args
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="toepfree",
-        description=(
-            "Exact engine for moments, cumulants, R-transforms, and boxed "
-            "convolution over Toeplitz matricial algebras."
-        ),
-    )
+def build_parser():
+    """The argparse parser of every command, built from _COMMANDS; it
+    serves help and every command line that is not canonical."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Reports usage problems through UsageError."""
+
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise UsageError(message)
+
+    def rational_flag(text: str):
+        try:
+            return parse_rational(text)
+        except (ValueError, ExpressionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = Parser(prog="toepfree", description=(
+        "Exact engine for moments, cumulants, R-transforms, and boxed "
+        "convolution over Toeplitz matricial algebras."
+    ))
     commands = parser.add_subparsers(dest="command", required=True)
-
     nc = commands.add_parser("nc", help="noncrossing partition lattice queries")
-    nc_sub = nc.add_subparsers(dest="nc_command", required=True)
-    nc_list = nc_sub.add_parser("list", help="enumerate NC(n)")
-    nc_list.add_argument("--n", type=int, required=True, metavar="K")
-    _add_output_flags(nc_list)
-    nc_mobius = nc_sub.add_parser("mobius", help="full Moebius table of NC(n)")
-    nc_mobius.add_argument("--n", type=int, required=True, metavar="K")
-    _add_output_flags(nc_mobius)
-
-    moments = commands.add_parser(
-        "moments", help="moment table at one degree"
-    )
-    moments.add_argument("--vars", required=True, metavar="X,Y")
-    _add_config_flags(moments)
-
-    cumulants = commands.add_parser(
-        "cumulants", help="cumulant table at one degree"
-    )
-    cumulants.add_argument("--vars", required=True, metavar="X,Y")
-    _add_config_flags(cumulants)
-
-    rtransform = commands.add_parser(
-        "rtransform", help="R-transform series up to a degree"
-    )
-    rtransform.add_argument("--vars", required=True, metavar="X,Y")
-    _add_config_flags(rtransform)
-
-    boxconv = commands.add_parser(
-        "boxconv", help="boxed convolution of two R-transforms"
-    )
-    boxconv.add_argument("--left", required=True, metavar="X,...")
-    boxconv.add_argument("--right", required=True, metavar="Y,...")
-    _add_config_flags(boxconv)
-
-    check_free = commands.add_parser(
-        "check-free", help="do all mixed cumulants across two groups vanish"
-    )
-    check_free.add_argument("--a", required=True, metavar="X,...")
-    check_free.add_argument("--b", required=True, metavar="Y,...")
-    _add_config_flags(check_free)
-
-    check_even_p = commands.add_parser(
-        "check-even", help="do all odd moments and cumulants vanish"
-    )
-    check_even_p.add_argument("--var", required=True, metavar="X")
-    _add_config_flags(check_even_p)
-
-    compress = commands.add_parser(
-        "compress", help="R-transform after compression by a projection"
-    )
-    compress.add_argument("--var", required=True, metavar="X")
-    compress.add_argument(
-        "--alpha", required=True, type=_rational_flag, metavar="p/q",
-        help="trace of the projection (must be nonzero)",
-    )
-    _add_config_flags(compress)
-
-    sparsity = commands.add_parser(
-        "sparsity", help="R-transform sparsity pattern of a free-generator tuple"
-    )
-    sparsity.add_argument("--var", required=True, metavar="A")
-    _add_config_flags(sparsity)
-
+    groups = {"": commands, "nc": nc.add_subparsers(dest="nc_command", required=True)}
+    for command, (help_text, flags) in _COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        sub = groups[group].add_parser(name, help=help_text)
+        for flag in flags:
+            sub.add_argument(
+                flag.name, metavar=flag.metavar, required=flag.required,
+                type=rational_flag if flag.type is parse_rational else flag.type,
+                default=flag.default, choices=flag.choices, help=flag.help,
+            )
     return parser
 
 
 _HANDLERS = {
-    "moments": _cmd_moments,
-    "cumulants": _cmd_cumulants,
+    "moments": _degree_table,
+    "cumulants": _degree_table,
     "rtransform": _cmd_rtransform,
     "boxconv": _cmd_boxconv,
     "check-free": _cmd_check_free,
@@ -655,11 +658,9 @@ _HANDLERS = {
 }
 
 
-def _dispatch(args: argparse.Namespace) -> Emission:
+def _dispatch(args: SimpleNamespace) -> Emission:
     if args.command == "nc":
-        if args.nc_command == "list":
-            return _cmd_nc_list(args)
-        return _cmd_nc_mobius(args)
+        return (_cmd_nc_list if args.nc_command == "list" else _cmd_nc_mobius)(args)
     config = load_config(args.config)
     if args.degree is not None and args.degree < 1:
         raise UsageError(f"--degree must be positive, got {args.degree}")
@@ -673,8 +674,10 @@ def _fail(exc: BaseException, code: int) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _parse_canonical(argv)
+        if args is None:  # help, or a line argparse must parse or refuse
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         emission = _dispatch(args)
         try:
             _emit(args, emission)
@@ -682,15 +685,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stderr.write(f"error: io: {exc}\n")
             return 1
         return 0
-    except UsageError as exc:
+    except (UsageError, DimensionMismatch) as exc:
         return _fail(exc, 1)
-    except ConfigError as exc:
+    except (ConfigError, ExpressionError) as exc:
         return _fail(exc, 2)
-    except ExpressionError as exc:
-        return _fail(exc, 2)
-    except DimensionMismatch as exc:
-        return _fail(exc, 1)
-    except (MathDomainError, InternalConsistencyError) as exc:
-        return _fail(exc, 3)
-    except EngineError as exc:
+    except (MathDomainError, InternalConsistencyError, EngineError) as exc:
         return _fail(exc, 3)

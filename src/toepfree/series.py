@@ -430,8 +430,10 @@ def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
     a word keeps, per position b, the ids of the letters of its blocks
     ending at b with the sums of their region products, and adds only the
     blocks ending at its last position, the prefix's blocks times the
-    region into it, merged by ids. It also keeps its prefixes' and
-    suffixes' ids (w + (c,) takes suffix id t to s t + c) and its row,
+    region into it, merged by ids (a top-length word, which nothing grows
+    from, only sums them). It also keeps its prefixes' ids, which only
+    the open sum reads, and its suffixes' ids (w + (c,) takes suffix id t
+    to s t + c) and its row,
     region(a, len(w)) for a < len(w): read once, it serves its open sum
     and its children's blocks. A zero region cuts off its blocks, and
     every weight is packed in span = N k bits (see _packed): a sum is +
@@ -459,14 +461,19 @@ def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
                 flow = inflow(blocks, row)
             for c in range(1, s + 1):
                 x = parent * s + c
-                heads = (*prefixes, x)
+                heads = () if per_letter else (*prefixes, x)
                 tails = [t * s + c for t in suffixes] + [0]
                 if per_letter:
                     flow = inflow(blocks, [table[t] for t in tails[1:n]])
-                ends, total = {}, 0
-                for key, weight in flow.items():
-                    ends[key := key * s + c] = weight
-                    total += weight * coeffs[key]
+                if n < f.degree:
+                    ends, total = {}, 0
+                    for key, weight in flow.items():
+                        ends[key := key * s + c] = weight
+                        total += weight * coeffs[key]
+                else:  # no word grows from a top-length word's blocks
+                    total = 0
+                    for key, weight in flow.items():
+                        total += weight * coeffs[key * s + c]
                 closed[x] = ((total + high) & mask) - high
                 if not per_letter:
                     row = [table[t] for t in tails[shift : n + shift]]

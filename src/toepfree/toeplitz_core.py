@@ -118,7 +118,13 @@ class BScalar:
         return b_mul(self, other)
 
     def to_json_obj(self) -> list[str]:
-        return [format_rational(x) for x in self.entries]
+        """format_rational of each entry, read off den and nums."""
+        den, out = self.den, []
+        for num in self.nums:
+            common = gcd(num, den)
+            num, q = num // common, den // common
+            out.append(str(num) if q == 1 else f"{num}/{q}")
+        return out
 
     def __repr__(self) -> str:
         return f"BScalar({self})"

@@ -508,12 +508,14 @@ def test_startup_loads_only_what_is_used():
     """``import toepfree`` loads no submodule (its names are bound on first
     use), nor ``fractions`` or ``argparse``. Importing the CLI loads every
     compute module up front, as perfbench/tracer.py expects when it reads
-    them from sys.modules, but not ``csv``, which only CSV output uses."""
+    them from sys.modules, but not ``csv``, which only CSV output uses, nor
+    ``argparse`` or ``gettext``, which only help and command lines that are
+    not canonical use: a canonical query through ``cli.main`` loads
+    neither."""
     loaded = _loaded_after("import toepfree")
     assert _package_part(loaded) == {"toepfree"}
     assert {"fractions", "argparse"} & loaded == set()
-    loaded = _loaded_after("import toepfree.cli")
-    assert _package_part(loaded) == {"toepfree"} | {
+    package = {"toepfree"} | {
         f"toepfree.{m}"
         for m in (
             "cli",
@@ -525,7 +527,17 @@ def test_startup_loads_only_what_is_used():
             "toeplitz_core",
         )
     }
-    assert "csv" not in loaded
+    loaded = _loaded_after("import toepfree.cli")
+    assert _package_part(loaded) == package
+    assert {"csv", "argparse", "gettext"} & loaded == set()
+    argv = ["moments", "--vars", "X,Y", "--degree", "2",
+            "--config", str(GOLDEN / "moments_config.json")]
+    loaded = _loaded_after(
+        "import os; from toepfree import cli; "
+        f"assert cli.main({argv!r} + ['--out', os.devnull]) == 0"
+    )
+    assert _package_part(loaded) == package
+    assert {"csv", "argparse", "gettext"} & loaded == set()
 
 
 def test_lazy_namespace_contract():
@@ -613,6 +625,21 @@ def test_console_script_is_installed():
 # --------------------------------------------------------------------------
 
 
+#: the exact stderr of some usage errors, keyed by their argv
+USAGE_ERROR_LINES = {
+    ("moments", "--vars", "X", "--deg", "x", "--config", "CFG"):
+        "error: usage: argument --degree: invalid int value: 'x'\n",
+    ("moments", "--vars=Z", "--config", "CFG"):
+        "error: usage: unknown variable 'Z'; config declares C, X, Y\n",
+    ("moments", "--vars", "X", "--vars", "Z", "--config", "CFG"):
+        "error: usage: unknown variable 'Z'; config declares C, X, Y\n",
+    ("moments", "--vars", "X", "--bogus", "1", "--config", "CFG"):
+        "error: usage: unrecognized arguments: --bogus 1\n",
+    ("compress", "--var", "X", "--alpha", "x", "--config", "CFG"):
+        "error: usage: argument --alpha: bad rational literal 'x'\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -627,13 +654,47 @@ def test_console_script_is_installed():
         ["moments", "--vars", " ", "--config", "CFG"],
         ["check-even", "--var", "X,Y", "--config", "CFG"],
         ["compress", "--var", "X,Y", "--alpha", "1/2", "--config", "CFG"],
+        # shapes only argparse parses: an abbreviation, one --flag=value
+        # token, a repeated flag (the last value wins), an unknown flag
+        ["moments", "--vars", "Z", "--deg", "3", "--config", "CFG"],
+        ["moments", "--vars", "X", "--deg", "x", "--config", "CFG"],
+        ["moments", "--vars=Z", "--config", "CFG"],
+        ["moments", "--vars", "X", "--vars", "Z", "--config", "CFG"],
+        ["moments", "--vars", "X", "--bogus", "1", "--config", "CFG"],
     ],
 )
 def test_usage_errors_exit_1(cfg, argv):
+    line = USAGE_ERROR_LINES.get(tuple(argv))
     argv = [cfg if part == "CFG" else part for part in argv]
     code, _, err = run(*argv)
     assert code == 1, (argv, err)
     assert err.startswith("error: "), err
+    if line is not None:
+        assert err == line, (argv, err)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="argparse before 3.11 heads the flags 'optional arguments:'",
+)
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["-h"], "help.txt"),
+        (["moments", "-h"], "help_moments.txt"),
+        (["nc", "list", "-h"], "help_nc_list.txt"),
+    ],
+)
+def test_help_goldens(argv, golden):
+    """Help, which argparse prints from the parser built out of the flag
+    table, is byte-identical to the frozen text at 80 columns."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "toepfree", *argv],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 def broken_configs():

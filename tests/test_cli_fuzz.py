@@ -2,10 +2,14 @@
 
 Hypothesis mutates a valid model config (a value replaced by arbitrary
 JSON, a key deleted, a key added) and draws an argument list from the
-commands' own flags and a small pool of good and bad values. Whatever it
-draws, ``cli.main`` returns one of the documented exit codes 0-3 and
-raises nothing, and a nonzero exit writes exactly one ``error:`` line to
-stderr.
+commands' own flags, spelled in full or in shapes only argparse parses,
+and a small pool of good and bad values. Whatever it draws, ``cli.main``
+returns one of the documented exit codes 0-3 and raises nothing, and a
+nonzero exit writes exactly one ``error:`` line to stderr.
+
+It also draws canonical command lines from the flag table, which
+``cli.main`` parses without argparse, and checks that they parse to what
+argparse's parser makes of them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from test_cli import BASE
 from toepfree import cli
+from toepfree.ncpoly import parse_rational
 
 #: keys the config knows, and a few it does not
 _KEYS = ["N", "degree_cap", "families", "variables", "name", "generators",
@@ -85,21 +90,38 @@ def _configs(draw):
     return config
 
 
+def _spelled(draw, flag, values):
+    """flag with one of values, as a pair or now and then as an
+    abbreviation, one --flag=value token or given twice (the last value
+    wins): shapes the CLI leaves to argparse."""
+    value = draw(st.sampled_from(values))
+    shape = draw(st.integers(0, 9))
+    if shape == 7:
+        return [flag[: max(3, len(flag) - 2)], value]
+    if shape == 8:
+        return [f"{flag}={value}"]
+    if shape == 9:
+        return [flag, draw(st.sampled_from(values)), flag, value]
+    return [flag, value]
+
+
 @st.composite
 def _argvs(draw, config_path):
     command = draw(st.sampled_from(list(_COMMANDS)))
     argv = command.split()
     for flag, values in _COMMANDS[command].items():
         if draw(st.integers(0, 9)) < 9:  # now and then a flag is missing
-            argv += [flag, draw(st.sampled_from(values))]
+            argv += _spelled(draw, flag, values)
     if draw(st.booleans()):
-        argv += ["--format", draw(st.sampled_from(["json", "csv", "xml"]))]
+        argv += _spelled(draw, "--format", ["json", "csv", "xml"])
     if argv[0] != "nc":
         # a small degree keeps every drawn query fast; an over-cap one is
         # refused before any work
-        argv += ["--degree", draw(st.sampled_from(["2", "4", "9", "0", "-1"]))]
+        argv += _spelled(draw, "--degree", ["2", "4", "9", "0", "-1"])
         if draw(st.integers(0, 9)) < 9:
-            argv += ["--config", config_path]
+            argv += _spelled(draw, "--config", [config_path])
+    if draw(st.integers(0, 9)) == 0:  # an unknown flag
+        argv += ["--bogus", "1"]
     return argv
 
 
@@ -124,3 +146,63 @@ def test_cli_never_crashes_on_mutated_configs_and_argv(tmp_path, data):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         assert lines[0].endswith("\n"), (argv, lines)
     assert "Traceback" not in err.getvalue()
+
+
+def _canonical_values(flag):
+    """Values that the flag's type and choices accept, none starting with
+    a dash."""
+    if flag.choices:
+        return st.sampled_from(flag.choices)
+    if flag.type is int:
+        return st.integers(0, 10**6).map(str)
+    if flag.type is parse_rational:
+        return st.integers(0, 99).map(str) | st.builds(
+            "{}/{}".format, st.integers(0, 99), st.integers(1, 99)
+        )
+    return st.text(alphabet="XYZab,= /-.~", max_size=6).filter(
+        lambda text: not text.startswith("-")
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_parse_matches_argparse(data):
+    """For every command, a canonical command line (its flags in any order,
+    any subset of the optional ones, valid values) parses straight from the
+    flag table to the attributes argparse's parser gives it: the same
+    names, the same values, the defaults of absent flags."""
+    command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][1]
+    chosen = [flag for flag in flags if flag.required or data.draw(st.booleans())]
+    argv = command.split()
+    for flag in data.draw(st.permutations(chosen)):
+        argv += [flag.name, data.draw(_canonical_values(flag))]
+    direct = cli._parse_canonical(argv)
+    assert direct is not None, argv
+    assert vars(direct) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def test_other_command_lines_are_left_to_argparse():
+    """Help, abbreviations, --flag=value, a value starting with a dash, a
+    repeated, unknown or missing flag, a value its type or choices refuse
+    and an unknown command are not canonical."""
+    config = ["--config", "c.json"]
+    for argv in (
+        [],
+        ["-h"],
+        ["moments", "-h", *config],
+        ["moments", "--vars", "X", "--deg", "3", *config],
+        ["moments", "--vars=X", *config],
+        ["moments", "--vars", "X", "--degree", "-1", *config],
+        ["moments", "--vars", "X", "--vars", "Y", *config],
+        ["moments", "--vars", "X", "--bogus", "1", *config],
+        ["moments", "--vars", "X"],
+        ["moments", "--vars", "X", "--degree", "x", *config],
+        ["moments", "--vars", "X", "--format", "xml", *config],
+        ["compress", "--var", "X", "--alpha", "1/0", *config],
+        ["moments", "--vars", "X", "--config"],
+        ["nc", "--n", "3"],
+        ["nc", "list", "--n", "3", "--vars", "X"],
+        ["bogus", "--n", "3"],
+    ):
+        assert cli._parse_canonical(argv) is None, argv

@@ -34,7 +34,13 @@ from oracles import (
 )
 from toepfree import nc_lattice
 from toepfree.errors import DegreeCapExceeded, DimensionMismatch, NonInvertible
-from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul, poly_scale
+from toepfree.ncpoly import (
+    NcPolynomial,
+    format_rational,
+    poly_add,
+    poly_mul,
+    poly_scale,
+)
 from toepfree.scalar_space import MomentFunctional, build_space
 from toepfree.series import BSeries, moment_series
 from toepfree.toeplitz_core import (
@@ -148,6 +154,24 @@ def test_property_b_mul_commutes(n, data):
 def test_bscalar_json():
     assert BScalar.of([F(1, 2), -3]).to_json_obj() == ["1/2", "-3"]
     assert str(BScalar.of([1, 2])) == "(1, 2)"
+
+
+def test_bscalar_json_reads_den_and_nums():
+    """to_json_obj, formatted from den and nums, equals format_rational of
+    each Fraction entry, on elements mixing zero, negative, integer and
+    fractional entries, with and without a common denominator."""
+    rng = random.Random(1907)
+    pool = [
+        lambda: 0,
+        lambda: rng.randint(-9, 9),
+        lambda: F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+        lambda: F(rng.choice([-1, 1]) * rng.randint(1, 5), 6),
+    ]
+    for _ in range(400):
+        b = BScalar.of([rng.choice(pool)() for _ in range(rng.randint(1, 6))])
+        assert b.to_json_obj() == [format_rational(x) for x in b.entries], b
+    assert BScalar.zero(3).to_json_obj() == ["0", "0", "0"]
+    assert BScalar.of([F(-4, 6), F(3, 6), -2]).to_json_obj() == ["-2/3", "1/2", "-2"]
 
 
 def test_bscalar_stored_form_golden():
