@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import nc_lattice
 from .errors import (
@@ -328,7 +328,29 @@ def _words_by_id(s: int, degree: int) -> list[IndexWord]:
     return [(), *all_index_words(s, degree)]
 
 
-def _packed(words: list[IndexWord],
+def _zeta_terms(order: int, n: int) -> int:
+    """Cat(n) C(N + n - 2, n - 1), the terms of every value the walk of
+    moments_from_r forms for a word of length n at order N (see _packed)."""
+    return comb(2 * n, n) // (n + 1) * comb(order + n - 2, n - 1)
+
+
+def _mobius_terms(order: int, n: int) -> int:
+    """2^(n-1) S(n) C(N + n - 2, n - 1), the terms of every value the walk
+    of r_from_moments forms (see _packed). S(n), the sum over pi in NC(n)
+    of |mu(pi, 1_n)|, is the large Schroeder number 1, 2, 6, 22, 90, ...:
+    the sum over i < n of C(n - 1 + i, 2i) Cat(i)."""
+    schroder = sum(comb(n - 1 + i, 2 * i) * comb(2 * i, i) // (i + 1)
+                   for i in range(n))
+    return 2 ** (n - 1) * schroder * comb(order + n - 2, n - 1)
+
+
+def _boxed_terms(order: int, n: int) -> int:
+    """Cat(n) C(N + n - 1, n), the terms of every value the walks of
+    boxed_convolution form for a word of length n (see _packed)."""
+    return comb(2 * n, n) // (n + 1) * comb(order + n - 1, n)
+
+
+def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
             *series: BSeries) -> tuple[int, int, list[list[int]]]:
     """Each series f packed: entry j of lam_f^|w| f(w), an integer, in the
     k-bit slot j of one weight, listed at the ids of words (0 where f has
@@ -336,22 +358,63 @@ def _packed(words: list[IndexWord],
     packed series. f keeps lam_f = _scale(f) and its rows in a private
     slot, or, made by a map, the map's lam and the rows it decoded from.
 
-    Bound: lam_f^|w| f(w) has entries below 2^(beta_f |w|), and the scaled
-    maps are homogeneous, so each weight the walk forms for a word of
-    length n <= D (a block's region product, a closed or an open sum, a
-    value of a map) sums at most 32^n products of scaled inputs, lengths
-    adding up to at most n per series: 2^(n-1) first blocks, NC(n) sums of
-    4^n terms and, in r_from_moments, Moebius values |mu| <= 4^n. Taking a
-    word's blocks from its prefix forms these same sums once per prefix
-    instead of once per word, so the bound is that of summing every word
-    from position 1. A product of at most 2n factors takes N^(2n-1)
-    convolution paths per entry, each below 2^(beta n), beta the sum of
-    the beta_f. So every entry of every weight is below 2^(k-2): truncated
-    products lie within 2^(Nk-1) of 0, so they are their balanced residues
-    mod 2^(Nk), and entries are balanced k-bit digits. The walk cuts a sum
-    of products once rather than each product: an integer product is the
-    truncated product mod 2^(Nk), and reduction mod 2^(Nk) commutes with
-    sums and products, so the sum's balanced residue is the same weight.
+    The width is the calling map's: terms(N, n) is its count below, and
+
+        k = max over n <= D of (bit length of terms(N, n) + beta n) + 2,
+
+    beta the sum of the beta_f, where lam_f^|w| f(w) has entries below
+    2^(beta_f |w|). The scaled maps are homogeneous, so every value the
+    walk forms for a word of length n (a block weight, a flow into a
+    position, a closed or an open sum, a value of the map) expands into a
+    sum of products of scaled inputs whose lengths add up to at most n per
+    series. A product of m factors has C(j + m - 1, m - 1) <= P(m) =
+    C(N + m - 2, m - 1) paths to its entry j < N, one per way to split j
+    over the factors (P grows with m), each path below 2^(beta n).
+    terms(N, n) bounds the products times their paths, and grows with n,
+    so every entry of every value is below terms(N, n) 2^(beta n), which
+    is below 2^(k-2). Then truncated products lie within 2^(Nk-1) of 0, so
+    they are their balanced residues mod 2^(Nk), and entries are balanced
+    k-bit digits. The walk cuts a sum of products once rather than each
+    product: an integer product is the truncated product mod 2^(Nk), and
+    reduction mod 2^(Nk) commutes with sums and products, so the sum's
+    balanced residue is the same weight.
+
+    The counts, with Cat(n) = |NC(n)| (Nica-Speicher, Lectures on the
+    Combinatorics of Free Probability, Lectures 9-10 and 17-18):
+
+    M <- R, _zeta_terms = Cat(n) P(n). m(w) sums over pi in NC(n) the
+    product of r(w|V) over the blocks V of pi: Cat(n) products of |pi| <= n
+    factors. A block weight or flow at position b sums the product of m
+    over the gaps of a first block still open at b; with each gap's m
+    expanded over its NC, these are the products of distinct noncrossing
+    partitions of w[:b+1] without the open block's r factor, at most
+    Cat(b + 1). A closed or an open sum is a sub-sum of m(w): over the pi
+    whose first block holds position n - 1, or over all.
+
+    R <- M, _mobius_terms = 2^(n-1) S(n) P(n). r(w) sums over pi in NC(n)
+    mu(pi, 1_n) times the product of m(w|V) over the blocks: S(n) products
+    counted with |mu|, of at most n factors, S(n) = sum over pi of
+    |mu(pi, 1_n)| = sum over sigma = Kr(pi) of the product of Cat(|W| - 1)
+    over the blocks W of sigma. The open sum of w sums, over the at most
+    2^(n-1) first blocks V != [n] that hold position 0, r(w|V) times m of
+    the gaps, each gap an input row; a closed sum does the same over the V
+    that also hold n - 1, and a block weight or flow over the first blocks
+    open at b, without r. Each V gives at most S(|V|) <= S(n) products of
+    at most n factors, as r(w) does.
+
+    Boxtimes, _boxed_terms = Cat(n) P(n + 1), beta = beta_f + beta_g.
+    c(w) sums over pi in NC(n) the product of f over the blocks of pi times
+    that of g over the blocks of Kr(pi): Cat(n) products of
+    |pi| + |Kr(pi)| = n + 1 factors, the f- and the g-lengths adding up to
+    n each. Expanded, D at a word of length q is d_q products of q factors,
+    the g-lengths adding up to q and the f-lengths to q - 1, as its scale
+    is, and E is the same with f and g swapped: d_1 = 1 and d_q sums over
+    the compositions of q - 1 the product of d over the parts, so
+    sum d_q z^q = z / (1 - sum d_q z^q) and d_q = Cat(q - 1), and the
+    factors number 1 + (q - 1). A block weight or flow of either walk is
+    part of such a sum at a prefix, without the open block's coefficient,
+    and c(w) is E's open sum; Cat(q - 1) P(q) <= Cat(q) P(q + 1).
+
     Ids and kept rows change no sum: ids only name the words, every lam_f
     that clears f's denominators gives the same values over lam^n, and
     beta_f is read off the rows in use.
@@ -370,7 +433,8 @@ def _packed(words: list[IndexWord],
                      for x, c in rows.items()), default=0)
         lam *= lam_f
         scaled.append(rows)
-    k = series[0].degree * (beta + 5 + 2 * series[0].order.bit_length()) + 2
+    k = 2 + max(terms(series[0].order, n).bit_length() + beta * n
+                for n in range(1, series[0].degree + 1))
     tables = []
     for rows in scaled:
         tables.append(table := [0] * len(words))
@@ -436,9 +500,9 @@ def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
     to s t + c) and its row,
     region(a, len(w)) for a < len(w): read once, it serves its open sum
     and its children's blocks. A zero region cuts off its blocks, and
-    every weight is packed in span = N k bits (see _packed): a sum is +
-    and a sum of products x is cut mod t^N as ((x + H) & M) - H,
-    H = 2^(span-1), M = 2^span - 1.
+    every weight is packed in span = N k bits, k the width _packed proves
+    for the calling map: a sum is + and a sum of products x is cut mod t^N
+    as ((x + H) & M) - H, H = 2^(span-1), M = 2^span - 1.
     """
     s, span = f.s, f.order * k
     high, mask = 1 << (span - 1), (1 << span) - 1
@@ -503,7 +567,7 @@ def moments_from_r(r: BSeries) -> BSeries:
     open sum over r, with the gaps as regions."""
     _require_calculus_cap(r)
     words = _words_by_id(r.s, r.degree)
-    lam, k, (coeffs,) = _packed(words, r)
+    lam, k, (coeffs,) = _packed(words, _zeta_terms, r)
     m = [1] + [0] * (len(words) - 1)
     for x, value in _walk(r, k, coeffs, m, 1, [0] * len(words)):
         m[x] = value
@@ -517,7 +581,7 @@ def r_from_moments(m: BSeries) -> BSeries:
     r(w|V) * prod m(gaps of V). No Möbius value is needed."""
     _require_calculus_cap(m)
     words = _words_by_id(m.s, m.degree)
-    lam, k, (held,) = _packed(words, m)
+    lam, k, (held,) = _packed(words, _mobius_terms, m)
     held[0] = 1
     r, closed = [0] * len(words), [0] * len(words)
     for x, value in _walk(m, k, r, held, 1, closed):
@@ -559,7 +623,7 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
         )
     _require_calculus_cap(f)
     words = _words_by_id(f.s, f.degree)
-    lam, k, (fs, gs) = _packed(words, f, g)
+    lam, k, (fs, gs) = _packed(words, _boxed_terms, f, g)
     d, e, c = [0] * len(words), [0] * len(words), [0] * len(words)
     walks = zip(_walk(f, k, gs, e, 1, d, True), _walk(f, k, fs, d, 0, e))
     for _, (x, value) in walks:

@@ -462,7 +462,8 @@ def test_series_calculus_drops_a_sum_that_cancels():
     m = moments_from_r(r)
     assert m.words() == [(1,)] and m == moments_from_r_nc(r)
     words = series_module._words_by_id(1, 2)
-    lam, k, (packed,) = series_module._packed(words, r)
+    lam, k, (packed,) = series_module._packed(
+        words, series_module._zeta_terms, r)
     sums = [1, 0, 0]
     for x, value in series_module._walk(r, k, packed, sums, 1, [0, 0, 0]):
         sums[x] = value
@@ -622,7 +623,8 @@ def test_walk_evaluates_linear_regions_per_word():
     f = random_series(rng, 2, 2, 6)
     words = series_module._words_by_id(2, 6)
     ids = {word: x for x, word in enumerate(words)}
-    lam, k, (packed,) = series_module._packed(words, f)
+    lam, k, (packed,) = series_module._packed(
+        words, series_module._zeta_terms, f)
     reads = []
 
     class Counted(list):
@@ -1187,21 +1189,70 @@ def test_packed_kernel_matches_nc_oracles(s, order, degree, dens, bits):
     assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
 
 
-@pytest.mark.parametrize("order", [1, 2, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 12])
 def test_packed_kernel_is_exact_without_cancellation(order):
     """A worst case for the slot width: every entry positive and as large
     as its per-letter bit size allows (2^(3n) - 1 at a word of length n,
-    integers, so the scale is 1). No term cancels, and the maps still
-    equal their NC(n) sums; the moment series, whose entries grow the
-    most, goes back to R and into boxed convolution with itself."""
-    r = BSeries(1, order, 6, {
-        w: BScalar.of([2 ** (3 * len(w)) - 1] * order)
-        for w in all_index_words(1, 6)
-    })
-    m = moments_from_r(r)
-    assert m == moments_from_r_nc(r)
-    assert r_from_moments(m) == r == r_from_moments_mobius(m)
-    assert boxed_convolution(m, r) == boxed_convolution_kreweras(m, r)
+    integers, so the scale is 1), at s = 1, D = 6 and at s = 2, D = 5. No
+    term cancels, and all three maps still equal their NC(n) sums; at
+    s = 1 the moment series, whose entries grow the most, also goes back
+    to R and into boxed convolution with r. The moments stay below the
+    proven bound 2^(k-2) of M <- R's top slot and, on one of the two
+    shapes, come within 4 bits of it, so a width narrowed past its proof
+    overflows here. (At D = 6 and N = 12 they leave 5 bits: the count
+    gives every pi in NC(n) the paths of 0_n, whose n factors have the
+    most ways to split an entry index.)"""
+    slack = []
+    for s, degree in ((1, 6), (2, 5)):
+        r = BSeries(s, order, degree, {
+            w: BScalar.of([2 ** (3 * len(w)) - 1] * order)
+            for w in all_index_words(s, degree)
+        })
+        m = moments_from_r(r)
+        assert m == moments_from_r_nc(r)
+        assert r_from_moments(r) == r_from_moments_mobius(r)
+        assert boxed_convolution(r, r) == boxed_convolution_kreweras(r, r)
+        if s == 1:
+            assert r_from_moments(m) == r == r_from_moments_mobius(m)
+            assert boxed_convolution(m, r) == boxed_convolution_kreweras(m, r)
+        words = series_module._words_by_id(s, degree)
+        _, k, _ = series_module._packed(words, series_module._zeta_terms, r)
+        assert {value.den for _, value in m.items()} == {1}
+        top = max(abs(value.nums[-1]).bit_length() for _, value in m.items())
+        assert top <= k - 2
+        slack.append(k - 2 - top)
+    assert min(slack) <= 4, slack
+
+
+def test_slot_width_counts_match_the_lattice():
+    """The closed forms behind the packed kernel's slot widths. For
+    n <= 8 at order 1: Cat(n) = |NC(n)| for M <- R and boxed convolution,
+    and 2^(n-1) S(n) for R <- M, S(n) the sum over NC(n) of
+    |mu(pi, 1_n)|. For n <= 6 at orders N <= 5, the factor each count
+    gains is the number of ways to split the entry index j < N over the
+    n factors of a term (n + 1 for boxed convolution), most for j = N - 1,
+    counted over all tuples of digits below N."""
+    splits = {}
+    for order in range(1, 6):
+        for factors in range(1, 8):
+            sums = collections.Counter(
+                map(sum, itertools.product(range(order), repeat=factors))
+            )
+            splits[order, factors] = max(sums[j] for j in range(order))
+    for n in range(1, 9):
+        partitions = nc_lattice.enumerate_nc(n)
+        catalan = len(partitions)
+        schroder = sum(abs(nc_lattice.mobius_to_top(pi)) for pi in partitions)
+        assert series_module._zeta_terms(1, n) == catalan
+        assert series_module._boxed_terms(1, n) == catalan
+        assert series_module._mobius_terms(1, n) == 2 ** (n - 1) * schroder
+        for order in range(1, 6) if n <= 6 else ():
+            paths = splits[order, n]
+            assert series_module._zeta_terms(order, n) == catalan * paths
+            assert series_module._boxed_terms(order, n) == (
+                catalan * splits[order, n + 1])
+            assert series_module._mobius_terms(order, n) == (
+                2 ** (n - 1) * schroder * paths)
 
 
 def test_packed_scale_is_tight_per_prime():
@@ -1253,7 +1304,7 @@ def test_packed_scale_of_moments_stays_per_letter(variance, lam):
 )
 def test_property_packed_scale_clears_every_denominator(order, degree, rows):
     """For every stored word w, den(w) divides lam^|w|, and the packed
-    series decodes back to itself."""
+    series decodes back to itself at the width of each map."""
     words = list(all_index_words(2, degree))
     coeffs = {}
     for at, (primes, num) in enumerate(rows):
@@ -1264,10 +1315,12 @@ def test_property_packed_scale_clears_every_denominator(order, degree, rows):
         coeffs[words[at * 7 % len(words)]] = BScalar.of(entries)
     f = BSeries(2, order, degree, coeffs)
     words = series_module._words_by_id(2, degree)
-    lam, k, (packed,) = series_module._packed(words, f)
-    for word, value in f.items():
-        assert lam ** len(word) % value.den == 0, (word, value.den, lam)
-    assert series_module._decoded(f, lam, k, words, packed) == f
+    for terms in (series_module._zeta_terms, series_module._mobius_terms,
+                  series_module._boxed_terms):
+        lam, k, (packed,) = series_module._packed(words, terms, f)
+        for word, value in f.items():
+            assert lam ** len(word) % value.den == 0, (word, value.den, lam)
+        assert series_module._decoded(f, lam, k, words, packed) == f
 
 
 def test_series_scale_cache_is_not_observable(monkeypatch):
@@ -1303,9 +1356,12 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
         m.degree = 2
 
     words = series_module._words_by_id(2, 4)
-    for out in (m, r_from_moments(m), box):
+    # each output packed with the width of the map that would read it next
+    for out, terms in ((m, series_module._mobius_terms),
+                       (r_from_moments(m), series_module._zeta_terms),
+                       (box, series_module._boxed_terms)):
         assert out._rows is not None
-        lam, k, (packed,) = series_module._packed(words, out)
+        lam, k, (packed,) = series_module._packed(words, terms, out)
         assert series_module._decoded(out, lam, k, words, packed) == out
 
     def boom(*args, **kwargs):
