@@ -30,6 +30,16 @@ _EXPORTS = {
         "PreconditionError",
         "ZeroTrace",
     ),
+    "extras": (
+        "b_inv",
+        "b_pow",
+        "chain_product",
+        "check_even",
+        "compress_r_transform",
+        "expect",
+        "free_family_sparsity",
+        "symm_r_transform",
+    ),
     "nc_lattice": ("NcPartition", "catalan", "enumerate_nc", "kreweras"),
     "ncpoly": (
         "Generator",
@@ -42,25 +52,17 @@ _EXPORTS = {
     "series": (
         "BSeries",
         "boxed_convolution",
-        "check_even",
         "check_freeness",
-        "compress_r_transform",
-        "free_family_sparsity",
         "moment_series",
         "moments_from_r",
         "r_from_moments",
         "r_transform",
-        "symm_r_transform",
     ),
     "toeplitz_core": (
         "BScalar",
         "TVariable",
         "b_add",
-        "b_inv",
         "b_mul",
-        "b_pow",
-        "chain_product",
-        "expect",
         "t_cumulant",
         "t_mul",
     ),

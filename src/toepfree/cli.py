@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 configuration error, 3
 mathematical domain error (zero trace, degree cap exceeded, ...). Every
 failure prints a single machine-parsable line ``error: <slug>: <message>``
 on the error stream.
+
+This module runs the moments, cumulants, rtransform and check-free
+commands. The other commands, help, and command lines that argparse must
+parse or refuse are in ``commands``, imported only when one of them runs.
 """
 
 from __future__ import annotations
@@ -23,35 +27,22 @@ from itertools import product
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from . import nc_lattice
 from .errors import (
     ConfigError,
-    DegreeCapExceeded,
     DimensionMismatch,
     EngineError,
     InternalConsistencyError,
     MathDomainError,
 )
-from .ncpoly import (
-    ExpressionError,
-    format_rational,
-    parse_expr,
-    parse_rational,
-)
+from .ncpoly import ExpressionError, parse_expr, parse_rational
 from .scalar_space import DEFAULT_DEGREE, MAX_DEGREE, MomentFunctional, build_space
 from .series import (
-    boxed_convolution,
-    check_even,
     check_freeness,
     check_series_request,
-    compress_r_transform,
-    free_family_sparsity,
     moment_series,
     r_transform,
 )
 from .toeplitz_core import TVariable, t_cumulants
-
-NC_MOBIUS_CAP = 7
 
 ENV_DEGREE_CAP = "TOEPFREE_DEGREE_CAP"
 
@@ -358,59 +349,6 @@ def _resolve_vars(config: Config, spec: str, flag: str) -> list[TVariable]:
     return [config.variables[name] for name in names]
 
 
-def _resolve_var(config: Config, spec: str) -> TVariable:
-    vars_ = _resolve_vars(config, spec, "--var")
-    if len(vars_) != 1:
-        raise UsageError(f"--var takes one variable, got {len(vars_)}")
-    return vars_[0]
-
-
-def _require_positive_n(n: int) -> None:
-    if n < 1:
-        raise UsageError(f"--n must be positive, got {n}")
-
-
-def _cmd_nc_list(args: SimpleNamespace) -> Emission:
-    _require_positive_n(args.n)
-    partitions = nc_lattice.enumerate_nc(args.n)
-    out_rows = [
-        {"word": pi.to_json_obj(), "entry": at, "value": len(pi.blocks)}
-        for at, pi in enumerate(partitions, start=1)
-    ]
-    payload = {
-        "query": "nc-list",
-        "n": args.n,
-        "count": len(partitions),
-        "rows": out_rows,
-    }
-    return Emission(payload, lambda: [
-        ("nc-list", _compact(row["word"]), row["entry"], str(row["value"]))
-        for row in out_rows
-    ])
-
-
-def _cmd_nc_mobius(args: SimpleNamespace) -> Emission:
-    _require_positive_n(args.n)
-    if args.n > NC_MOBIUS_CAP:
-        raise DegreeCapExceeded(
-            f"mobius table for n = {args.n} exceeds the cap n <= "
-            f"{NC_MOBIUS_CAP}"
-        )
-    out_rows = [
-        {
-            "word": [lo.to_json_obj(), hi.to_json_obj()],
-            "entry": 0,
-            "value": format_rational(mu),
-        }
-        for lo, hi, mu in nc_lattice.mobius_intervals(args.n)
-    ]
-    payload = {"query": "nc-mobius", "n": args.n, "rows": out_rows}
-    return Emission(payload, lambda: [
-        ("nc-mobius", _compact(row["word"]), 0, row["value"])
-        for row in out_rows
-    ])
-
-
 def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
     """The moments or cumulants table of args.command at one degree."""
     query = args.command
@@ -448,19 +386,6 @@ def _cmd_rtransform(config: Config, args: SimpleNamespace) -> Emission:
     return _series_emission("rtransform", series)
 
 
-def _cmd_boxconv(config: Config, args: SimpleNamespace) -> Emission:
-    left = _resolve_vars(config, args.left, "--left")
-    right = _resolve_vars(config, args.right, "--right")
-    if len(left) != len(right):
-        raise UsageError(
-            f"--left names {len(left)} variables but --right names "
-            f"{len(right)}; boxed convolution needs equally long lists"
-        )
-    f = r_transform(config.functional, left, args.degree)
-    g = r_transform(config.functional, right, args.degree)
-    return _series_emission("boxconv", boxed_convolution(f, g))
-
-
 def _cmd_check_free(config: Config, args: SimpleNamespace) -> Emission:
     group_a = _resolve_vars(config, args.a, "--a")
     group_b = _resolve_vars(config, args.b, "--b")
@@ -474,43 +399,6 @@ def _cmd_check_free(config: Config, args: SimpleNamespace) -> Emission:
             0,
             "true" if report.free else "false",
         )
-    ])
-
-
-def _cmd_check_even(config: Config, args: SimpleNamespace) -> Emission:
-    var = _resolve_var(config, args.var)
-    result = check_even(config.functional, var, args.degree)
-    payload = {"query": "check-even", "even": result}
-    return Emission(payload, lambda: [
-        ("check-even", "[]", 0, "true" if result else "false")
-    ])
-
-
-def _cmd_compress(config: Config, args: SimpleNamespace) -> Emission:
-    var = _resolve_var(config, args.var)
-    base = r_transform(config.functional, [var], args.degree)
-    return _series_emission("compress", compress_r_transform(base, args.alpha))
-
-
-def _cmd_sparsity(config: Config, args: SimpleNamespace) -> Emission:
-    var = _resolve_var(config, args.var)
-    series, pattern = free_family_sparsity(config.functional, var, args.degree)
-    series_obj = series.to_json_obj()
-    payload = {
-        "query": "sparsity",
-        "series": series_obj,
-        "pattern": [row.to_json_obj() for row in pattern],
-    }
-    return Emission(payload, lambda: _series_rows(
-        "sparsity", series_obj["coefficients"]
-    ) + [
-        (
-            "sparsity-pattern",
-            _compact([row.degree, row.source]),
-            row.entry,
-            format_rational(row.value),
-        )
-        for row in pattern
     ])
 
 
@@ -547,7 +435,7 @@ _CONFIG_FLAGS = (
 
 #: every command in help order, with its help text and its flags in order
 #: (a config command's own, then _CONFIG_FLAGS): the one place a flag is
-#: declared, read by _parse_canonical and by build_parser
+#: declared, read by _parse_canonical and by commands.build_parser
 _COMMANDS: dict[str, tuple[str, tuple[_Flag, ...]]] = {
     "nc list": ("enumerate NC(n)", (_N, *_OUTPUT_FLAGS)),
     "nc mobius": ("full Moebius table of NC(n)", (_N, *_OUTPUT_FLAGS)),
@@ -610,61 +498,27 @@ def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def build_parser():
-    """The argparse parser of every command, built from _COMMANDS; it
-    serves help and every command line that is not canonical."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """Reports usage problems through UsageError."""
-
-        def error(self, message: str) -> None:  # type: ignore[override]
-            raise UsageError(message)
-
-    def rational_flag(text: str):
-        try:
-            return parse_rational(text)
-        except (ValueError, ExpressionError) as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    parser = Parser(prog="toepfree", description=(
-        "Exact engine for moments, cumulants, R-transforms, and boxed "
-        "convolution over Toeplitz matricial algebras."
-    ))
-    commands = parser.add_subparsers(dest="command", required=True)
-    nc = commands.add_parser("nc", help="noncrossing partition lattice queries")
-    groups = {"": commands, "nc": nc.add_subparsers(dest="nc_command", required=True)}
-    for command, (help_text, flags) in _COMMANDS.items():
-        group, _, name = command.rpartition(" ")
-        sub = groups[group].add_parser(name, help=help_text)
-        for flag in flags:
-            sub.add_argument(
-                flag.name, metavar=flag.metavar, required=flag.required,
-                type=rational_flag if flag.type is parse_rational else flag.type,
-                default=flag.default, choices=flag.choices, help=flag.help,
-            )
-    return parser
-
-
+#: the handlers of the hot commands; commands.py holds the others
 _HANDLERS = {
     "moments": _degree_table,
     "cumulants": _degree_table,
     "rtransform": _cmd_rtransform,
-    "boxconv": _cmd_boxconv,
     "check-free": _cmd_check_free,
-    "check-even": _cmd_check_even,
-    "compress": _cmd_compress,
-    "sparsity": _cmd_sparsity,
 }
 
 
 def _dispatch(args: SimpleNamespace) -> Emission:
-    if args.command == "nc":
-        return (_cmd_nc_list if args.nc_command == "list" else _cmd_nc_mobius)(args)
+    handler = _HANDLERS.get(args.command)
+    if handler is None:  # a cold command: only now is its module compiled
+        from . import commands
+
+        if args.command == "nc":
+            return commands.run_nc(args)
+        handler = commands.HANDLERS[args.command]
     config = load_config(args.config)
     if args.degree is not None and args.degree < 1:
         raise UsageError(f"--degree must be positive, got {args.degree}")
-    return _HANDLERS[args.command](config, args)
+    return handler(config, args)
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -677,6 +531,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _parse_canonical(argv)
         if args is None:  # help, or a line argparse must parse or refuse
+            from .commands import build_parser
+
             args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         emission = _dispatch(args)
         try:

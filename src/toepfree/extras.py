@@ -1,0 +1,214 @@
+"""Library routines that no moments, cumulants, R-transform or freeness
+query runs.
+
+Powers, inverses and chain products in B; the expectation E, taken as
+K_1; the evenness predicate; the sparsity pattern of the R-transform of
+a free-generator tuple; and the symmetric and compressed R-transforms.
+They are built on ``toeplitz_core`` and ``series`` and kept apart from
+them, so that a process that runs none of them never compiles them: the
+CLI imports this module only for ``check-even``, ``compress`` and
+``sparsity``, and the package namespace binds each name here on first
+use.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from typing import NamedTuple, Sequence
+
+from .errors import (
+    DimensionMismatch,
+    InternalConsistencyError,
+    NonInvertible,
+    PreconditionError,
+    ZeroTrace,
+)
+from .ncpoly import RationalLike, as_fraction, format_rational
+from .scalar_space import MomentFunctional
+from .series import BSeries, _check_vars, moments_from_r, r_transform
+from .toeplitz_core import BScalar, TVariable, _reduced, b_mul, t_cumulant, t_mul
+
+
+def b_pow(x: BScalar, exponent: int) -> BScalar:
+    """x to a nonnegative integer power; x^0 is the unit."""
+    if exponent < 0:
+        raise ValueError("negative powers not supported; use b_inv first")
+    result = BScalar.one(x.order)
+    for _ in range(exponent):
+        result = b_mul(result, x)
+    return result
+
+
+def b_inv(x: BScalar) -> BScalar:
+    """Convolution inverse, by forward substitution on the triangular system.
+
+    Requires a nonzero first entry; otherwise the element is not invertible
+    (its matrix form has a zero diagonal). With x = a / D, the inverse is
+    D e / a_0^N for the integers e with a e = a_0^N: e_0 = a_0^(N-1) and
+    e_j = -(sum_{k=1}^{j} a_k e_{j-k}) / a_0, a division that is exact.
+    """
+    a = x.nums
+    a0 = a[0]
+    if a0 == 0:
+        raise NonInvertible("first entry is zero; no convolution inverse")
+    n = len(a)
+    e = [a0 ** (n - 1)]
+    for j in range(1, n):
+        e.append(-sum(a[k] * e[j - k] for k in range(1, j + 1)) // a0)
+    den = a0**n
+    sign = 1 if den > 0 else -1
+    return _reduced(sign * den, tuple(sign * x.den * v for v in e))
+
+
+def chain_product(vars_: Sequence[TVariable]) -> TVariable:
+    """Left-associated t_mul chain; entries are the P_j polynomials."""
+    if not vars_:
+        raise ValueError("empty product chain")
+    return reduce(t_mul, vars_)
+
+
+def expect(functional: MomentFunctional, x: TVariable) -> BScalar:
+    """E(a_1, ..., a_N) = (phi(a_1), ..., phi(a_N)), taken as K_1(X)."""
+    return t_cumulant(functional, [x], (1,))
+
+
+def check_even(functional: MomentFunctional, x: TVariable,
+               degree: int | None = None) -> bool:
+    """Whether every odd cumulant K_n(X,...,X), n <= D, vanishes.
+
+    Read twice, from the odd cumulants of R and from the odd moments
+    E(X^n) of the series read off R; the two characterizations are
+    equivalent degree by degree, so a disagreement can only mean an engine
+    bug and raises InternalConsistencyError. The series is checked against
+    the word cap up front, like moment_series.
+    """
+    r = r_transform(functional, [x], degree)
+    m = moments_from_r(r)
+    odd = [(1,) * n for n in range(1, r.degree + 1, 2)]
+    by_cumulants = all(r.coef(word).is_zero() for word in odd)
+    by_moments = all(m.coef(word).is_zero() for word in odd)
+    if by_cumulants != by_moments:
+        raise InternalConsistencyError(
+            "odd-cumulant and odd-moment evenness tests disagree"
+        )
+    return by_cumulants
+
+
+class PatternRow(NamedTuple):
+    """One entry of the sparsity pattern of R_A for a free-generator tuple:
+    which single-generator cumulant (if any) the entry carries."""
+
+    degree: int
+    entry: int
+    source: str | None
+    value: Fraction
+
+    def to_json_obj(self) -> dict[str, object]:
+        return {
+            "degree": self.degree,
+            "entry": self.entry,
+            "source": self.source,
+            "value": format_rational(self.value),
+        }
+
+
+def free_family_sparsity(functional: MomentFunctional, a: TVariable,
+                         degree: int | None = None
+                         ) -> tuple[BSeries, list[PatternRow]]:
+    """R_A for A = (a_1, ..., a_N) with free single-generator entries.
+
+    Requires every entry to be a bare generator and the entries' families
+    to be pairwise distinct singletons (so the a_j are free). Then entry j
+    of the degree-n coefficient of R_A is k_n(a_m, ..., a_m) when n
+    divides j-1 with m = (j-1)/n + 1, and zero otherwise; in particular
+    the degree-1 coefficient is (phi(a_1), ..., phi(a_N)) and every
+    coefficient of degree n >= N is supported only in entry 1. The
+    computed series is verified against this pattern entry by entry
+    (a mismatch would mean an engine bug), and the pattern is returned as
+    rows naming the source generator of each nonzero slot.
+    """
+    gen_ids: list[str] = []
+    for j, entry in enumerate(a.entries, start=1):
+        terms = entry.terms
+        if len(terms) != 1 or terms[0][1] != 1 or len(terms[0][0]) != 1:
+            raise PreconditionError(
+                f"entry {j} is not a bare generator: {entry}"
+            )
+        gen_ids.append(terms[0][0][0])
+    if len(set(gen_ids)) != len(gen_ids):
+        raise PreconditionError("entries repeat a generator")
+    families = [functional.generators[g].family for g in gen_ids]
+    if len(set(families)) != len(families):
+        raise PreconditionError(
+            "entries share a scalar family; they must be pairwise free"
+        )
+    for family, gen_id in zip(families, gen_ids):
+        mates = {
+            g.id
+            for g in functional.generators.values()
+            if g.family == family
+        }
+        if mates != {gen_id}:
+            raise PreconditionError(
+                f"family {family!r} holds {sorted(mates)}; each entry "
+                "must be alone in its family"
+            )
+
+    series = r_transform(functional, [a], degree)
+    n_entries = a.order
+    rows: list[PatternRow] = []
+    for n in range(1, series.degree + 1):
+        coef = series.coef((1,) * n)
+        for j in range(1, n_entries + 1):
+            value = coef.entries[j - 1]
+            source: str | None = None
+            expected = Fraction(0)
+            if (j - 1) % n == 0:
+                m = (j - 1) // n + 1
+                source = gen_ids[m - 1]
+                expected = functional.cumulant_words(((source,),) * n)
+            if value != expected:
+                raise InternalConsistencyError(
+                    f"sparsity pattern violated at degree {n}, entry {j}: "
+                    f"computed {value}, pattern gives {expected}"
+                )
+            rows.append(PatternRow(n, j, source, value))
+    return series, rows
+
+
+def symm_r_transform(functional: MomentFunctional,
+                     vars_: Sequence[TVariable], b0: BScalar,
+                     degree: int | None = None) -> BSeries:
+    """The b0-symmetric R-transform: each degree-n coefficient is the
+    tuple cumulant multiplied by b0^(n-1) (b0 is central, so the
+    interleaved insertions collapse to a single power)."""
+    order = _check_vars(vars_)
+    if b0.order != order:
+        raise DimensionMismatch(
+            f"b0 has order {b0.order}, variables have order {order}"
+        )
+    r = r_transform(functional, vars_, degree)
+    one = BScalar.one(order)
+    powers = list(accumulate([b0] * (r.degree - 1), b_mul, initial=one))
+    coeffs = {w: b_mul(powers[len(w) - 1], value) for w, value in r.items()}
+    return BSeries(r.s, order, r.degree, coeffs)
+
+
+def nonzero_trace(alpha0: RationalLike) -> Fraction:
+    """alpha0 as a Fraction, refused with ZeroTrace if it is 0: the trace
+    of a projection that compress_r_transform can scale by."""
+    alpha = as_fraction(alpha0)
+    if alpha == 0:
+        raise ZeroTrace("compression needs a projection of nonzero trace")
+    return alpha
+
+
+def compress_r_transform(r: BSeries, alpha0: RationalLike) -> BSeries:
+    """The R-transform after compression by a trace-alpha0 projection:
+    each degree-n coefficient is scaled by alpha0^(n-1)."""
+    alpha = nonzero_trace(alpha0)
+    powers = [alpha**n for n in range(r.degree)]
+    coeffs = {w: value.scale(powers[len(w) - 1]) for w, value in r.items()}
+    return BSeries(r.s, r.order, r.degree, coeffs)

@@ -12,8 +12,8 @@ variable as X = sum over words w of A[w] w with A[w] in B, K_n is the sum
 over word tuples of the scalar cumulant kappa(w_1, ..., w_n) times the
 B-product of the A_m[w_m]. The cumulants of many index words are taken
 along a walk of the word trie, so words that share a prefix share its
-work. The expectation E, which applies phi entrywise, is K_1: kappa_1 of
-a word is phi of that word. Moments of index words are not summed here;
+work. The expectation E, which applies phi entrywise, is K_1
+(``extras.expect``): kappa_1 of a word is phi of that word. Moments of index words are not summed here;
 they are read off the R-transform (``series.moment_series``). The test
 suite holds K_n against Möbius inversion of moments and against the sum
 over compositions of each entry, and the product against an explicit
@@ -23,11 +23,10 @@ matrix embedding (``tests/oracles.py``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegreeCapExceeded, DimensionMismatch, NonInvertible
+from .errors import DegreeCapExceeded, DimensionMismatch
 from .ncpoly import (
     NcPolynomial,
     RationalLike,
@@ -183,37 +182,6 @@ def b_mul(x: BScalar, y: BScalar) -> BScalar:
     return _reduced(x.den * y.den, tuple(nums))
 
 
-def b_pow(x: BScalar, exponent: int) -> BScalar:
-    """x to a nonnegative integer power; x^0 is the unit."""
-    if exponent < 0:
-        raise ValueError("negative powers not supported; use b_inv first")
-    result = BScalar.one(x.order)
-    for _ in range(exponent):
-        result = b_mul(result, x)
-    return result
-
-
-def b_inv(x: BScalar) -> BScalar:
-    """Convolution inverse, by forward substitution on the triangular system.
-
-    Requires a nonzero first entry; otherwise the element is not invertible
-    (its matrix form has a zero diagonal). With x = a / D, the inverse is
-    D e / a_0^N for the integers e with a e = a_0^N: e_0 = a_0^(N-1) and
-    e_j = -(sum_{k=1}^{j} a_k e_{j-k}) / a_0, a division that is exact.
-    """
-    a = x.nums
-    a0 = a[0]
-    if a0 == 0:
-        raise NonInvertible("first entry is zero; no convolution inverse")
-    n = len(a)
-    e = [a0 ** (n - 1)]
-    for j in range(1, n):
-        e.append(-sum(a[k] * e[j - k] for k in range(1, j + 1)) // a0)
-    den = a0**n
-    sign = 1 if den > 0 else -1
-    return _reduced(sign * den, tuple(sign * x.den * v for v in e))
-
-
 class TVariable:
     """An N-tuple of polynomials: a B-valued random variable.
 
@@ -292,13 +260,6 @@ def t_mul(x: TVariable, y: TVariable) -> TVariable:
         poly_sum_of_products((xs[k], ys[j - k]) for k in range(j + 1))
         for j in range(x.order)
     )
-
-
-def chain_product(vars_: Sequence[TVariable]) -> TVariable:
-    """Left-associated t_mul chain; entries are the P_j polynomials."""
-    if not vars_:
-        raise ValueError("empty product chain")
-    return reduce(t_mul, vars_)
 
 
 def _select(vars_: Sequence[TVariable], idx: Sequence[int]) -> list[TVariable]:
@@ -444,7 +405,3 @@ def t_cumulant(
     """The (i_1, ..., i_n)-th cumulant: one word of ``t_cumulants``."""
     return next(t_cumulants(functional, vars_, (idx,)))
 
-
-def expect(functional: MomentFunctional, x: TVariable) -> BScalar:
-    """E(a_1, ..., a_N) = (phi(a_1), ..., phi(a_N)), taken as K_1(X)."""
-    return t_cumulant(functional, [x], (1,))

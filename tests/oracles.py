@@ -74,9 +74,10 @@ from toepfree.errors import (
     InternalConsistencyError,
     MathDomainError,
 )
+from toepfree.extras import check_even
 from toepfree.nc_lattice import NcPartition
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul
-from toepfree.series import BSeries, all_index_words, check_even
+from toepfree.series import BSeries, all_index_words
 from toepfree.toeplitz_core import BScalar, TVariable, b_mul, t_cumulant, t_mul
 
 

@@ -37,6 +37,14 @@ from oracles import (
     zero_partition,
 )
 from toepfree.errors import ZeroTrace
+from toepfree.extras import (
+    chain_product,
+    check_even,
+    compress_r_transform,
+    expect,
+    free_family_sparsity,
+    symm_r_transform,
+)
 from toepfree.nc_lattice import catalan, enumerate_nc, kreweras
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_scale
 from toepfree.scalar_space import build_space
@@ -44,22 +52,16 @@ from toepfree.series import (
     BSeries,
     all_index_words,
     boxed_convolution,
-    check_even,
     check_freeness,
-    compress_r_transform,
-    free_family_sparsity,
     moment_series,
     moments_from_r,
     r_from_moments,
     r_transform,
-    symm_r_transform,
 )
 from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
     b_mul,
-    chain_product,
-    expect,
     t_add,
     t_cumulant,
     t_mul,

@@ -21,8 +21,13 @@ from pathlib import Path
 import pytest
 
 import toepfree
-from oracles import oracle_moment_series
+from oracles import (
+    boxed_convolution_kreweras,
+    oracle_moment_series,
+    t_cumulant_mobius,
+)
 from toepfree.cli import load_config
+from toepfree.series import BSeries, all_index_words
 from toepfree.toeplitz_core import BScalar, b_mul
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -203,6 +208,151 @@ def test_moments_goldens():
     assert sum(row["value"] != ["0", "0", "0"] for row in rows) == 16
 
 
+def _golden_bytes(golden: str, *argv: str) -> bytes:
+    """The frozen output of one query, checked to be what the query
+    prints now: exit 0, nothing on stderr, stdout byte-identical."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "toepfree", *argv], capture_output=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, b""), argv
+    frozen = (GOLDEN / golden).read_bytes()
+    assert proc.stdout == frozen, argv
+    return frozen
+
+
+def _oracle_r_transform(functional, vars_, degree):
+    """The R-transform with every coefficient taken by Möbius inversion of
+    the oracle's moments (``t_cumulant_mobius``)."""
+    words = list(all_index_words(len(vars_), degree))
+    coeffs = {w: t_cumulant_mobius(functional, vars_, w) for w in words}
+    return BSeries(len(vars_), vars_[0].order, degree, coeffs)
+
+
+def test_check_free_golden():
+    """check-free of A1,A2 against A3 on the third-cumulant model is frozen;
+    its witness is recomputed as the first mixed word, shortest first, of
+    nonzero Möbius-oracle cumulant."""
+    config = str(GOLDEN / "k3_config.json")
+    frozen = _golden_bytes(
+        "check_free_k3.json", "check-free", "--a", "A1,A2", "--b", "A3",
+        "--config", config,
+    )
+    model = load_config(config)
+    vars_ = [model.variables[name] for name in ("A1", "A2", "A3")]
+    witness = next(
+        list(word)
+        for word in all_index_words(3, model.functional.degree_cap)
+        if min(word) <= 2 < max(word)
+        and not t_cumulant_mobius(model.functional, vars_, word).is_zero()
+    )
+    assert witness == [1, 2, 3]
+    assert json.loads(frozen) == {
+        "query": "check-free", "free": False, "witness": witness,
+    }
+
+
+def test_check_even_golden():
+    """check-even of E = (s, 2t, s - t) over two semicircular families is
+    frozen as true; every odd cumulant up to the cap is recomputed as zero
+    by the Möbius oracle, and its even cumulants are not all zero."""
+    config = str(GOLDEN / "sparsity_config.json")
+    frozen = _golden_bytes(
+        "check_even_e.json", "check-even", "--var", "E", "--config", config
+    )
+    model = load_config(config)
+    var = [model.variables["E"]]
+    cumulants = [
+        t_cumulant_mobius(model.functional, var, (1,) * n)
+        for n in range(1, model.functional.degree_cap + 1)
+    ]
+    even = all(k.is_zero() for k in cumulants[::2])
+    assert even and not cumulants[1].is_zero()
+    assert json.loads(frozen) == {"query": "check-even", "even": even}
+
+
+def test_compress_golden():
+    """compress of X by a trace-2/3 projection at degree 4 is frozen; each
+    coefficient is recomputed as the Möbius-oracle cumulant times
+    (2/3)^(n-1)."""
+    config = str(GOLDEN / "moments_config.json")
+    frozen = _golden_bytes(
+        "compress_d4.json", "compress", "--var", "X", "--alpha", "2/3",
+        "--degree", "4", "--config", config,
+    )
+    model = load_config(config)
+    r = _oracle_r_transform(model.functional, [model.variables["X"]], 4)
+    want = BSeries(1, 3, 4, {
+        w: value.scale(Fraction(2, 3) ** (len(w) - 1)) for w, value in r.items()
+    })
+    assert len(want.words()) == 3
+    assert BSeries.from_json_obj(json.loads(frozen)) == want
+
+
+def test_boxconv_golden():
+    """boxconv of X and Y at degree 4 is frozen; it is recomputed as the
+    sum over NC(n) paired with Kreweras complements of the Möbius-oracle
+    R-transforms of X and of Y."""
+    config = str(GOLDEN / "moments_config.json")
+    frozen = _golden_bytes(
+        "boxconv_d4.json", "boxconv", "--left", "X", "--right", "Y",
+        "--degree", "4", "--config", config,
+    )
+    model = load_config(config)
+    f, g = (
+        _oracle_r_transform(model.functional, [model.variables[name]], 4)
+        for name in ("X", "Y")
+    )
+    want = boxed_convolution_kreweras(f, g)
+    assert len(want.words()) == 4
+    assert BSeries.from_json_obj(json.loads(frozen)) == want
+
+
+def test_sparsity_goldens():
+    """sparsity of A = (p, q, s), each generator alone in its family, is
+    frozen in JSON and CSV at degree 4. The series is recomputed by the
+    Möbius oracle; each pattern row follows the theorem with the closed-form
+    cumulants (free Poisson of rate r: r at every order; semicircular of
+    variance v: v at order 2 only); the CSV holds the JSON's rows."""
+    config = str(GOLDEN / "sparsity_config.json")
+    argv = ["sparsity", "--var", "A", "--degree", "4", "--config", config]
+    frozen = json.loads(_golden_bytes("sparsity_d4.json", *argv))
+    frozen_csv = _golden_bytes("sparsity_d4.csv", *argv, "--format", "csv")
+    model = load_config(config)
+    series = BSeries.from_json_obj(frozen["series"])
+    assert series == _oracle_r_transform(
+        model.functional, [model.variables["A"]], 4
+    )
+    kappa = {
+        "p": lambda n: Fraction(1, 2),
+        "q": lambda n: Fraction(3),
+        "s": lambda n: Fraction(2 if n == 2 else 0),
+    }
+    pattern = []
+    for n in range(1, 5):
+        for j in range(1, 4):
+            source = "pqs"[(j - 1) // n] if (j - 1) % n == 0 else None
+            value = kappa[source](n) if source else Fraction(0)
+            assert series.coef((1,) * n).entries[j - 1] == value
+            pattern.append({
+                "degree": n, "entry": j, "source": source, "value": str(value),
+            })
+    assert frozen["pattern"] == pattern
+    def compact(obj):
+        return json.dumps(obj, separators=(",", ":"))
+
+    rows = [
+        ["sparsity", compact(c["word"]), str(at), value]
+        for c in frozen["series"]["coefficients"]
+        for at, value in enumerate(c["value"], start=1)
+    ] + [
+        ["sparsity-pattern", compact([p["degree"], p["source"]]),
+         str(p["entry"]), p["value"]]
+        for p in pattern
+    ]
+    parsed = list(csv.reader(io.StringIO(frozen_csv.decode())))
+    assert parsed == [["query", "word", "entry", "value"], *rows]
+
+
 def test_cumulants_table_includes_zero_rows(cfg):
     code, out, err = run(
         "cumulants", "--vars", "X,Y", "--degree", "2", "--config", cfg
@@ -324,6 +474,30 @@ def test_compress(cfg):
 def test_compress_zero_trace_exits_3(cfg):
     code, _, err = run("compress", "--var", "X", "--alpha", "0", "--config", cfg)
     assert code == 3 and err.startswith("error: zero-trace:")
+
+
+def test_compress_refuses_zero_trace_before_the_r_transform(monkeypatch, capsys):
+    """compress --alpha 0 is refused before any cumulant is summed: on the
+    golden moments model at its default degree, whose R-transform the cap
+    would refuse, it exits 3 with the zero trace, and r_transform is never
+    called."""
+    from toepfree import cli, commands, series
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return r_transform(*args, **kwargs)
+
+    r_transform = series.r_transform
+    monkeypatch.setattr(commands, "r_transform", counted)
+    monkeypatch.setattr(series, "r_transform", counted)
+    code = cli.main(["compress", "--var", "X", "--alpha", "0",
+                     "--config", str(GOLDEN / "moments_config.json")])
+    assert (code, calls) == (3, [])
+    assert capsys.readouterr().err == (
+        "error: zero-trace: compression needs a projection of nonzero trace\n"
+    )
 
 
 def test_sparsity_report(cfg, cfg_sparse):
@@ -511,7 +685,10 @@ def test_startup_loads_only_what_is_used():
     them from sys.modules, but not ``csv``, which only CSV output uses, nor
     ``argparse`` or ``gettext``, which only help and command lines that are
     not canonical use: a canonical query through ``cli.main`` loads
-    neither."""
+    neither. Run through ``python -m toepfree``, each of the four hot
+    commands loads exactly those package modules; ``nc list``, help and
+    ``check-even`` also load ``toepfree.commands``, and only
+    ``check-even`` of them loads ``toepfree.extras``."""
     loaded = _loaded_after("import toepfree")
     assert _package_part(loaded) == {"toepfree"}
     assert {"fractions", "argparse"} & loaded == set()
@@ -538,6 +715,73 @@ def test_startup_loads_only_what_is_used():
     )
     assert _package_part(loaded) == package
     assert {"csv", "argparse", "gettext"} & loaded == set()
+    # through the entry point, as every query runs: the hot commands load
+    # just those modules; the others and help also load the cold CLI
+    # module, and only the library routines they run load extras
+    moments, k3 = GOLDEN / "moments_config.json", GOLDEN / "k3_config.json"
+    out = ["--out", os.devnull]
+    hot = [
+        ["moments", "--vars", "X,Y", "--degree", "2", "--config", moments],
+        ["cumulants", "--vars", "X,Y", "--degree", "2", "--config", moments],
+        ["rtransform", "--vars", "X", "--degree", "3", "--config", moments],
+        ["check-free", "--a", "A1,A2", "--b", "A3", "--config", k3],
+    ]
+    for argv in hot:
+        loaded = _loaded_by_entry_point(*argv, *out)
+        assert _package_part(loaded) == package, argv
+        assert {"csv", "argparse", "gettext"} & loaded == set(), argv
+    cold = {
+        "toepfree.commands": [["nc", "list", "--n", "3", *out], ["--help"]],
+        "toepfree.extras": [
+            ["check-even", "--var", "X", "--degree", "2", "--config", moments,
+             *out],
+        ],
+    }
+    for extra, lines in cold.items():
+        want = package | {"toepfree.commands", extra}
+        for argv in lines:
+            assert _package_part(_loaded_by_entry_point(*argv)) == want, argv
+
+
+def _loaded_by_entry_point(*argv: object) -> set[str]:
+    """The modules ``python -m toepfree argv`` holds when it exits 0. Run
+    with -i, the interpreter reads a probe from stdin once the module has
+    exited (printing the SystemExit that -i keeps from ending it)."""
+    probe = "import sys; print('MODULES', *sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-i", "-m", "toepfree", *map(str, argv)],
+        input=probe, capture_output=True, text=True,
+    )
+    assert "SystemExit: 0\n" in proc.stderr, proc.stderr
+    line = proc.stdout.splitlines()[-1].split()
+    assert line[0] == "MODULES", proc.stdout
+    return set(line[1:])
+
+
+def test_tracer_installs_on_the_package():
+    """perfbench/tracer.py imports the CLI and wraps its targets in the
+    compute modules it then finds in sys.modules: in a fresh interpreter
+    that install raises nothing, and the targets it reports missing are
+    only the six the package no longer defines."""
+    probe = (
+        "from tracer import Tracer; tracer = Tracer(); tracer.install(); "
+        "print(*tracer.missing)"
+    )
+    src = Path(toepfree.__file__).resolve().parents[1]
+    path = [str(src), str(PYPROJECT.parent / "perfbench")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert set(proc.stdout.split()) <= {
+        "nc_lattice.lattice",
+        "nc_lattice.mu_to_top",
+        "scalar_space.phi_word",
+        "scalar_space.cumulant",
+        "toeplitz_core.t_moment",
+        "toeplitz_core.build_q",
+    }
 
 
 def test_lazy_namespace_contract():
@@ -580,6 +824,7 @@ def test_lazy_namespace_contract():
     assert {"toepfree.series", "toepfree.nc_lattice"} <= loaded
     for module in (
         "errors",
+        "extras",
         "nc_lattice",
         "ncpoly",
         "scalar_space",

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_cli import BASE
-from toepfree import cli
+from toepfree import cli, commands
 from toepfree.ncpoly import parse_rational
 
 #: keys the config knows, and a few it does not
@@ -179,7 +179,7 @@ def test_canonical_parse_matches_argparse(data):
         argv += [flag.name, data.draw(_canonical_values(flag))]
     direct = cli._parse_canonical(argv)
     assert direct is not None, argv
-    assert vars(direct) == vars(cli.build_parser().parse_args(argv)), argv
+    assert vars(direct) == vars(commands.build_parser().parse_args(argv)), argv
 
 
 def test_other_command_lines_are_left_to_argparse():

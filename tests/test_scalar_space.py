@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toepfree.errors import DegreeCapExceeded, DimensionMismatch
+from toepfree.extras import expect
 from toepfree.nc_lattice import NcPartition, catalan
 from toepfree.ncpoly import Generator, NcPolynomial, poly_add, poly_scale
 from toepfree.scalar_space import (
@@ -29,7 +30,7 @@ from toepfree.scalar_space import (
     builtin_distribution,
     build_space,
 )
-from toepfree.toeplitz_core import TVariable, expect, t_cumulant
+from toepfree.toeplitz_core import TVariable, t_cumulant
 
 from oracles import cumulant_words_mobius, phi_partition, phi_word_nc
 

@@ -37,7 +37,7 @@ from oracles import (
     t_cumulant_mobius,
     t_mul_oracle,
 )
-from toepfree import cli, nc_lattice, scalar_space, toeplitz_core
+from toepfree import cli, extras, nc_lattice, scalar_space, toeplitz_core
 from toepfree import series as series_module
 from toepfree.errors import (
     DegreeCapExceeded,
@@ -47,22 +47,24 @@ from toepfree.errors import (
 )
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_scale
 from toepfree.scalar_space import MomentFunctional, build_space
+from toepfree.extras import (
+    PatternRow,
+    check_even,
+    compress_r_transform,
+    free_family_sparsity,
+    symm_r_transform,
+)
 from toepfree.series import (
     BSeries,
     FreenessReport,
-    PatternRow,
     all_index_words,
     boxed_convolution,
-    check_even,
     check_freeness,
     check_series_request,
-    compress_r_transform,
-    free_family_sparsity,
     moment_series,
     moments_from_r,
     r_from_moments,
     r_transform,
-    symm_r_transform,
 )
 from toepfree.toeplitz_core import (
     BScalar,
@@ -500,7 +502,8 @@ def test_series_calculus_stays_fused(monkeypatch):
 
     monkeypatch.setattr(toeplitz_core, "b_mul", boom)
     monkeypatch.setattr(toeplitz_core, "b_add", boom)
-    monkeypatch.setattr(series_module, "b_mul", boom)
+    # series binds no b_mul of its own now; the patch guards any it gains
+    monkeypatch.setattr(series_module, "b_mul", boom, raising=False)
     with pytest.raises(AssertionError, match="product or sum"):
         BScalar.one(2) + BScalar.one(2)
     for f, g, want in cases:
@@ -834,14 +837,14 @@ def test_degree_table_computes_only_printed_words(
     On this model of single-letter entries neither enumerates NC(n), from
     a cold cache of linking partitions."""
     calls = []
-    for name in ("t_cumulant", "expect"):
-        original = getattr(toeplitz_core, name)
+    for name, home in (("t_cumulant", toeplitz_core), ("expect", extras)):
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
 
-        for module in (cli, series_module, toeplitz_core):
+        for module in (cli, series_module, toeplitz_core, extras):
             monkeypatch.setattr(module, name, counted, raising=False)
     walked = []
     walk = toeplitz_core.t_cumulants

@@ -34,6 +34,7 @@ from oracles import (
 )
 from toepfree import nc_lattice
 from toepfree.errors import DegreeCapExceeded, DimensionMismatch, NonInvertible
+from toepfree.extras import b_inv, b_pow, chain_product, expect
 from toepfree.ncpoly import (
     NcPolynomial,
     format_rational,
@@ -47,11 +48,7 @@ from toepfree.toeplitz_core import (
     BScalar,
     TVariable,
     b_add,
-    b_inv,
     b_mul,
-    b_pow,
-    chain_product,
-    expect,
     t_cumulant,
     t_cumulants,
     t_mul,
