@@ -24,7 +24,6 @@ _EXPORTS = {
         "DegreeCapExceeded",
         "DimensionMismatch",
         "EngineError",
-        "InternalConsistencyError",
         "MathDomainError",
         "NonInvertible",
         "PreconditionError",

@@ -27,13 +27,7 @@ from itertools import product
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EngineError,
-    InternalConsistencyError,
-    MathDomainError,
-)
+from .errors import ConfigError, DimensionMismatch, EngineError
 from .ncpoly import ExpressionError, parse_expr, parse_rational
 from .scalar_space import DEFAULT_DEGREE, MAX_DEGREE, MomentFunctional, build_space
 from .series import (
@@ -545,5 +539,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(exc, 1)
     except (ConfigError, ExpressionError) as exc:
         return _fail(exc, 2)
-    except (MathDomainError, InternalConsistencyError, EngineError) as exc:
+    except EngineError as exc:
         return _fail(exc, 3)

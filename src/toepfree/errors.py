@@ -1,10 +1,8 @@
 """Exception hierarchy shared across the engine.
 
-Three broad classes matter to callers (and map onto the CLI exit codes):
-configuration problems (bad expressions, bad schemas), mathematical domain
-violations (degree caps, non-invertible elements, zero traces), and internal
-consistency failures (two independent code paths disagreeing, which always
-indicates a bug rather than bad input).
+Two broad classes matter to callers (and map onto the CLI exit codes):
+configuration problems (bad expressions, bad schemas) and mathematical
+domain violations (degree caps, non-invertible elements, zero traces).
 """
 
 from __future__ import annotations
@@ -44,7 +42,3 @@ class PreconditionError(MathDomainError):
 
 class ConfigError(EngineError):
     """A configuration file is missing, malformed, or inconsistent."""
-
-
-class InternalConsistencyError(EngineError):
-    """Two independently computed results disagree; indicates a bug."""

@@ -20,14 +20,13 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
-    InternalConsistencyError,
     NonInvertible,
     PreconditionError,
     ZeroTrace,
 )
 from .ncpoly import RationalLike, as_fraction, format_rational
 from .scalar_space import MomentFunctional
-from .series import BSeries, _check_vars, moments_from_r, r_transform
+from .series import BSeries, _check_vars, r_transform
 from .toeplitz_core import BScalar, TVariable, _reduced, b_mul, t_cumulant, t_mul
 
 
@@ -78,22 +77,12 @@ def check_even(functional: MomentFunctional, x: TVariable,
                degree: int | None = None) -> bool:
     """Whether every odd cumulant K_n(X,...,X), n <= D, vanishes.
 
-    Read twice, from the odd cumulants of R and from the odd moments
-    E(X^n) of the series read off R; the two characterizations are
-    equivalent degree by degree, so a disagreement can only mean an engine
-    bug and raises InternalConsistencyError. The series is checked against
+    Read off the odd coefficients of R; the odd moments E(X^n) vanish
+    exactly when these do, degree by degree. The series is checked against
     the word cap up front, like moment_series.
     """
     r = r_transform(functional, [x], degree)
-    m = moments_from_r(r)
-    odd = [(1,) * n for n in range(1, r.degree + 1, 2)]
-    by_cumulants = all(r.coef(word).is_zero() for word in odd)
-    by_moments = all(m.coef(word).is_zero() for word in odd)
-    if by_cumulants != by_moments:
-        raise InternalConsistencyError(
-            "odd-cumulant and odd-moment evenness tests disagree"
-        )
-    return by_cumulants
+    return all(r.coef((1,) * n).is_zero() for n in range(1, r.degree + 1, 2))
 
 
 class PatternRow(NamedTuple):
@@ -125,9 +114,9 @@ def free_family_sparsity(functional: MomentFunctional, a: TVariable,
     divides j-1 with m = (j-1)/n + 1, and zero otherwise; in particular
     the degree-1 coefficient is (phi(a_1), ..., phi(a_N)) and every
     coefficient of degree n >= N is supported only in entry 1. The
-    computed series is verified against this pattern entry by entry
-    (a mismatch would mean an engine bug), and the pattern is returned as
-    rows naming the source generator of each nonzero slot.
+    pattern is returned as rows of the computed series, each naming the
+    source generator that this rule gives its slot; the tests, not this
+    routine, check the series against the theorem.
     """
     gen_ids: list[str] = []
     for j, entry in enumerate(a.entries, start=1):
@@ -162,19 +151,10 @@ def free_family_sparsity(functional: MomentFunctional, a: TVariable,
     for n in range(1, series.degree + 1):
         coef = series.coef((1,) * n)
         for j in range(1, n_entries + 1):
-            value = coef.entries[j - 1]
             source: str | None = None
-            expected = Fraction(0)
             if (j - 1) % n == 0:
-                m = (j - 1) // n + 1
-                source = gen_ids[m - 1]
-                expected = functional.cumulant_words(((source,),) * n)
-            if value != expected:
-                raise InternalConsistencyError(
-                    f"sparsity pattern violated at degree {n}, entry {j}: "
-                    f"computed {value}, pattern gives {expected}"
-                )
-            rows.append(PatternRow(n, j, source, value))
+                source = gen_ids[(j - 1) // n]
+            rows.append(PatternRow(n, j, source, coef.entries[j - 1]))
     return series, rows
 
 

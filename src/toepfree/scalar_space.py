@@ -2,34 +2,36 @@
 
 A distribution is specified by a table of joint free cumulants per family
 (cross-family cumulants are identically zero, so distinct families are free
-by construction). Every value is read off that table; no moment is summed
-here. A cumulant whose slots hold words (products of generators) is a
-cumulant with products as arguments (Krawczyk-Speicher; Nica-Speicher,
-Lectures on the Combinatorics of Free Probability, Thm 11.12): if sigma is
-the interval partition that the slots cut out of the m concatenated
-letters, then
+by construction). Every value is read off that table. A cumulant whose
+slots hold words (products of generators) is a cumulant with products as
+arguments (Krawczyk-Speicher; Nica-Speicher, Lectures on the Combinatorics
+of Free Probability, Lecture 11), taken by the moment-cumulant formula over
+its slots. Summed by the block V that holds slot 1, the partitions of each
+gap that V leaves sum to phi of the product of the gap's slots, so for
+n >= 2 slots
 
-    kappa(w_1, ..., w_n) = sum over pi in NC(m) with pi v sigma = 1_m
-                           of prod over blocks V of kappa(V).
+    kappa(w_1, ..., w_n) = phi(w_1 ... w_n)
+                           - sum over V with 1 in V, V != [n],
+                             of kappa(w|V) prod over the gaps G of V
+                             of phi(product of the slots in G),
 
-For one letter per slot, sigma = 0_m and the only term is pi = 1_m: a
-single table lookup. For one slot, every pi links it, so kappa_1(w) is
-phi(w), the sum over all of NC(m).
+and phi(u) = kappa_1(u) is the same sum over the letters of u, with the
+V = [n] term kept. Slots of one letter each are a table lookup.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
-from . import nc_lattice
 from .errors import DegreeCapExceeded
 from .ncpoly import Generator, RationalLike, Word, as_fraction
 
 #: Default truncation degree for moments and series.
 DEFAULT_DEGREE = 6
-#: Largest supported truncation degree (NC(8) has 1430 elements).
+#: Largest supported truncation degree. It bounds the letters of a word
+#: cumulant, so each first-block sum of cumulant_words visits at most
+#: 2^7 = 128 blocks V.
 MAX_DEGREE = 8
 
 CumulantTable = Mapping[tuple[str, ...], RationalLike]
@@ -147,10 +149,10 @@ class MomentFunctional:
     def cumulant_words(self, words: tuple[Word, ...]) -> Fraction:
         """The cumulant with one plain word per slot, memoized.
 
-        Products as arguments: the sum over the pi that link all slots of
-        the block cumulants of the concatenated letters. An empty word is
-        the constant 1: kappa_1(1) = 1, and kappa_n(..., 1, ...) = 0 for
-        n >= 2.
+        Products as arguments, by the first-block recursion of the module
+        docstring; every value it reaches is memoized too. An empty word
+        is the constant 1: kappa_1(1) = 1, and kappa_n(..., 1, ...) = 0
+        for n >= 2.
         """
         cached = self._word_cumulant_memo.get(words)
         if cached is not None:
@@ -166,58 +168,51 @@ class MomentFunctional:
         for gen_id in letters:
             if gen_id not in self.generators:
                 raise ValueError(f"undeclared generator {gen_id!r} in word")
+        return self._cumulant(words)
+
+    def _cumulant(self, words: tuple[Word, ...]) -> Fraction:
+        """cumulant_words of checked words, past its memo lookup."""
         if not all(words):
             total = Fraction(len(words) == 1)
+        elif all(len(word) == 1 for word in words):
+            total = self._block_cumulant(tuple(word[0] for word in words))
+        elif len(words) == 1:
+            total = self._first_block_sum(tuple((g,) for g in words[0]), True)
         else:
-            total = Fraction(0)
-            for blocks in _linking_partitions(tuple(map(len, words))):
-                value = Fraction(1)
-                for block in blocks:
-                    value *= self._block_cumulant(
-                        tuple(letters[i] for i in block)
-                    )
-                    if not value:
-                        break
-                total += value
+            product = (tuple(g for word in words for g in word),)
+            total = self._word_cumulant_memo.get(product)
+            if total is None:
+                total = self._cumulant(product)
+            total -= self._first_block_sum(words, False)
         self._word_cumulant_memo[words] = total
         return total
 
-
-@lru_cache(maxsize=None)
-def _linking_partitions(
-    lengths: tuple[int, ...],
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The pi in NC(m) with pi v sigma = 1_m, as blocks of 0-based letter
-    positions, where sigma cuts m = sum(lengths) letters into consecutive
-    slots of these lengths.
-
-    The join is 1_m exactly when the blocks of pi link the slots into one
-    component. Only cumulant_words calls this, after its cap check, so
-    m <= MAX_DEGREE = 8: the cache holds at most 2^8 - 1 = 255 length
-    tuples (2^(m-1) for each m), each with at most |NC(8)| = 1430
-    partitions.
-    """
-    m = sum(lengths)
-    if all(length == 1 for length in lengths):
-        return ((tuple(range(m)),),)
-    slot_of = [s for s, length in enumerate(lengths) for _ in range(length)]
-    linking = []
-    for pi in nc_lattice.enumerate_nc(m):
-        components: list[set[int]] = []
-        for block in pi.blocks:
-            merged = {slot_of[i - 1] for i in block}
-            apart = []
-            for component in components:
-                if component & merged:
-                    merged |= component
-                else:
-                    apart.append(component)
-            components = [*apart, merged]
-        if len(components) == 1:
-            linking.append(
-                tuple(tuple(i - 1 for i in block) for block in pi.blocks)
-            )
-    return tuple(linking)
+    def _first_block_sum(self, slots: tuple[Word, ...],
+                         whole: bool) -> Fraction:
+        """The sum over the blocks V that hold slot 1 (V = [n] only if
+        ``whole``) of kappa(slots|V) times phi of each gap's product."""
+        memo, n = self._word_cumulant_memo, len(slots)
+        blocks = [((0,), slots[:1])]  # (V, slots|V)
+        for i in range(1, n):
+            blocks += [(v + (i,), key + slots[i:i + 1]) for v, key in blocks]
+        if not whole:
+            blocks.pop()  # [n], the last block made
+        total = Fraction(0)
+        for block, key in blocks:
+            value = memo.get(key)
+            if value is None:
+                value = self._cumulant(key)
+            if not value:
+                continue
+            for a, b in zip(block, block[1:] + (n,)):
+                if b - a > 1:
+                    gap = (tuple(g for word in slots[a + 1:b] for g in word),)
+                    phi = memo.get(gap)
+                    value *= self._cumulant(gap) if phi is None else phi
+                    if not value:
+                        break
+            total += value
+        return total
 
 
 def build_space(

@@ -16,9 +16,10 @@ Möbius inversion of moments,
     kappa(w_1, ..., w_n) = sum over pi in NC(n) of mu(pi, 1_n)
                            * prod over blocks V of phi(w_V),
 
-where w_V concatenates the words of the slots in V. The library reads the
-same cumulant off the table by the products-as-arguments sum; this route
-shares none of that code, and takes its moments from ``phi_word_nc``.
+where w_V concatenates the words of the slots in V. The library takes the
+same cumulant from the table by a first-block recursion over the slots;
+this route shares none of that code, and takes its moments from
+``phi_word_nc``.
 ``t_cumulant_mobius`` is the same inversion for the B-valued cumulant of
 Toeplitz variables, with per-block B-products of moments taken from
 ``oracle_moments``; the library sums the cumulant B-multilinearly over
@@ -68,12 +69,7 @@ from functools import lru_cache, reduce
 from math import gcd, prod
 
 from toepfree import nc_lattice
-from toepfree.errors import (
-    DegreeCapExceeded,
-    DimensionMismatch,
-    InternalConsistencyError,
-    MathDomainError,
-)
+from toepfree.errors import DegreeCapExceeded, DimensionMismatch, MathDomainError
 from toepfree.extras import check_even
 from toepfree.nc_lattice import NcPartition
 from toepfree.ncpoly import NcPolynomial, poly_add, poly_mul
@@ -456,7 +452,7 @@ def t_mul_oracle(x, y):
                 product[0][c - r] if c >= r else NcPolynomial.zero()
             )
             if product[r][c] != expected:
-                raise InternalConsistencyError(
+                raise AssertionError(
                     "matrix product is not upper-triangular Toeplitz"
                 )
     return TVariable(tuple(product[0]))
@@ -646,7 +642,7 @@ def even_cumulant_restricted(functional, x, m):
                 break
         total = total + product.scale(nc_lattice.mobius_to_top(pi))
     if total != t_cumulant(functional, [x], (1,) * m):
-        raise InternalConsistencyError(
+        raise AssertionError(
             "even-block restricted cumulant differs from the full cumulant"
         )
     return total

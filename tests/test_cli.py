@@ -288,6 +288,23 @@ def test_compress_golden():
     assert BSeries.from_json_obj(json.loads(frozen)) == want
 
 
+def test_rtransform_products_golden():
+    """rtransform of X, Z at degree 2 on the golden moments model is
+    frozen. Z's entry s*p*s puts three-letter words in the slots, so the
+    degree-2 coefficients are cumulants with products as arguments; each
+    coefficient is recomputed by the Möbius oracle."""
+    config = str(GOLDEN / "moments_config.json")
+    frozen = _golden_bytes(
+        "rtransform_xz_d2.json", "rtransform", "--vars", "X,Z",
+        "--degree", "2", "--config", config,
+    )
+    model = load_config(config)
+    pair = [model.variables[name] for name in ("X", "Z")]
+    want = _oracle_r_transform(model.functional, pair, 2)
+    assert want.coef((2, 2)) == BScalar((Fraction(5, 2), 0, 0))
+    assert BSeries.from_json_obj(json.loads(frozen)) == want
+
+
 def test_boxconv_golden():
     """boxconv of X and Y at degree 4 is frozen; it is recomputed as the
     sum over NC(n) paired with Kreweras complements of the Möbius-oracle
@@ -791,7 +808,7 @@ def test_lazy_namespace_contract():
     naming it; in a fresh interpreter ``dir`` lists every name before any is
     read, and reading one imports only its home module and what that module
     imports; and each compute module is a package attribute."""
-    assert len(toepfree.__all__) == 43
+    assert len(toepfree.__all__) == 42
     assert toepfree.__all__ == sorted(set(toepfree.__all__))
     for name in toepfree.__all__:
         value = getattr(toepfree, name)

@@ -1,8 +1,8 @@
 """Scalar-model tests: the functional phi, free cumulants, and builders.
 
 phi is read through the paper's E on N = 1 variables (``expect``, which is
-K_1 and sums kappa_1 of each word over NC(m) by the products-as-arguments
-rule), and compared with the full NC(n) sum (``oracles.phi_word_nc``).
+K_1 and takes kappa_1 of each word by the first-block recursion over its
+letters), and compared with the full NC(n) sum (``oracles.phi_word_nc``).
 The multilinear cumulant kappa_n(p_1, ..., p_n) is read the same way, as
 K_n of the N = 1 variables (p_1), ..., (p_n) (``t_cumulant``).
 The central tests are the roundtrip (feed in a cumulant table, recover
@@ -16,11 +16,13 @@ factorizations that freeness forces.
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toepfree.cli import load_config
 from toepfree.errors import DegreeCapExceeded, DimensionMismatch
 from toepfree.extras import expect
 from toepfree.nc_lattice import NcPartition, catalan
@@ -35,6 +37,7 @@ from toepfree.toeplitz_core import TVariable, t_cumulant
 from oracles import cumulant_words_mobius, phi_partition, phi_word_nc
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 gen = NcPolynomial.generator
 
 
@@ -282,15 +285,28 @@ def test_cumulant_agrees_with_word_path(mixed):
     assert kappa(mixed, args) == mixed.cumulant_words(words)
 
 
+def random_slots(rng: random.Random, ids: tuple[str, ...], cap: int):
+    """A tuple of one to four words holding 0..cap letters in all, cut at
+    random points, so that a slot may be empty or hold every letter."""
+    arity = rng.randint(1, 4)
+    letters = rng.randint(0, cap)
+    cuts = sorted(rng.randint(0, letters) for _ in range(arity - 1))
+    lengths = [b - a for a, b in zip([0, *cuts], [*cuts, letters])]
+    return tuple(tuple(rng.choice(ids) for _ in range(n)) for n in lengths)
+
+
 def test_cumulant_words_match_mobius_oracle():
     """Products as arguments against Möbius inversion of moments, on
     random word tuples over a custom joint family, a free-Poisson, a
-    semicircular and a constant generator, with empty words (constants)
-    and letters from several families in one slot."""
+    semicircular and a constant generator, and over the one family of
+    the third-cumulant golden model, whose joint third cumulants each mix
+    three of its six generators. Slots hold products of up to the cap's letter
+    count, empty words (constants) and letters from several families;
+    tuples at the cap are drawn, and one letter more is refused."""
     rng = random.Random(2031)
     cap = 6
     joint = random_joint_spec(rng, ("g1", "g2"), cap)
-    fn = build_space(
+    mixed = build_space(
         {
             "joint": {
                 "g1": {"kind": "custom", "cumulants": joint},
@@ -302,24 +318,40 @@ def test_cumulant_words_match_mobius_oracle():
         },
         degree_cap=cap,
     )
-    ids = ("g1", "g2", "p", "s", "c")
-    seen = set()
-    while len(seen) < 150:
-        arity = rng.randint(1, 4)
-        lengths = [rng.randint(0, 3) for _ in range(arity)]
-        if sum(lengths) > cap:
-            continue
-        words = tuple(
-            tuple(rng.choice(ids) for _ in range(length)) for length in lengths
+    k3 = load_config(str(GOLDEN / "k3_config.json")).functional
+    assert k3.degree_cap == cap
+    # k3's random words seldom meet its three-letter cumulants; these do
+    k3_products = (
+        (("a11", "a12"), ("a13",)),
+        (("a11",), ("a12", "a13")),
+        (("a11", "a12", "a13", "a21"), ("a12", "a13")),
+        (("a11", "a12"), ("a13", "a11"), ("a22", "a13")),
+    )
+    for fn, draws, fixed in ((mixed, 200, ()), (k3, 120, k3_products)):
+        ids = tuple(fn.generators)
+        seen = set(fixed)
+        for words in fixed:
+            assert fn.cumulant_words(words) == cumulant_words_mobius(
+                fn, words
+            ) != 0, words
+        while len(seen) < draws:
+            words = random_slots(rng, ids, cap)
+            seen.add(words)
+            assert fn.cumulant_words(words) == cumulant_words_mobius(
+                fn, words
+            ), words
+            if sum(map(len, words)) == cap:
+                with pytest.raises(DegreeCapExceeded):
+                    fn.cumulant_words((*words, ids[:1]))
+        # the draw covers products, constants and single letters throughout
+        many = [ws for ws in seen if len(ws) > 1]
+        assert any(len(w) == cap for ws in seen for w in ws)
+        assert any(sum(map(len, ws)) == cap for ws in many)
+        assert any(not w for ws in many for w in ws)
+        assert any(all(len(w) == 1 for w in ws) for ws in many)
+        assert any(
+            fn.cumulant_words(ws) for ws in many if any(len(w) > 1 for w in ws)
         )
-        seen.add(words)
-        assert fn.cumulant_words(words) == cumulant_words_mobius(fn, words), (
-            words
-        )
-    # the draw covers products, constants and single letters throughout
-    assert any(len(w) > 1 for ws in seen for w in ws)
-    assert any(not w for ws in seen if len(ws) > 1 for w in ws)
-    assert any(all(len(w) == 1 for w in ws) for ws in seen if len(ws) > 1)
 
 
 def test_cumulant_expansion_matches_mobius_and_skips_constants(monkeypatch):

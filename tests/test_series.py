@@ -37,7 +37,7 @@ from oracles import (
     t_cumulant_mobius,
     t_mul_oracle,
 )
-from toepfree import cli, extras, nc_lattice, scalar_space, toeplitz_core
+from toepfree import cli, extras, nc_lattice, toeplitz_core
 from toepfree import series as series_module
 from toepfree.errors import (
     DegreeCapExceeded,
@@ -834,8 +834,7 @@ def test_degree_table_computes_only_printed_words(
     cumulant walk yields one result per printed word, in order, and
     computes no shorter word. moments build one R-transform and read one
     moment series off it, both at degree d, and make no Toeplitz product.
-    On this model of single-letter entries neither enumerates NC(n), from
-    a cold cache of linking partitions."""
+    On this model of single-letter entries neither enumerates NC(n)."""
     calls = []
     for name, home in (("t_cumulant", toeplitz_core), ("expect", extras)):
         original = getattr(home, name)
@@ -882,7 +881,6 @@ def test_degree_table_computes_only_printed_words(
     monkeypatch.setattr(series_module, "moments_from_r", counted_moments_from_r)
     monkeypatch.setattr(toeplitz_core, "t_mul", counted_t_mul)
     monkeypatch.setattr(nc_lattice, "enumerate_nc", counted_enumerate_nc)
-    scalar_space._linking_partitions.cache_clear()
 
     config = {
         "N": 3,
@@ -1050,24 +1048,19 @@ def test_series_calculus_uses_no_fraction_arithmetic(monkeypatch):
 
 
 def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
-    """With the Kreweras complement disabled, and no lattice order and no
-    MomentFunctional.cumulant in the package, the moments command
-    and moment_series give the oracle's values on a model with s*p
-    entries. With NC(n) enumeration disabled too, from a cold cache of
-    linking partitions, they still do on a model whose entries are affine
-    in single generators, so that every scalar cumulant has one letter
-    per slot. (A slot holding s*p needs the pi in NC(m) that link the
-    slots, which are enumerated once per tuple of slot lengths.)"""
+    """With NC(n) enumeration and the Kreweras complement disabled, and no
+    lattice order and no MomentFunctional.cumulant in the package, the
+    moments command and moment_series give the oracle's values on a model
+    with s*p entries, whose scalar cumulants take products as arguments,
+    and on one whose entries are affine in single generators, so that
+    every scalar cumulant has one letter per slot."""
     assert not hasattr(nc_lattice, "lattice")
 
     def boom(*args, **kwargs):
         raise AssertionError("the moment path went through NC(n) or cumulant")
 
-    models = (
-        (["1 + s", "2*s*p - p*s", "1/2*p"], False),
-        (["1 + s", "2*s - p", "1/2*p"], True),
-    )
-    for x_entries, ban_nc in models:
+    for x_entries in (["1 + s", "2*s*p - p*s", "1/2*p"],
+                      ["1 + s", "2*s - p", "1/2*p"]):
         config = {
             "N": 3,
             "degree_cap": 8,
@@ -1091,10 +1084,8 @@ def test_moment_path_never_enumerates_nc(monkeypatch, tmp_path, capsys):
 
         with monkeypatch.context() as patch:
             patch.setattr(nc_lattice, "kreweras", boom)
+            patch.setattr(nc_lattice, "enumerate_nc", boom)
             assert not hasattr(MomentFunctional, "cumulant")
-            if ban_nc:
-                scalar_space._linking_partitions.cache_clear()
-                patch.setattr(nc_lattice, "enumerate_nc", boom)
             assert moment_series(loaded.functional, vars_, 4) == want
             assert cli.main(
                 ["moments", "--vars", "X,Y", "--degree", "4",
@@ -1547,7 +1538,14 @@ def fn_even():
     )
 
 
-def test_check_even_examples(fn_even):
+def test_check_even_examples(fn_even, monkeypatch):
+    """check_even reads the odd cumulants alone: it answers with the
+    series kernel disabled, so it builds no moment series."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("check_even ran a series map")
+
+    monkeypatch.setattr(series_module, "_walk", boom)
     assert check_even(fn_even, TVariable.of([gen("s"), zero, zero]), 6)
     assert check_even(fn_even, TVariable.of([gen("s")] * 3), 6)
     assert not check_even(fn_even, TVariable.of([gen("c"), zero, zero]), 6)
