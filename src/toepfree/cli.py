@@ -110,7 +110,8 @@ def _want_obj(value: object, pointer: str) -> dict[str, object]:
 
 
 def _want_rational(value: object, pointer: str) -> object:
-    """Distribution parameters must be exact: integers or 'p/q' strings."""
+    """Distribution parameters must be exact: integers or 'p/q' strings,
+    returned parsed."""
     if isinstance(value, bool):
         raise _config_fail(pointer, "expected an exact rational, got a boolean")
     if isinstance(value, float):
@@ -121,10 +122,9 @@ def _want_rational(value: object, pointer: str) -> object:
         return value
     if isinstance(value, str):
         try:
-            parse_rational(value)
+            return parse_rational(value)
         except (ValueError, ExpressionError) as exc:
             raise _config_fail(pointer, str(exc)) from None
-        return value
     raise _config_fail(pointer, f"expected an exact rational, got {value!r}")
 
 

@@ -101,9 +101,9 @@ class MomentFunctional:
     ):
         self.families: dict[str, dict[tuple[str, ...], Fraction]] = {
             family: {
-                tuple(key): as_fraction(val)
+                tuple(key): value
                 for key, val in table.items()
-                if as_fraction(val)
+                if (value := as_fraction(val))
             }
             for family, table in families.items()
         }

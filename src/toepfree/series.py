@@ -42,6 +42,7 @@ from .toeplitz_core import (
     BScalar,
     IndexWord,
     TVariable,
+    _json_entries,
     _most_letters,
     _reduced,
     t_cumulants,
@@ -80,7 +81,9 @@ class BSeries:
     Immutable; zero coefficients are never stored, so two series are equal
     exactly when they agree coefficientwise. The calculus keeps the
     series' scaled integer rows (see _packed) in a private slot outside
-    equality and hashing.
+    equality and hashing. A map's output holds only its rows: it builds
+    its BScalar coefficients on the first read that needs them, and
+    prints its JSON, tests for zero and counts its words off the rows.
     """
 
     __slots__ = ("s", "order", "degree", "_coeffs", "_rows")
@@ -116,39 +119,52 @@ class BSeries:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BSeries is immutable")
 
+    def _held(self) -> Iterator[tuple[IndexWord, int, list[int]]]:
+        """A map's output as (w, lam^|w|, row) per row, shortest first."""
+        lam, rows = self._rows
+        powers = [lam**n for n in range(self.degree + 1)]
+        return ((w, powers[len(w)], row) for w, row in rows.items())
+
+    def _table(self) -> dict[IndexWord, BScalar]:
+        """The coefficients by word, built from the rows on first use."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", {
+                w: _reduced(den, tuple(row)) for w, den, row in self._held()
+            })
+        return self._coeffs
+
     def coef(self, word: Iterable[int]) -> BScalar:
-        return self._coeffs.get(tuple(word), BScalar.zero(self.order))
+        return self._table().get(tuple(word), BScalar.zero(self.order))
 
     def words(self) -> list[IndexWord]:
         """Supported words, shortest first, lexicographic within a length."""
-        return sorted(self._coeffs, key=lambda w: (len(w), w))
+        return sorted(self._table(), key=lambda w: (len(w), w))
 
     def items(self) -> list[tuple[IndexWord, BScalar]]:
         return [(w, self._coeffs[w]) for w in self.words()]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not (self._rows[1] if self._coeffs is None else self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
-        return (self.s, self.order, self.degree, self._coeffs) == (
-            other.s, other.order, other.degree, other._coeffs)
+        return (self.s, self.order, self.degree, self._table()) == (
+            other.s, other.order, other.degree, other._table())
 
     def __hash__(self) -> int:
         return hash((self.s, self.order, self.degree,
-                     frozenset(self._coeffs.items())))
+                     frozenset(self._table().items())))
 
     def to_json_obj(self) -> dict[str, object]:
-        return {
-            "s": self.s,
-            "N": self.order,
-            "D": self.degree,
-            "coefficients": [
-                {"word": list(w), "value": self._coeffs[w].to_json_obj()}
-                for w in self.words()
-            ],
-        }
+        if self._coeffs is None:
+            coefficients = [{"word": list(w), "value": _json_entries(den, row)}
+                            for w, den, row in self._held()]
+        else:
+            coefficients = [{"word": list(w), "value": v.to_json_obj()}
+                            for w, v in self.items()]
+        return {"s": self.s, "N": self.order, "D": self.degree,
+                "coefficients": coefficients}
 
     @staticmethod
     def from_json_obj(obj: Mapping[str, object]) -> "BSeries":
@@ -161,7 +177,8 @@ class BSeries:
     def __repr__(self) -> str:
         return (
             f"BSeries(s={self.s}, N={self.order}, D={self.degree}, "
-            f"{len(self._coeffs)} coefficients)"
+            f"{len(self._rows[1] if self._coeffs is None else self._coeffs)}"
+            " coefficients)"
         )
 
 
@@ -280,7 +297,7 @@ def _scale(f: BSeries) -> int:
     is unless two primes only ever come together, so no prime, however
     large, makes lam^|w| wider than the denominators need."""
     dens: dict[int, int] = {}
-    for word, value in f._coeffs.items():
+    for word, value in f._table().items():
         dens[len(word)] = lcm(dens.get(len(word), 1), value.den)
     bases: list[int] = []
     todo = list({value.den for value in f._coeffs.values()} - {1})
@@ -411,21 +428,22 @@ def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
         if f._rows is None:
             lam_f = _scale(f)
             powers = [lam_f**n for n in range(f.degree + 1)]
-            ids = dict(zip(words, range(len(words))))
-            rows = {ids[w]: [c * (powers[len(w)] // v.den) for c in v.nums]
+            rows = {w: [c * (powers[len(w)] // v.den) for c in v.nums]
                     for w, v in f._coeffs.items()}
             object.__setattr__(f, "_rows", (lam_f, rows))
         lam_f, rows = f._rows
-        beta += max((-(-max(max(c), -min(c)).bit_length() // len(words[x]))
-                     for x, c in rows.items()), default=0)
+        beta += max((-(-max(max(c), -min(c)).bit_length() // len(w))
+                     for w, c in rows.items()), default=0)
         lam *= lam_f
         scaled.append(rows)
     k = 2 + max(terms(series[0].order, n).bit_length() + beta * n
                 for n in range(1, series[0].degree + 1))
+    ids = dict(zip(words, range(len(words))))
     tables = []
     for rows in scaled:
         tables.append(table := [0] * len(words))
-        for x, row in rows.items():
+        for w, row in rows.items():
+            x = ids[w]
             for c in reversed(row):
                 table[x] = (table[x] << k) + c
     return lam, k, tables
@@ -435,23 +453,21 @@ def _decoded(f: BSeries, lam: int, k: int, words: list[IndexWord],
              packed: list[int]) -> BSeries:
     """The series of f's shape whose coefficient at words[x], x > 0, is the
     packed weight packed[x] read as balanced k-bit digits, over lam^|w|.
-    Zeros are dropped, and the series keeps the digits as its rows."""
+    Zeros are dropped. The series holds only the digits, as its rows, and
+    builds no coefficient until one is read."""
     half, low = 1 << (k - 1), (1 << k) - 1
     # half carried into every digit but the last makes each nonnegative
     carry = sum(half << j * k for j in range(f.order - 1))
-    powers = [lam**n for n in range(f.degree + 1)]
-    coeffs, rows = {}, {}
+    rows = {}
     for x in range(1, len(packed)):
         if value := packed[x]:
-            rows[x] = nums = []
+            rows[words[x]] = nums = []
             value += carry
             for _ in range(f.order - 1):
                 nums.append((value & low) - half)
                 value >>= k
             nums.append(value)
-            word = words[x]
-            coeffs[word] = _reduced(powers[len(word)], tuple(nums))
-    return _fill(object.__new__(BSeries), f.s, f.order, f.degree, coeffs,
+    return _fill(object.__new__(BSeries), f.s, f.order, f.degree, None,
                  (lam, rows))
 
 

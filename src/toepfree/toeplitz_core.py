@@ -117,13 +117,7 @@ class BScalar:
         return b_mul(self, other)
 
     def to_json_obj(self) -> list[str]:
-        """format_rational of each entry, read off den and nums."""
-        den, out = self.den, []
-        for num in self.nums:
-            common = gcd(num, den)
-            num, q = num // common, den // common
-            out.append(str(num) if q == 1 else f"{num}/{q}")
-        return out
+        return _json_entries(self.den, self.nums)
 
     def __repr__(self) -> str:
         return f"BScalar({self})"
@@ -147,6 +141,17 @@ def _reduced(den: int, nums: tuple[int, ...]) -> BScalar:
     b = object.__new__(BScalar)
     _store(b, den, nums)
     return b
+
+
+def _json_entries(den: int, nums: Iterable[int]) -> list[str]:
+    """format_rational of each num / den, den > 0: the JSON of a BScalar,
+    read off any den and nums that hold it, reduced or not."""
+    out = []
+    for num in nums:
+        common = gcd(num, den)
+        num, q = num // common, den // common
+        out.append(str(num) if q == 1 else f"{num}/{q}")
+    return out
 
 
 def _require_same_order(x: BScalar | "TVariable", y: BScalar | "TVariable") -> None:

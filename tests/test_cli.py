@@ -27,6 +27,7 @@ from oracles import (
     t_cumulant_mobius,
 )
 from toepfree.cli import load_config
+from toepfree.ncpoly import parse_rational
 from toepfree.series import BSeries, all_index_words
 from toepfree.toeplitz_core import BScalar, b_mul
 
@@ -1075,6 +1076,31 @@ def test_missing_and_malformed_config_exit_2(tmp_path):
     code, _, err = run("moments", "--vars", "X", "--config", str(deep))
     assert code == 2, err
     assert err.startswith("error: config:") and err.count("\n") == 1, err
+
+
+def test_config_parses_each_parameter_once(tmp_path, monkeypatch):
+    """load_config parses each distribution parameter string once and
+    keeps the Fraction it parsed, in a named law and in a custom table."""
+    config = json.loads(json.dumps(BASE))
+    config["families"][0]["generators"].append({
+        "id": "c",
+        "distribution": {"kind": "custom",
+                         "cumulants": {"c": "3/4", "c,c": "-1/5", "c,c,c": 0}},
+    })
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(config))
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(toepfree.cli, "parse_rational", counted)
+    monkeypatch.setattr(toepfree.ncpoly, "parse_rational", counted)
+    functional = load_config(str(path)).functional
+    assert sorted(parsed) == ["-1/5", "1/2", "3/4"]
+    assert functional.families["semi"][("c", "c")] == Fraction(-1, 5)
+    assert functional.families["pois"][("p",) * 6] == Fraction(1, 2)
 
 
 def test_degree_over_cap_exits_3(cfg):

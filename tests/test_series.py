@@ -12,10 +12,15 @@ each get their own oracle-backed suite.
 
 import collections
 import gc
+import importlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -477,6 +482,7 @@ def test_series_calculus_drops_a_sum_that_cancels():
     one = BScalar.of([1, 0])
     f = BSeries(1, 2, 2, {(1,): one, (1, 1): half})
     g = BSeries(1, 2, 2, {(1,): one, (1, 1): half.scale(-1)})
+    assert _printed(boxed_convolution(f, g)) == ["1", "0"]
     assert boxed_convolution(f, g).words() == [(1,)]
     assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
 
@@ -509,6 +515,37 @@ def test_series_calculus_stays_fused(monkeypatch):
     for f, g, want in cases:
         got = (moments_from_r(f), r_from_moments(f), boxed_convolution(f, g))
         assert got == want
+
+
+def test_series_maps_build_no_bscalar(monkeypatch):
+    """A map returns its packed rows and no BScalar coefficient: with every
+    BScalar construction made to raise, moments_from_r, r_from_moments
+    chained on its output and boxed_convolution return and print their
+    JSON; once the patch is off, their coefficients are built on first
+    read and equal the NC(n) oracles'."""
+    rng = random.Random(4409)
+    r = random_series(rng, 2, 3, 5, max_den=9)
+    g = random_series(rng, 2, 3, 5, 0.6, max_den=9)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built a BScalar")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(toeplitz_core, "_reduced", boom)
+        patch.setattr(toeplitz_core, "_store", boom)
+        patch.setattr(series_module, "_reduced", boom, raising=False)
+        with pytest.raises(AssertionError, match="built a BScalar"):
+            BScalar.of([1, 2, 3])
+        m = moments_from_r(r)
+        back = r_from_moments(m)
+        box = boxed_convolution(r, g)
+        printed = [json.dumps(out.to_json_obj()) for out in (m, back, box)]
+        assert not m.is_zero() and repr(m).endswith(" 62 coefficients)")
+    assert m == moments_from_r_nc(r)
+    assert back == r_from_moments_mobius(m) == r
+    assert box == boxed_convolution_kreweras(r, g)
+    for text, out in zip(printed, (m, back, box)):
+        assert text == json.dumps(out.to_json_obj())
 
 
 def test_series_calculus_leaves_no_cyclic_garbage():
@@ -1145,6 +1182,16 @@ def test_truncation_coherence(fn_mix, pool_mix):
 # --------------------------------------------------------------------------
 
 
+def _printed(out):
+    """The entries a map's output prints off its rows, never read, once
+    they are checked to be the bytes its BScalar coefficients print."""
+    assert out._coeffs is None
+    text = json.dumps(out.to_json_obj())
+    want = BSeries(out.s, out.order, out.degree, dict(out.items()))
+    assert text == json.dumps(want.to_json_obj())
+    return [x for row in json.loads(text)["coefficients"] for x in row["value"]]
+
+
 def _series_over(rng, s, order, degree, dens, bits):
     """A dense series whose entries are numerators of random sign below
     2^bits in absolute value over denominators drawn from dens."""
@@ -1174,13 +1221,20 @@ def test_packed_kernel_matches_nc_oracles(s, order, degree, dens, bits):
     """The packed maps equal their NC(n) sums over denominators with large
     prime factors (bases the scale splits off by gcds alone), denominators
     that are not perfect powers, numerators up to 2^120 of mixed signs,
-    and Toeplitz orders 1, 2, 5 and 8."""
+    and Toeplitz orders 1, 2, 5 and 8. Each output, with entries of both
+    signs over a lam that holds the large primes, prints the JSON of its
+    BScalar coefficients off its rows."""
     rng = random.Random(f"{s}{order}{degree}{dens}{bits}")
     f = _series_over(rng, s, order, degree, dens, bits)
     g = _series_over(rng, s, order, degree, dens[::-1], bits)
-    assert moments_from_r(f) == moments_from_r_nc(f)
-    assert r_from_moments(f) == r_from_moments_mobius(f)
-    assert boxed_convolution(f, g) == boxed_convolution_kreweras(f, g)
+    outs = (moments_from_r(f), r_from_moments(f), boxed_convolution(f, g))
+    primes = [p for p in dens if p in (10_007, 2**61 - 1)]
+    for out in outs:
+        assert {x[0] == "-" for x in _printed(out)} == {True, False}
+        assert all(out._rows[0] % p == 0 for p in primes)
+    assert outs[0] == moments_from_r_nc(f)
+    assert outs[1] == r_from_moments_mobius(f)
+    assert outs[2] == boxed_convolution_kreweras(f, g)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 8, 12])
@@ -1195,7 +1249,8 @@ def test_packed_kernel_is_exact_without_cancellation(order):
     shapes, come within 4 bits of it, so a width narrowed past its proof
     overflows here. (At D = 6 and N = 12 they leave 5 bits: the count
     gives every pi in NC(n) the paths of 0_n, whose n factors have the
-    most ways to split an entry index.)"""
+    most ways to split an entry index.) The outputs' integral entries
+    print the JSON of their BScalar coefficients off the rows."""
     slack = []
     for s, degree in ((1, 6), (2, 5)):
         r = BSeries(s, order, degree, {
@@ -1203,9 +1258,11 @@ def test_packed_kernel_is_exact_without_cancellation(order):
             for w in all_index_words(s, degree)
         })
         m = moments_from_r(r)
+        outs = (m, r_from_moments(r), boxed_convolution(r, r))
+        assert all("/" not in x for out in outs for x in _printed(out))
         assert m == moments_from_r_nc(r)
-        assert r_from_moments(r) == r_from_moments_mobius(r)
-        assert boxed_convolution(r, r) == boxed_convolution_kreweras(r, r)
+        assert outs[1] == r_from_moments_mobius(r)
+        assert outs[2] == boxed_convolution_kreweras(r, r)
         if s == 1:
             assert r_from_moments(m) == r == r_from_moments_mobius(m)
             assert boxed_convolution(m, r) == boxed_convolution_kreweras(m, r)
@@ -1319,11 +1376,13 @@ def test_property_packed_scale_clears_every_denominator(order, degree, rows):
 
 def test_series_scale_cache_is_not_observable(monkeypatch):
     """A series keeps its scaled rows in a private slot, and a map's output
-    keeps the rows it was decoded from: repeated and chained calls, and
-    calls on equal series rebuilt from JSON (nothing kept), agree; the
+    holds only the rows it was decoded from: repeated and chained calls,
+    and calls on equal series rebuilt from JSON (nothing kept), agree; the
     slot is outside == and hash and cannot be set; a chained map does not
-    scale its input again; and a map's output, packed from the rows it
-    carries, decodes back to itself."""
+    scale its input again; a map's output, packed from the rows it
+    carries, decodes back to itself; and an output never read, and one
+    read once, answer ==, hash, coef, items, words, is_zero, repr and
+    to_json_obj as the series built from its coefficients does."""
     rng = random.Random(7717)
     f = random_series(rng, 2, 3, 4, 0.7, max_den=9)
     g = random_series(rng, 2, 3, 4, 0.7, max_den=9)
@@ -1358,12 +1417,62 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
         lam, k, (packed,) = series_module._packed(words, terms, out)
         assert series_module._decoded(out, lam, k, words, packed) == out
 
+    # an output never read and one read once read as the series built from
+    # its coefficients, zero outputs included
+    zero = BSeries(2, 3, 4, {})
+    reads = (
+        lambda h, want: h == want and want == h,
+        lambda h, want: hash(h) == hash(want),
+        lambda h, want: all(h.coef(w) == want.coef(w) for w in words[1:]),
+        lambda h, want: h.items() == want.items(),
+        lambda h, want: h.words() == want.words(),
+        lambda h, want: h.is_zero() == want.is_zero(),
+        lambda h, want: repr(h) == repr(want),
+        lambda h, want: (json.dumps(h.to_json_obj())
+                         == json.dumps(want.to_json_obj())),
+    )
+    for make in (lambda: moments_from_r(f), lambda: r_from_moments(m),
+                 lambda: boxed_convolution(f, g), lambda: moments_from_r(zero),
+                 lambda: boxed_convolution(f, zero)):
+        out = make()
+        want = BSeries(out.s, out.order, out.degree, dict(out.items()))
+        for read in reads:
+            never = make()
+            assert never._coeffs is None and read(never, want)
+            once = make()
+            once.items()
+            assert once._coeffs is not None and read(once, want)
+
     def boom(*args, **kwargs):
         raise AssertionError("scaled a series again")
 
     monkeypatch.setattr(series_module, "_scale", boom)
     assert r_from_moments(moments_from_r(f)) == f
     assert boxed_convolution(m, box) == boxed_convolution_kreweras(m, box)
+
+
+def test_benchmark_library_pass_checks_out(monkeypatch, tmp_path):
+    """One pass of the benchmark's library script, perfbench/libseries.py,
+    in a fresh interpreter on the workload's seed-901 inputs: it exits 0,
+    its outputs pass the workload's own check, and the over-cap series is
+    refused."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.series_inputs(random.Random(901))
+    path = workloads.write_json(tmp_path / "series.json", inputs.files())
+    src = Path(toeplitz_core.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(perfbench / "libseries.py"), str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    report = json.loads(proc.stdout)
+    assert list(report["times"]) == [
+        "moments_from_r", "r_from_moments", "boxed_convolution"]
+    assert inputs.check(report["outputs"]) is None
+    assert report["probe_refused"] == "DegreeCapExceeded"
 
 
 # --------------------------------------------------------------------------
