@@ -36,7 +36,7 @@ from .series import (
     moment_series,
     r_transform,
 )
-from .toeplitz_core import TVariable, t_cumulants
+from .toeplitz_core import TVariable, _json_entries, t_cumulants
 
 ENV_DEGREE_CAP = "TOEPFREE_DEGREE_CAP"
 
@@ -347,22 +347,20 @@ def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
     """The moments or cumulants table of args.command at one degree."""
     query = args.command
     vars_ = _resolve_vars(config, args.vars, "--vars")
-    cap = config.functional.degree_cap
-    degree = args.degree if args.degree is not None else cap
-    check_series_request(config.functional, vars_, degree)
+    order, degree = check_series_request(config.functional, vars_, args.degree)
     words = list(product(range(1, len(vars_) + 1), repeat=degree))
     if query == "cumulants":
-        values = t_cumulants(config.functional, vars_, words)
-    else:  # the moments of the words of one degree, read off the series
-        values = map(moment_series(config.functional, vars_, degree).coef, words)
-    out_rows = [
-        {"word": list(word), "value": coefficient.to_json_obj()}
-        for word, coefficient in zip(words, values)
-    ]
+        values = (v.to_json_obj()
+                  for v in t_cumulants(config.functional, vars_, words))
+    else:  # the moments of the words of one degree, off the series' rows
+        held = {w: (den, row) for w, den, row in
+                moment_series(config.functional, vars_, degree)._held()}
+        values = (_json_entries(*held.get(w, (1, [0] * order))) for w in words)
+    out_rows = [{"word": list(w), "value": v} for w, v in zip(words, values)]
     payload = {
         "query": query,
         "s": len(vars_),
-        "N": config.order,
+        "N": order,
         "degree": degree,
         "rows": out_rows,
     }

@@ -14,13 +14,17 @@ values on the regions V leaves, memoized on shorter words, so no NC(n)
 is enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
 Probability, Lectures 10, 11 and 17). One walk over the words, shortest
 first, sums them (_walk): a word's blocks that end before its last
-position are its prefix's, so a word of length n costs O(n) region
+position are its prefixes', so a word of length n costs O(n) region
 values, not O(n^2). Words are integer ids, so every coefficient, memo
-and region is a list read. The sums are homogeneous: scaled by lam^|w|
-for one lam per input series, every value is integral and is packed
-into one integer, entry j in a k-bit slot j (Kronecker substitution),
-so a B-product is one integer product cut mod 2^(Nk) and a sum one
-addition. On top of that sits the freeness predicate; the evenness
+and region is a list read. A shape's plan, its words with every word's
+prefix and suffix ids, is made once per process for the few shapes in
+use (_words_by_id); the walk keeps each word's blocks in one store by
+id and reads them through the plan. The sums are homogeneous: scaled by
+lam^|w| for one lam per input series, every value is integral and is
+packed into one integer, entry j in a k-bit slot j (Kronecker
+substitution), so a B-product is one integer product cut mod 2^(Nk) and
+a sum one addition; a stored weight is cut once, where it is stored.
+On top of that sits the freeness predicate; the evenness
 predicate, the sparsity pattern and the symmetric and compressed
 R-transforms are in ``extras``.
 
@@ -30,6 +34,7 @@ verbatim for B-valued coefficients, in any order of B-products.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 from operator import mul
@@ -80,10 +85,11 @@ class BSeries:
 
     Immutable; zero coefficients are never stored, so two series are equal
     exactly when they agree coefficientwise. The calculus keeps the
-    series' scaled integer rows (see _packed) in a private slot outside
-    equality and hashing. A map's output holds only its rows: it builds
-    its BScalar coefficients on the first read that needs them, and
-    prints its JSON, tests for zero and counts its words off the rows.
+    series' scaled integer rows and their bit size (see _packed) in a
+    private slot outside equality and hashing. A map's output holds only
+    its rows: it builds its BScalar coefficients on the first read that
+    needs them, and prints its JSON, tests for zero and counts its words
+    off the rows.
     """
 
     __slots__ = ("s", "order", "degree", "_coeffs", "_rows")
@@ -121,7 +127,7 @@ class BSeries:
 
     def _held(self) -> Iterator[tuple[IndexWord, int, list[int]]]:
         """A map's output as (w, lam^|w|, row) per row, shortest first."""
-        lam, rows = self._rows
+        lam, rows, _ = self._rows
         powers = [lam**n for n in range(self.degree + 1)]
         return ((w, powers[len(w)], row) for w, row in rows.items())
 
@@ -326,10 +332,27 @@ def _scale(f: BSeries) -> int:
     return lam
 
 
-def _words_by_id(s: int, degree: int) -> list[IndexWord]:
-    """The words over {1..s} of length <= degree at their ids: id(()) = 0
-    and id(w + (c,)) = s id(w) + c count them shortest first."""
-    return [(), *all_index_words(s, degree)]
+class _Plan(list):
+    """The words of one shape at their ids, with the ids every walk reads:
+    ids = (heads, tails), where heads[x] holds the ids of word x's nonempty
+    prefixes (x's own last) and tails[x] those of its suffixes (x's own
+    first, the empty word's last). None of it depends on a coefficient,
+    so every map and walk of a shape shares one plan."""
+
+
+@lru_cache(maxsize=4)
+def _words_by_id(s: int, degree: int) -> _Plan:
+    """The plan of the words over {1..s} of length <= degree: id(()) = 0
+    and id(w + (c,)) = s id(w) + c count them shortest first. Made on
+    first use, by the first map of the shape, and kept for the last four
+    shapes in use, so a process holds a bounded number of plans."""
+    plan = _Plan([(), *all_index_words(s, degree)])
+    plan.ids = heads, tails = [()], [(0,)]
+    for x in range(1, len(plan)):
+        p, c = divmod(x - 1, s)
+        heads.append((*heads[p], x))
+        tails.append((*[t * s + c + 1 for t in tails[p]], 0))
+    return plan
 
 
 def _zeta_terms(order: int, n: int) -> int:
@@ -359,8 +382,9 @@ def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
     """Each series f packed: entry j of lam_f^|w| f(w), an integer, in the
     k-bit slot j of one weight, listed at the ids of words (0 where f has
     no coefficient). Returns lam, the product of the lam_f, k and the
-    packed series. f keeps lam_f = _scale(f) and its rows in a private
-    slot, or, made by a map, the map's lam and the rows it decoded from.
+    packed series. f keeps lam_f = _scale(f), its rows and beta_f in a
+    private slot, or, made by a map, the map's lam and the rows it decoded
+    from, with beta_f once it is packed, so no series is measured twice.
 
     The width is the calling map's: terms(N, n) is its count below, and
 
@@ -425,27 +449,28 @@ def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
     """
     lam, beta, scaled = 1, 0, []
     for f in series:
-        if f._rows is None:
-            lam_f = _scale(f)
+        lam_f, rows, beta_f = f._rows or (_scale(f), None, None)
+        if rows is None:
             powers = [lam_f**n for n in range(f.degree + 1)]
             rows = {w: [c * (powers[len(w)] // v.den) for c in v.nums]
                     for w, v in f._coeffs.items()}
-            object.__setattr__(f, "_rows", (lam_f, rows))
-        lam_f, rows = f._rows
-        beta += max((-(-max(max(c), -min(c)).bit_length() // len(w))
-                     for w, c in rows.items()), default=0)
+        if beta_f is None:
+            beta_f = max((-(-max(max(c), -min(c)).bit_length() // len(w))
+                          for w, c in rows.items()), default=0)
+            object.__setattr__(f, "_rows", (lam_f, rows, beta_f))
+        beta += beta_f
         lam *= lam_f
         scaled.append(rows)
     k = 2 + max(terms(series[0].order, n).bit_length() + beta * n
                 for n in range(1, series[0].degree + 1))
-    ids = dict(zip(words, range(len(words))))
     tables = []
     for rows in scaled:
-        tables.append(table := [0] * len(words))
-        for w, row in rows.items():
-            x = ids[w]
-            for c in reversed(row):
-                table[x] = (table[x] << k) + c
+        tables.append(table := [])
+        for w in words:
+            x = 0
+            for c in reversed(rows.get(w, ())):
+                x = (x << k) + c
+            table.append(x)
     return lam, k, tables
 
 
@@ -468,7 +493,7 @@ def _decoded(f: BSeries, lam: int, k: int, words: list[IndexWord],
                 value >>= k
             nums.append(value)
     return _fill(object.__new__(BSeries), f.s, f.order, f.degree, None,
-                 (lam, rows))
+                 (lam, rows, None))
 
 
 def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
@@ -493,62 +518,63 @@ def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
     per_letter when it also reads the letter at b, table[w[a + 1 : b + 1]]:
     then the blocks grow per letter, and the open sum is 0.
 
-    A word's blocks that end before its last position are its prefix's:
-    a word keeps, per position b, the ids of the letters of its blocks
-    ending at b with the sums of their region products, and adds only the
-    blocks ending at its last position, the prefix's blocks times the
-    region into it, merged by ids (a top-length word, which nothing grows
-    from, only sums them). It also keeps its prefixes' ids, which only
-    the open sum reads, and its suffixes' ids (w + (c,) takes suffix id t
-    to s t + c) and its row,
-    region(a, len(w)) for a < len(w): read once, it serves its open sum
-    and its children's blocks. A zero region cuts off its blocks, and
-    every weight is packed in span = N k bits, k the width _packed proves
+    A word's blocks that end before its last position are its prefixes':
+    those of w ending at position b are the blocks w[:b+1] ends at its
+    last. So one store, by word id and for the walk's whole run, keeps the
+    blocks each word ends at its last position (the ids of their letters
+    with the sums of their region products), and a word's blocks are read
+    through its prefixes' ids, which the shape's plan (_words_by_id) holds
+    with its suffixes' ids; no word copies its prefix's blocks. A word
+    stores only its flow, the blocks of its parent times the regions into
+    its last position, merged by ids (a top-length word, which nothing
+    grows from, stores none and only sums them). Its row, region(a,
+    len(w)) for a < len(w), is read once and serves its open sum and its
+    children's flow. A zero region cuts off its blocks.
+
+    Every weight is packed in span = N k bits, k the width _packed proves
     for the calling map: a sum is + and a sum of products x is cut mod t^N
-    as ((x + H) & M) - H, H = 2^(span-1), M = 2^span - 1.
+    as ((x + H) & M) - H, H = 2^(span-1), M = 2^span - 1. A flow is merged
+    uncut, and each of its weights is cut once, where the store takes it;
+    each closed and each open sum is cut as it is formed. Reduction mod
+    2^span is a ring homomorphism (see _packed), so every stored weight
+    and every value is the same balanced residue as with every sum cut.
     """
-    s, span = f.s, f.order * k
+    s, top, span = f.s, f.degree, f.order * k
     high, mask = 1 << (span - 1), (1 << span) - 1
+    heads, tails = _words_by_id(s, top).ids
+    ends, rows = {}, {0: ()}
 
     def inflow(blocks, row):
         into = {} if blocks else {0: 1}
-        for ends, y in zip(blocks, row):
+        for x, y in zip(blocks, row):
             if y:
-                for key, weight in ends.items():
+                for key, weight in ends[x].items():
                     into[key] = into.get(key, 0) + weight * y
-        return {key: ((x + high) & mask) - high for key, x in into.items()}
+        return into
 
-    # per word: id, prefixes' ids, suffixes' ids down to the empty word,
-    # per position its blocks (letters' id -> region products) and its row
-    level = [(0, (), [0], (), ())]
-    for n in range(1, f.degree + 1):
-        grown = []
-        for parent, prefixes, suffixes, blocks, row in level:
+    for parent, blocks in enumerate(heads[: (len(heads) - 1) // s]):
+        n = len(blocks) + 1
+        if not per_letter:
+            flow = inflow(blocks, rows.pop(parent))
+        for c in range(1, s + 1):
+            x = parent * s + c
+            if per_letter:
+                flow = inflow(blocks, [table[t] for t in tails[x][1:n]])
+            total = 0
+            if n < top:
+                ends[x] = stored = {}
+                for key, weight in flow.items():
+                    stored[key := key * s + c] = weight = (
+                        ((weight + high) & mask) - high)
+                    total += weight * coeffs[key]
+            else:  # no word grows from a top-length word's blocks
+                for key, weight in flow.items():
+                    total += weight * coeffs[key * s + c]
+            closed[x] = ((total + high) & mask) - high
             if not per_letter:
-                flow = inflow(blocks, row)
-            for c in range(1, s + 1):
-                x = parent * s + c
-                heads = () if per_letter else (*prefixes, x)
-                tails = [t * s + c for t in suffixes] + [0]
-                if per_letter:
-                    flow = inflow(blocks, [table[t] for t in tails[1:n]])
-                if n < f.degree:
-                    ends, total = {}, 0
-                    for key, weight in flow.items():
-                        ends[key := key * s + c] = weight
-                        total += weight * coeffs[key]
-                else:  # no word grows from a top-length word's blocks
-                    total = 0
-                    for key, weight in flow.items():
-                        total += weight * coeffs[key * s + c]
-                closed[x] = ((total + high) & mask) - high
-                if not per_letter:
-                    row = [table[t] for t in tails[shift : n + shift]]
-                    total = sum(map(mul, map(closed.__getitem__, heads), row))
-                yield x, 0 if per_letter else ((total + high) & mask) - high
-                if n < f.degree:
-                    grown.append((x, heads, tails, (*blocks, ends), row))
-        level = grown
+                rows[x] = row = [table[t] for t in tails[x][shift : n + shift]]
+                total = sum(map(mul, map(closed.__getitem__, heads[x]), row))
+            yield x, 0 if per_letter else ((total + high) & mask) - high
 
 
 def _require_calculus_cap(f: BSeries) -> None:

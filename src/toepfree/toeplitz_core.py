@@ -267,22 +267,6 @@ def t_mul(x: TVariable, y: TVariable) -> TVariable:
     )
 
 
-def _select(vars_: Sequence[TVariable], idx: Sequence[int]) -> list[TVariable]:
-    if not idx:
-        raise ValueError("index word must be nonempty")
-    chosen: list[TVariable] = []
-    for i in idx:
-        if not 1 <= i <= len(vars_):
-            raise ValueError(
-                f"index {i} outside 1..{len(vars_)} in index word {tuple(idx)}"
-            )
-        chosen.append(vars_[i - 1])
-    first = chosen[0]
-    for other in chosen[1:]:
-        _require_same_order(first, other)
-    return chosen
-
-
 def t_cumulants(
     functional: MomentFunctional,
     vars_: Sequence[TVariable],
@@ -303,6 +287,7 @@ def t_cumulants(
 
     tables = []  # per variable: the terms ((w,), family, A[w]), longest w
     for x in vars_:
+        _require_same_order(vars_[0], x)
         support = dict.fromkeys(w for p in x.entries for w in p.numerators)
         terms = [((w,), family_of(w), BScalar(p.coeff(w) for p in x.entries))
                  for w in support]
@@ -325,7 +310,8 @@ def t_cumulants(
     path: list[list] = []
     last: Sequence[int] = ()
     for idx in words:
-        chosen = _select(vars_, idx)
+        if not idx:
+            raise ValueError("index word must be nonempty")
         shared = 0
         for a, b in zip(last, idx):
             if a != b:
@@ -333,12 +319,17 @@ def t_cumulants(
             shared += 1
         del path[shared:]
         for i in idx[len(path):]:
+            # a letter is checked once per trie node, where the walk steps
+            if not 1 <= i <= len(vars_):
+                raise ValueError(
+                    f"index {i} outside 1..{len(vars_)} in index word {tuple(idx)}"
+                )
             # the first slot keeps the empty word, for n = 1 only
             path.append(step(path[-1], i) if path else tables[i - 1][0])
         last = idx
         if len(idx) > cap or sum(tables[i - 1][1] for i in idx) > cap:
-            _refuse(cap, chosen)
-        total, common = [0] * chosen[0].order, 1
+            _refuse(cap, [vars_[i - 1] for i in idx])
+        total, common = [0] * vars_[0].order, 1
         for prefix, _, product in path[-1]:
             value = functional.cumulant_words(prefix)
             if value:

@@ -517,12 +517,14 @@ def test_series_calculus_stays_fused(monkeypatch):
         assert got == want
 
 
-def test_series_maps_build_no_bscalar(monkeypatch):
+def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
     """A map returns its packed rows and no BScalar coefficient: with every
     BScalar construction made to raise, moments_from_r, r_from_moments
     chained on its output and boxed_convolution return and print their
     JSON; once the patch is off, their coefficients are built on first
-    read and equal the NC(n) oracles'."""
+    read and equal the NC(n) oracles'. The moments table prints its rows,
+    zero rows included, off the moment series' rows and builds no
+    coefficient of that series."""
     rng = random.Random(4409)
     r = random_series(rng, 2, 3, 5, max_den=9)
     g = random_series(rng, 2, 3, 5, 0.6, max_den=9)
@@ -546,6 +548,31 @@ def test_series_maps_build_no_bscalar(monkeypatch):
     assert box == boxed_convolution_kreweras(r, g)
     for text, out in zip(printed, (m, back, box)):
         assert text == json.dumps(out.to_json_obj())
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "N": 2,
+        "degree_cap": 6,
+        "families": [{"name": "semi", "generators": [{"id": "s",
+            "distribution": {"kind": "semicircular", "variance": 1}}]}],
+        "variables": [{"name": "X", "entries": ["s", "1/3"]},
+                      {"name": "Y", "entries": ["2*s", "0"]}],
+    }))
+    with monkeypatch.context() as patch:
+        # BSeries builds its BScalar coefficients through series._reduced
+        patch.setattr(series_module, "_reduced", boom)
+        assert cli.main(["moments", "--vars", "X,Y", "--degree", "3",
+                         "--config", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+    model = cli.load_config(str(path))
+    pair = [model.variables["X"], model.variables["Y"]]
+    want = moment_series(model.functional, pair, 3)
+    words = list(itertools.product((1, 2), repeat=3))
+    assert [tuple(row["word"]) for row in rows] == words
+    assert [row["value"] for row in rows] == [
+        want.coef(w).to_json_obj() for w in words]
+    assert ["0", "0"] in [row["value"] for row in rows]
+    assert any("/" in x for row in rows for x in row["value"])
 
 
 def test_series_calculus_leaves_no_cyclic_garbage():
@@ -1238,7 +1265,7 @@ def test_packed_kernel_matches_nc_oracles(s, order, degree, dens, bits):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 8, 12])
-def test_packed_kernel_is_exact_without_cancellation(order):
+def test_packed_kernel_is_exact_without_cancellation(order, monkeypatch):
     """A worst case for the slot width: every entry positive and as large
     as its per-letter bit size allows (2^(3n) - 1 at a word of length n,
     integers, so the scale is 1), at s = 1, D = 6 and at s = 2, D = 5. No
@@ -1250,7 +1277,23 @@ def test_packed_kernel_is_exact_without_cancellation(order):
     overflows here. (At D = 6 and N = 12 they leave 5 bits: the count
     gives every pi in NC(n) the paths of 0_n, whose n factors have the
     most ways to split an entry index.) The outputs' integral entries
-    print the JSON of their BScalar coefficients off the rows."""
+    print the JSON of their BScalar coefficients off the rows.
+
+    The walk cuts a stored block weight once and each closed and open sum
+    as it forms it, so every closed sum it writes and every value it
+    yields, in walks of both kinds, is a balanced residue mod 2^(Nk),
+    below 2^(Nk-1) in absolute value; a sum of truncated products left
+    uncut carries their high digits and is not."""
+    walk, walked = series_module._walk, collections.Counter()
+
+    def balanced(f, k, coeffs, table, shift, closed, per_letter=False):
+        half = 1 << (f.order * k - 1)
+        for x, value in walk(f, k, coeffs, table, shift, closed, per_letter):
+            assert -half <= closed[x] < half and -half <= value < half
+            walked[per_letter] += 1
+            yield x, value
+
+    monkeypatch.setattr(series_module, "_walk", balanced)
     slack = []
     for s, degree in ((1, 6), (2, 5)):
         r = BSeries(s, order, degree, {
@@ -1273,6 +1316,7 @@ def test_packed_kernel_is_exact_without_cancellation(order):
         assert top <= k - 2
         slack.append(k - 2 - top)
     assert min(slack) <= 4, slack
+    assert walked[True] and walked[False]
 
 
 def test_slot_width_counts_match_the_lattice():
@@ -1442,6 +1486,30 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
             once = make()
             once.items()
             assert once._coeffs is not None and read(once, want)
+
+    # the word plans of alternating shapes, cold and warm, in one process
+    plans = series_module._words_by_id
+    assert plans.cache_parameters()["maxsize"] is not None
+    shapes = ((2, 5), (1, 6), (3, 3), (2, 5))
+    pairs = [(random_series(rng, s, 2, degree, 0.8, max_den=7),
+              random_series(rng, s, 2, degree, 0.8, max_den=7))
+             for s, degree in shapes]
+
+    def maps(h, k):
+        return moments_from_r(h), r_from_moments(h), boxed_convolution(h, k)
+
+    cold = []
+    for h, k in pairs:
+        plans.cache_clear()
+        cold.append(maps(fresh(h), fresh(k)))
+    plans.cache_clear()
+    for (h, k), want in zip(pairs, cold):
+        got = maps(fresh(h), fresh(k))
+        assert got == want == (moments_from_r_nc(h), r_from_moments_mobius(h),
+                               boxed_convolution_kreweras(h, k))
+        assert [json.dumps(out.to_json_obj()) for out in got] == [
+            json.dumps(out.to_json_obj()) for out in want]
+    assert plans.cache_info().currsize <= plans.cache_parameters()["maxsize"]
 
     def boom(*args, **kwargs):
         raise AssertionError("scaled a series again")

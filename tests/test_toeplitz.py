@@ -398,15 +398,33 @@ def test_composition_terms_multiply_out_to_product_chain():
 
 
 def test_t_cumulant_validates_index_words(functional):
+    """An empty word, a letter outside 1..s (the first such letter is
+    named, wherever it sits in the word) and variables of different orders
+    are refused with these messages. t_cumulants checks the orders once
+    per call and each letter once per node of its word trie: words before
+    a bad one are still summed, and a bad letter after a prefix shared
+    with the word before is caught."""
     x = TVariable.of([gen("s")])
-    with pytest.raises(ValueError):
-        t_cumulant(functional, [x], ())
-    with pytest.raises(ValueError):
-        t_cumulant(functional, [x], (2,))
-    with pytest.raises(DimensionMismatch):
-        t_cumulant(
-            functional, [x, TVariable.from_bscalar(BScalar.one(2))], (1, 2)
-        )
+    y = TVariable.of([gen("s") + gen("s")])
+    refused = [
+        ([x], (), ValueError, "index word must be nonempty"),
+        ([x], (2,), ValueError, "index 2 outside 1..1 in index word (2,)"),
+        ([x, y], (1, 3, 0), ValueError,
+         "index 3 outside 1..2 in index word (1, 3, 0)"),
+        ([x, y], (2, 1, 0), ValueError,
+         "index 0 outside 1..2 in index word (2, 1, 0)"),
+        ([x, TVariable.from_bscalar(BScalar.one(2))], (1, 2),
+         DimensionMismatch, "tuple lengths differ: 1 vs 2"),
+    ]
+    for vars_, idx, error, message in refused:
+        with pytest.raises(error) as err:
+            t_cumulant(functional, vars_, idx)
+        assert str(err.value) == message
+    values = t_cumulants(functional, [x, y], [(1, 2), (1, 2, 5)])
+    assert next(values) == t_cumulant(functional, [x, y], (1, 2))
+    with pytest.raises(ValueError) as err:
+        next(values)
+    assert str(err.value) == "index 5 outside 1..2 in index word (1, 2, 5)"
 
 
 # --------------------------------------------------------------------------
