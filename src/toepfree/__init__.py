@@ -49,19 +49,19 @@ _EXPORTS = {
     ),
     "scalar_space": ("MomentFunctional", "build_space", "builtin_distribution"),
     "series": (
-        "BSeries",
         "boxed_convolution",
-        "check_freeness",
         "moment_series",
         "moments_from_r",
         "r_from_moments",
-        "r_transform",
     ),
     "toeplitz_core": (
         "BScalar",
+        "BSeries",
         "TVariable",
         "b_add",
         "b_mul",
+        "check_freeness",
+        "r_transform",
         "t_cumulant",
         "t_mul",
     ),

@@ -14,29 +14,55 @@ on the error stream.
 This module runs the moments, cumulants, rtransform and check-free
 commands. The other commands, help, and command lines that argparse must
 parse or refuse are in ``commands``, imported only when one of them runs.
+The series calculus and NC(n) are bound lazily (``_lazy``): only a
+moments query executes ``series``, and no hot query executes
+``nc_lattice``, so the others never compile them.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
 import re
 import sys
 from itertools import product
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DimensionMismatch, EngineError
 from .ncpoly import ExpressionError, parse_expr, parse_rational
 from .scalar_space import DEFAULT_DEGREE, MAX_DEGREE, MomentFunctional, build_space
-from .series import (
+from .toeplitz_core import (
+    TVariable,
+    _json_entries,
     check_freeness,
     check_series_request,
-    moment_series,
     r_transform,
+    t_cumulants,
 )
-from .toeplitz_core import TVariable, _json_entries, t_cumulants
+
+
+def _lazy(name: str) -> ModuleType:
+    """The package module ``name``, put in sys.modules now and executed
+    on the first read of one of its attributes (the lazy-import recipe of
+    the importlib documentation). A module already in sys.modules is
+    returned as it is, executed or not, so every importer shares it."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    return module
+
+
+series = _lazy("series")
+# unused here: perfbench/tracer.py wraps the compute modules it finds in
+# sys.modules after importing this module, NC(n) among them
+nc_lattice = _lazy("nc_lattice")
 
 ENV_DEGREE_CAP = "TOEPFREE_DEGREE_CAP"
 
@@ -354,7 +380,7 @@ def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
                   for v in t_cumulants(config.functional, vars_, words))
     else:  # the moments of the words of one degree, off the series' rows
         held = {w: (den, row) for w, den, row in
-                moment_series(config.functional, vars_, degree)._held()}
+                series.moment_series(config.functional, vars_, degree)._held()}
         values = (_json_entries(*held.get(w, (1, [0] * order))) for w in words)
     out_rows = [{"word": list(w), "value": v} for w, v in zip(words, values)]
     payload = {

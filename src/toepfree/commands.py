@@ -25,8 +25,8 @@ from .cli import (
 )
 from .errors import DegreeCapExceeded
 from .ncpoly import ExpressionError, format_rational, parse_rational
-from .series import boxed_convolution, r_transform
-from .toeplitz_core import TVariable
+from .series import boxed_convolution
+from .toeplitz_core import TVariable, r_transform
 
 NC_MOBIUS_CAP = 7
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the engine.
+"""Exception hierarchy shared across the engine, and its degree cap.
 
 Two broad classes matter to callers (and map onto the CLI exit codes):
 configuration problems (bad expressions, bad schemas) and mathematical
@@ -22,6 +22,11 @@ class MathDomainError(EngineError):
 
 class DegreeCapExceeded(MathDomainError):
     """A requested degree exceeds the configured cap."""
+
+
+#: Ceiling for ground-set sizes, of NC(n) and of the series maps; NC(10)
+#: has 16,796 elements.
+DEFAULT_DEGREE_CAP = 10
 
 
 class NonInvertible(MathDomainError):

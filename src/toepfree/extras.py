@@ -4,11 +4,10 @@ query runs.
 Powers, inverses and chain products in B; the expectation E, taken as
 K_1; the evenness predicate; the sparsity pattern of the R-transform of
 a free-generator tuple; and the symmetric and compressed R-transforms.
-They are built on ``toeplitz_core`` and ``series`` and kept apart from
-them, so that a process that runs none of them never compiles them: the
-CLI imports this module only for ``check-even``, ``compress`` and
-``sparsity``, and the package namespace binds each name here on first
-use.
+They are built on ``toeplitz_core`` and kept apart from it, so that a
+process that runs none of them never compiles them: the CLI imports this
+module only for ``check-even``, ``compress`` and ``sparsity``, and the
+package namespace binds each name here on first use.
 """
 
 from __future__ import annotations
@@ -26,8 +25,17 @@ from .errors import (
 )
 from .ncpoly import RationalLike, as_fraction, format_rational
 from .scalar_space import MomentFunctional
-from .series import BSeries, _check_vars, r_transform
-from .toeplitz_core import BScalar, TVariable, _reduced, b_mul, t_cumulant, t_mul
+from .toeplitz_core import (
+    BScalar,
+    BSeries,
+    TVariable,
+    _check_vars,
+    _reduced,
+    b_mul,
+    r_transform,
+    t_cumulant,
+    t_mul,
+)
 
 
 def b_pow(x: BScalar, exponent: int) -> BScalar:

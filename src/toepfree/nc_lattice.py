@@ -19,10 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CrossingPartition, DegreeCapExceeded
-
-#: Ceiling for ground-set sizes; NC(10) has 16,796 elements.
-DEFAULT_DEGREE_CAP = 10
+from .errors import DEFAULT_DEGREE_CAP, CrossingPartition, DegreeCapExceeded
 
 
 def catalan(n: int) -> int:

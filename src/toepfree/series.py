@@ -1,32 +1,37 @@
-"""Truncated formal series over the Toeplitz algebra, and their calculus.
+"""The calculus of truncated formal series over the Toeplitz algebra.
 
-A BSeries assigns a BScalar coefficient to every nonempty index word
-(i_1, ..., i_n) over {1..s} of length at most D. R-transforms collect
-tuple cumulants, and moment series collect tuple moments. The two
-determine each other through the sum over NC(n) of block products, which
-holds coefficientwise for B-valued series (Speicher, Mem. AMS 627, 1998,
-Ch. 3), so the moment series of variables is read off their R-transform.
-Boxed convolution multiplies R-transforms the way t_mul multiplies free
-variables, through the sum over pi in NC(n) paired with its Kreweras
-complement. All three maps are summed by the first block of pi: a sum
-over the blocks V that hold position 1 of the coefficient at w|V times
-values on the regions V leaves, memoized on shorter words, so no NC(n)
-is enumerated (Nica-Speicher, Lectures on the Combinatorics of Free
-Probability, Lectures 10, 11 and 17). One walk over the words, shortest
-first, sums them (_walk): a word's blocks that end before its last
-position are its prefixes', so a word of length n costs O(n) region
-values, not O(n^2). Words are integer ids, so every coefficient, memo
-and region is a list read. A shape's plan, its words with every word's
-prefix and suffix ids, is made once per process for the few shapes in
-use (_words_by_id); the walk keeps each word's blocks in one store by
-id and reads them through the plan. The sums are homogeneous: scaled by
-lam^|w| for one lam per input series, every value is integral and is
-packed into one integer, entry j in a k-bit slot j (Kronecker
-substitution), so a B-product is one integer product cut mod 2^(Nk) and
-a sum one addition; a stored weight is cut once, where it is stored.
-On top of that sits the freeness predicate; the evenness
-predicate, the sparsity pattern and the symmetric and compressed
-R-transforms are in ``extras``.
+A BSeries (``toeplitz_core``) assigns a BScalar coefficient to every
+nonempty index word (i_1, ..., i_n) over {1..s} of length at most D.
+R-transforms collect tuple cumulants, and moment series collect tuple
+moments. The two determine each other through the sum over NC(n) of
+block products, which holds coefficientwise for B-valued series
+(Speicher, Mem. AMS 627, 1998, Ch. 3), so the moment series of variables
+is read off their R-transform. Boxed convolution multiplies R-transforms
+the way t_mul multiplies free variables, through the sum over pi in
+NC(n) paired with its Kreweras complement. All three maps are summed by
+the first block of pi: a sum over the blocks V that hold position 1 of
+the coefficient at w|V times values on the regions V leaves, memoized on
+shorter words, so no NC(n) is enumerated (Nica-Speicher, Lectures on the
+Combinatorics of Free Probability, Lectures 10, 11 and 17). One walk
+over the words, shortest first, sums them (_walk): a word's blocks that
+end before its last position are its prefixes', so a word of length n
+costs O(n) region values, not O(n^2). Words are integer ids, so every
+coefficient, memo and region is a list read. A shape's plan, its words
+with every word's prefix and suffix ids, is made once per process for
+the few shapes in use (_words_by_id); the walk keeps each word's blocks
+in one store by id and reads them through the plan. The sums are
+homogeneous: scaled by lam^|w| for one lam per input series, every value
+is integral and is packed into one integer, entry j in a k-bit slot j
+(Kronecker substitution), so a B-product is one integer product cut mod
+2^(Nk) and a sum one addition; a stored weight is cut once, where it is
+stored.
+
+The R-transform and the freeness predicate are sums of cumulants and are
+defined in ``toeplitz_core``, so that a query that runs none of the
+three maps never compiles this module. They are listed in ``__all__``
+here with BSeries and can be imported from here. The evenness predicate,
+the sparsity pattern and the symmetric and compressed R-transforms are
+in ``extras``.
 
 Everything here is exact. B is commutative, so the scalar recursions hold
 verbatim for B-valued coefficients, in any order of B-products.
@@ -35,22 +40,22 @@ verbatim for B-valued coefficients, in any order of B-products.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
-from . import nc_lattice
-from .errors import DegreeCapExceeded, DimensionMismatch
+from .errors import DEFAULT_DEGREE_CAP, DegreeCapExceeded, DimensionMismatch
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
-    BScalar,
+    BSeries,
     IndexWord,
     TVariable,
-    _json_entries,
-    _most_letters,
-    _reduced,
-    t_cumulants,
+    _fill,
+    _require_word_count,
+    all_index_words,
+    check_freeness,
+    check_series_request,
+    r_transform,
 )
 
 __all__ = [
@@ -66,220 +71,12 @@ __all__ = [
 ]
 
 
-#: The most index words of its top length D that one request may ask for:
-#: s^D over s letters. A series, a degree table or a freeness scan makes
-#: the words of every length up to D, fewer than 2 s^D of them for s > 1,
-#: so the cap bounds their time and the walk's memory before any is made.
-WORD_CAP = 2**14
-
-
-def all_index_words(s: int, degree: int) -> Iterable[IndexWord]:
-    """All nonempty words over {1..s} of length <= degree, shortest first,
-    lexicographic within a length."""
-    for n in range(1, degree + 1):
-        yield from product(range(1, s + 1), repeat=n)
-
-
-class BSeries:
-    """A truncated B-valued formal series in s noncommuting indeterminates.
-
-    Immutable; zero coefficients are never stored, so two series are equal
-    exactly when they agree coefficientwise. The calculus keeps the
-    series' scaled integer rows and their bit size (see _packed) in a
-    private slot outside equality and hashing. A map's output holds only
-    its rows: it builds its BScalar coefficients on the first read that
-    needs them, and prints its JSON, tests for zero and counts its words
-    off the rows.
-    """
-
-    __slots__ = ("s", "order", "degree", "_coeffs", "_rows")
-
-    def __init__(self, s: int, order: int, degree: int,
-                 coefficients: Mapping[IndexWord, BScalar]):
-        if s < 1:
-            raise ValueError(f"need at least one indeterminate, got s={s}")
-        if order < 1:
-            raise ValueError(f"need a positive Toeplitz order, got {order}")
-        if degree < 1:
-            raise ValueError(f"need a positive degree bound, got {degree}")
-        clean: dict[IndexWord, BScalar] = {}
-        for word, value in coefficients.items():
-            word = tuple(word)
-            if not word or len(word) > degree:
-                raise ValueError(
-                    f"index word {word} has length outside 1..{degree}"
-                )
-            if any(not 1 <= i <= s for i in word):
-                raise ValueError(
-                    f"index word {word} has letters outside 1..{s}"
-                )
-            if value.order != order:
-                raise DimensionMismatch(
-                    f"coefficient at {word} has order {value.order}, "
-                    f"series has order {order}"
-                )
-            if not value.is_zero():
-                clean[word] = value
-        _fill(self, s, order, degree, clean, None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BSeries is immutable")
-
-    def _held(self) -> Iterator[tuple[IndexWord, int, list[int]]]:
-        """A map's output as (w, lam^|w|, row) per row, shortest first."""
-        lam, rows, _ = self._rows
-        powers = [lam**n for n in range(self.degree + 1)]
-        return ((w, powers[len(w)], row) for w, row in rows.items())
-
-    def _table(self) -> dict[IndexWord, BScalar]:
-        """The coefficients by word, built from the rows on first use."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", {
-                w: _reduced(den, tuple(row)) for w, den, row in self._held()
-            })
-        return self._coeffs
-
-    def coef(self, word: Iterable[int]) -> BScalar:
-        return self._table().get(tuple(word), BScalar.zero(self.order))
-
-    def words(self) -> list[IndexWord]:
-        """Supported words, shortest first, lexicographic within a length."""
-        return sorted(self._table(), key=lambda w: (len(w), w))
-
-    def items(self) -> list[tuple[IndexWord, BScalar]]:
-        return [(w, self._coeffs[w]) for w in self.words()]
-
-    def is_zero(self) -> bool:
-        return not (self._rows[1] if self._coeffs is None else self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BSeries):
-            return NotImplemented
-        return (self.s, self.order, self.degree, self._table()) == (
-            other.s, other.order, other.degree, other._table())
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.order, self.degree,
-                     frozenset(self._table().items())))
-
-    def to_json_obj(self) -> dict[str, object]:
-        if self._coeffs is None:
-            coefficients = [{"word": list(w), "value": _json_entries(den, row)}
-                            for w, den, row in self._held()]
-        else:
-            coefficients = [{"word": list(w), "value": v.to_json_obj()}
-                            for w, v in self.items()]
-        return {"s": self.s, "N": self.order, "D": self.degree,
-                "coefficients": coefficients}
-
-    @staticmethod
-    def from_json_obj(obj: Mapping[str, object]) -> "BSeries":
-        coeffs = {
-            tuple(int(i) for i in row["word"]): BScalar.of(row["value"])
-            for row in obj["coefficients"]  # type: ignore[union-attr]
-        }
-        return BSeries(int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs)
-
-    def __repr__(self) -> str:
-        return (
-            f"BSeries(s={self.s}, N={self.order}, D={self.degree}, "
-            f"{len(self._rows[1] if self._coeffs is None else self._coeffs)}"
-            " coefficients)"
-        )
-
-
-def _fill(f: BSeries, *values: object) -> BSeries:
-    """Set f's slots, in their order, with no check; returns f."""
-    for name, value in zip(BSeries.__slots__, values):
-        object.__setattr__(f, name, value)
-    return f
-
-
-def _check_vars(vars_: Sequence[TVariable]) -> int:
-    if not vars_:
-        raise ValueError("need at least one variable")
-    order = vars_[0].order
-    for v in vars_[1:]:
-        if v.order != order:
-            raise DimensionMismatch(
-                f"variable orders differ: {order} vs {v.order}"
-            )
-    return order
-
-
-def _resolve_degree(functional: MomentFunctional, degree: int | None) -> int:
-    resolved = functional.degree_cap if degree is None else degree
-    if resolved < 1:
-        raise ValueError(f"degree must be positive, got {resolved}")
-    if resolved > functional.degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {resolved} exceeds the functional's cap "
-            f"{functional.degree_cap}"
-        )
-    return resolved
-
-
-def _require_word_count(s: int, degree: int) -> None:
-    """Refuse a request for more than WORD_CAP words of length degree
-    over s letters before any word is made."""
-    if s**degree > WORD_CAP:
-        raise DegreeCapExceeded(
-            f"{s**degree} index words of length {degree} in {s} letters "
-            f"exceed the word cap {WORD_CAP}"
-        )
-
-
-def _require_word_cap(functional: MomentFunctional,
-                      vars_: Sequence[TVariable], degree: int) -> None:
-    """Refuse a series whose scalar words would outgrow the degree cap,
-    before any coefficient is computed.
-
-    The longest word behind entry j of a degree-n coefficient follows the
-    product recursion on entry degrees, over nonzero entries only:
-    L_n[j] = max over k <= j of L_{n-1}[k] + max_i deg x^(i)_{j-k}. The
-    bound ignores cancellation between terms.
-    """
-    entry = [max((x.entries[j].degree() for x in vars_ if x.entries[j]),
-                 default=float("-inf")) for j in range(vars_[0].order)]
-    # row m of the table holds L_{degree-m}
-    longest = max(max(row) for row in _most_letters([entry] * degree)[:-1])
-    if longest > functional.degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {degree} needs scalar words of length {longest}, "
-            f"over the degree cap {functional.degree_cap}"
-        )
-
-
-def check_series_request(functional: MomentFunctional,
-                         vars_: Sequence[TVariable],
-                         degree: int | None) -> tuple[int, int]:
-    """The checks made before any coefficient of a series in vars_ is
-    computed: equal variable orders, a degree within the functional's cap,
-    at most WORD_CAP index words of that length and scalar words within
-    the cap. Returns the order and the degree."""
-    order = _check_vars(vars_)
-    d = _resolve_degree(functional, degree)
-    _require_word_count(len(vars_), d)
-    _require_word_cap(functional, vars_, d)
-    return order, d
-
-
 def moment_series(functional: MomentFunctional, vars_: Sequence[TVariable],
                   degree: int | None = None) -> BSeries:
     """M(z_1..z_s): coefficient at (i_1..i_n) is the tuple moment, read
     off the R-transform by moments_from_r. M_n needs every R_k with
     k <= n, so the whole series is checked and computed."""
     return moments_from_r(r_transform(functional, vars_, degree))
-
-
-def r_transform(functional: MomentFunctional, vars_: Sequence[TVariable],
-                degree: int | None = None) -> BSeries:
-    """R(z_1..z_s): coefficient at (i_1..i_n) is the tuple cumulant."""
-    order, d = check_series_request(functional, vars_, degree)
-    # lexicographic order walks the word trie, sharing prefix products
-    words = sorted(all_index_words(len(vars_), d))
-    coeffs = dict(zip(words, t_cumulants(functional, vars_, words)))
-    return BSeries(len(vars_), order, d, coeffs)
 
 
 def _root(b: int) -> int:
@@ -382,9 +179,10 @@ def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
     """Each series f packed: entry j of lam_f^|w| f(w), an integer, in the
     k-bit slot j of one weight, listed at the ids of words (0 where f has
     no coefficient). Returns lam, the product of the lam_f, k and the
-    packed series. f keeps lam_f = _scale(f), its rows and beta_f in a
-    private slot, or, made by a map, the map's lam and the rows it decoded
-    from, with beta_f once it is packed, so no series is measured twice.
+    packed series. f keeps lam_f = _scale(f), its rows and beta_f in its
+    private slot _rows (see BSeries), or, made by a map, the map's lam and
+    the rows it decoded from, with beta_f once it is packed, so no series
+    is measured twice.
 
     The width is the calling map's: terms(N, n) is its count below, and
 
@@ -580,7 +378,7 @@ def _walk(f: BSeries, k: int, coeffs: list[int], table: list[int],
 def _require_calculus_cap(f: BSeries) -> None:
     """Refuse a series past the degree cap or the word cap before any
     word is summed."""
-    cap = nc_lattice.DEFAULT_DEGREE_CAP
+    cap = DEFAULT_DEGREE_CAP
     if f.degree > cap:
         raise DegreeCapExceeded(
             f"series degree {f.degree} exceeds the degree cap {cap}"
@@ -658,32 +456,3 @@ def boxed_convolution(f: BSeries, g: BSeries) -> BSeries:
     for _, (x, value) in walks:
         c[x] = value
     return _decoded(f, lam, k, words, c)
-
-
-class FreenessReport(NamedTuple):
-    free: bool
-    witness: IndexWord | None
-
-
-def check_freeness(functional: MomentFunctional,
-                   group_a: Sequence[TVariable], group_b: Sequence[TVariable],
-                   degree: int | None = None) -> FreenessReport:
-    """Whether all mixed cumulants across the two groups vanish.
-
-    Scans every index word of length 2..D over the concatenated family
-    (group_a indices first), shortest first and lexicographically within a
-    length, and returns the first word with a nonzero cumulant as witness.
-    """
-    if not group_a or not group_b:
-        raise ValueError("both groups must be nonempty")
-    combined = list(group_a) + list(group_b)
-    _check_vars(combined)
-    d = _resolve_degree(functional, degree)
-    _require_word_count(len(combined), d)
-    cut = len(group_a)
-    words = [word for word in all_index_words(len(combined), d)
-             if min(word) <= cut < max(word)]
-    for word, value in zip(words, t_cumulants(functional, combined, words)):
-        if not value.is_zero():
-            return FreenessReport(False, word)
-    return FreenessReport(True, None)

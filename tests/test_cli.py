@@ -674,9 +674,18 @@ def test_every_public_function_and_method_has_a_user():
     assert unused == []
 
 
-def _loaded_after(statement: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``statement``."""
-    probe = f"import sys; {statement}; print(' '.join(sys.modules))"
+#: the names in sys.modules of the modules that were executed: a module
+#: bound lazily and never read has the lazy loader's subclass of the type
+_EXECUTED = (
+    "*(name for name, module in sys.modules.items() "
+    "if type(module) is type(sys))"
+)
+
+
+def _loaded_after(statement: str, listed: str = "*sys.modules") -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``,
+    or the names ``listed`` gives then."""
+    probe = f"import sys; {statement}; print({listed})"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
@@ -706,7 +715,11 @@ def test_startup_loads_only_what_is_used():
     neither. Run through ``python -m toepfree``, each of the four hot
     commands loads exactly those package modules; ``nc list``, help and
     ``check-even`` also load ``toepfree.commands``, and only
-    ``check-even`` of them loads ``toepfree.extras``."""
+    ``check-even`` of them loads ``toepfree.extras``. Of the modules
+    loaded, the CLI executes neither ``series`` nor ``nc_lattice`` on
+    import, and neither do cumulants, rtransform and check-free; moments
+    executes ``series`` alone of the two, and ``nc list`` executes
+    ``nc_lattice``."""
     loaded = _loaded_after("import toepfree")
     assert _package_part(loaded) == {"toepfree"}
     assert {"fractions", "argparse"} & loaded == set()
@@ -725,6 +738,9 @@ def test_startup_loads_only_what_is_used():
     loaded = _loaded_after("import toepfree.cli")
     assert _package_part(loaded) == package
     assert {"csv", "argparse", "gettext"} & loaded == set()
+    lazy = {"toepfree.series", "toepfree.nc_lattice"}
+    executed = _loaded_after("import toepfree.cli", _EXECUTED)
+    assert _package_part(executed) == package - lazy
     argv = ["moments", "--vars", "X,Y", "--degree", "2",
             "--config", str(GOLDEN / "moments_config.json")]
     loaded = _loaded_after(
@@ -745,9 +761,13 @@ def test_startup_loads_only_what_is_used():
         ["check-free", "--a", "A1,A2", "--b", "A3", "--config", k3],
     ]
     for argv in hot:
-        loaded = _loaded_by_entry_point(*argv, *out)
+        loaded, executed = _entry_point_modules(*argv, *out)
         assert _package_part(loaded) == package, argv
         assert {"csv", "argparse", "gettext"} & loaded == set(), argv
+        unread = {"toepfree.nc_lattice"} if argv[0] == "moments" else lazy
+        assert _package_part(executed) == package - unread, argv
+    executed = _entry_point_modules("nc", "list", "--n", "3", *out)[1]
+    assert "toepfree.nc_lattice" in executed
     cold = {
         "toepfree.commands": [["nc", "list", "--n", "3", *out], ["--help"]],
         "toepfree.extras": [
@@ -761,29 +781,42 @@ def test_startup_loads_only_what_is_used():
             assert _package_part(_loaded_by_entry_point(*argv)) == want, argv
 
 
-def _loaded_by_entry_point(*argv: object) -> set[str]:
-    """The modules ``python -m toepfree argv`` holds when it exits 0. Run
-    with -i, the interpreter reads a probe from stdin once the module has
-    exited (printing the SystemExit that -i keeps from ending it)."""
-    probe = "import sys; print('MODULES', *sys.modules)\n"
+def _entry_point_modules(*argv: object) -> tuple[set[str], set[str]]:
+    """The modules ``python -m toepfree argv`` holds when it exits 0, and
+    those of them it executed. Run with -i, the interpreter reads a probe
+    from stdin once the module has exited (printing the SystemExit that -i
+    keeps from ending it)."""
+    probe = (
+        "import sys; print('MODULES', *sys.modules); "
+        f"print('EXECUTED', {_EXECUTED})\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-i", "-m", "toepfree", *map(str, argv)],
         input=probe, capture_output=True, text=True,
     )
     assert "SystemExit: 0\n" in proc.stderr, proc.stderr
-    line = proc.stdout.splitlines()[-1].split()
-    assert line[0] == "MODULES", proc.stdout
-    return set(line[1:])
+    loaded, executed = (line.split() for line in proc.stdout.splitlines()[-2:])
+    assert (loaded[0], executed[0]) == ("MODULES", "EXECUTED"), proc.stdout
+    return set(loaded[1:]), set(executed[1:])
+
+
+def _loaded_by_entry_point(*argv: object) -> set[str]:
+    """The modules ``python -m toepfree argv`` holds when it exits 0."""
+    return _entry_point_modules(*argv)[0]
 
 
 def test_tracer_installs_on_the_package():
     """perfbench/tracer.py imports the CLI and wraps its targets in the
     compute modules it then finds in sys.modules: in a fresh interpreter
     that install raises nothing, and the targets it reports missing are
-    only the six the package no longer defines."""
+    only the six the package no longer defines. The CLI's own bindings of
+    r_transform and check_freeness are the wrappers, so that traced
+    queries feed the series.r_transform and series.check_freeness spans."""
     probe = (
         "from tracer import Tracer; tracer = Tracer(); tracer.install(); "
-        "print(*tracer.missing)"
+        "from toepfree import cli; print(*tracer.missing); "
+        "print(*(name for name in ('r_transform', 'check_freeness') "
+        "if hasattr(getattr(cli, name), '__wrapped__')))"
     )
     src = Path(toepfree.__file__).resolve().parents[1]
     path = [str(src), str(PYPROJECT.parent / "perfbench")]
@@ -792,7 +825,9 @@ def test_tracer_installs_on_the_package():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-    assert set(proc.stdout.split()) <= {
+    missing, wrapped = proc.stdout.split("\n")[:2]
+    assert wrapped.split() == ["r_transform", "check_freeness"]
+    assert set(missing.split()) <= {
         "nc_lattice.lattice",
         "nc_lattice.mu_to_top",
         "scalar_space.phi_word",

@@ -61,7 +61,6 @@ from toepfree.extras import (
 )
 from toepfree.series import (
     BSeries,
-    FreenessReport,
     all_index_words,
     boxed_convolution,
     check_freeness,
@@ -73,6 +72,7 @@ from toepfree.series import (
 )
 from toepfree.toeplitz_core import (
     BScalar,
+    FreenessReport,
     TVariable,
     b_add,
     b_mul,
@@ -535,7 +535,6 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(toeplitz_core, "_reduced", boom)
         patch.setattr(toeplitz_core, "_store", boom)
-        patch.setattr(series_module, "_reduced", boom, raising=False)
         with pytest.raises(AssertionError, match="built a BScalar"):
             BScalar.of([1, 2, 3])
         m = moments_from_r(r)
@@ -558,9 +557,17 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
         "variables": [{"name": "X", "entries": ["s", "1/3"]},
                       {"name": "Y", "entries": ["2*s", "0"]}],
     }))
+    table = BSeries._table
+
+    def no_table(f):
+        if f._coeffs is None:
+            boom()
+        return table(f)
+
     with monkeypatch.context() as patch:
-        # BSeries builds its BScalar coefficients through series._reduced
-        patch.setattr(series_module, "_reduced", boom)
+        # a series builds its BScalar coefficients from its rows in _table,
+        # through the toeplitz_core._reduced that t_cumulants also calls
+        patch.setattr(BSeries, "_table", no_table)
         assert cli.main(["moments", "--vars", "X,Y", "--degree", "3",
                          "--config", str(path)]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
@@ -731,8 +738,10 @@ def test_series_requests_refuse_oversized_word_sets(
         raise AssertionError("made a word")
 
     monkeypatch.setattr(cli, "product", boom)
-    monkeypatch.setattr(series_module, "all_index_words", boom)
-    monkeypatch.setattr(series_module, "t_cumulants", boom)
+    monkeypatch.setattr(cli, "t_cumulants", boom)
+    # r_transform and check_freeness make their words in toeplitz_core
+    monkeypatch.setattr(toeplitz_core, "all_index_words", boom)
+    monkeypatch.setattr(toeplitz_core, "t_cumulants", boom)
     monkeypatch.setattr(series_module, "_walk", boom)
 
     def no_table(*args, **kwargs):
@@ -756,7 +765,7 @@ def test_series_requests_refuse_oversized_word_sets(
     eight = ",".join(["X", "Y"] * 4)
     message = (
         "error: degree-cap-exceeded: 16777216 index words of length 8 "
-        f"in 8 letters exceed the word cap {series_module.WORD_CAP}\n"
+        f"in 8 letters exceed the word cap {toeplitz_core.WORD_CAP}\n"
     )
     for argv in (
         ["cumulants", "--vars", eight],
@@ -771,30 +780,30 @@ def test_series_requests_refuse_oversized_word_sets(
 
     loaded = cli.load_config(str(path))
     fn, x = loaded.functional, loaded.variables["X"]
-    assert series_module.WORD_CAP == 4**7
+    assert toeplitz_core.WORD_CAP == 4**7
     assert check_series_request(fn, [x] * 4, 7) == (2, 7)
     with pytest.raises(DegreeCapExceeded, match="^65536 index words of len"):
         check_series_request(fn, [x] * 4, 8)
-    wide = BSeries(series_module.WORD_CAP + 1, 1, 1, {})
+    wide = BSeries(toeplitz_core.WORD_CAP + 1, 1, 1, {})
     for apply in (
         moments_from_r, r_from_moments, lambda f: boxed_convolution(f, f)
     ):
         with pytest.raises(DegreeCapExceeded) as err:
             apply(wide)
         assert str(err.value) == (
-            f"{series_module.WORD_CAP + 1} index words of length 1 in "
-            f"{series_module.WORD_CAP + 1} letters exceed the word cap "
-            f"{series_module.WORD_CAP}"
+            f"{toeplitz_core.WORD_CAP + 1} index words of length 1 in "
+            f"{toeplitz_core.WORD_CAP + 1} letters exceed the word cap "
+            f"{toeplitz_core.WORD_CAP}"
         )
         with pytest.raises(AssertionError, match="built a word table"):
-            apply(BSeries(series_module.WORD_CAP, 1, 1, {}))
+            apply(BSeries(toeplitz_core.WORD_CAP, 1, 1, {}))
     monkeypatch.undo()
     monkeypatch.setattr(series_module, "all_index_words", boom)
     for apply in (
         moments_from_r, r_from_moments, lambda f: boxed_convolution(f, f)
     ):
         with pytest.raises(AssertionError, match="made a word"):
-            apply(BSeries(series_module.WORD_CAP, 1, 1, {}))
+            apply(BSeries(toeplitz_core.WORD_CAP, 1, 1, {}))
 
 
 def test_series_calculus_never_enumerates_nc(monkeypatch, tmp_path, capsys):
