@@ -25,17 +25,12 @@ _EXPORTS = {
         "DimensionMismatch",
         "EngineError",
         "MathDomainError",
-        "NonInvertible",
         "PreconditionError",
         "ZeroTrace",
     ),
     "extras": (
-        "b_inv",
-        "b_pow",
-        "chain_product",
         "check_even",
         "compress_r_transform",
-        "expect",
         "free_family_sparsity",
         "symm_r_transform",
     ),

@@ -14,8 +14,8 @@ on the error stream.
 This module runs the moments, cumulants, rtransform and check-free
 commands. The other commands, help, and command lines that argparse must
 parse or refuse are in ``commands``, imported only when one of them runs.
-The series calculus and NC(n) are bound lazily (``_lazy``): only a
-moments query executes ``series``, and no hot query executes
+The series calculus and NC(n) are bound lazily (``_lazy``): only
+``moments`` and ``boxconv`` execute ``series``, and no hot query executes
 ``nc_lattice``, so the others never compile them.
 """
 
@@ -228,7 +228,8 @@ def load_config(path: str) -> Config:
         degree_cap = _default_degree_cap()
     if degree_cap > MAX_DEGREE:
         raise _config_fail(
-            _pointer("degree_cap"), f"must be at most {MAX_DEGREE}"
+            _pointer("degree_cap"),
+            f"expected an integer <= {MAX_DEGREE}, got {degree_cap}",
         )
 
     family_tables: dict[str, dict[str, dict[str, object]]] = {}

@@ -25,7 +25,6 @@ from .cli import (
 )
 from .errors import DegreeCapExceeded
 from .ncpoly import ExpressionError, format_rational, parse_rational
-from .series import boxed_convolution
 from .toeplitz_core import TVariable, r_transform
 
 NC_MOBIUS_CAP = 7
@@ -90,6 +89,8 @@ def run_nc(args: SimpleNamespace) -> Emission:
 
 
 def _cmd_boxconv(config: Config, args: SimpleNamespace) -> Emission:
+    from .series import boxed_convolution
+
     left = _resolve_vars(config, args.left, "--left")
     right = _resolve_vars(config, args.right, "--right")
     if len(left) != len(right):

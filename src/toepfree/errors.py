@@ -2,7 +2,7 @@
 
 Two broad classes matter to callers (and map onto the CLI exit codes):
 configuration problems (bad expressions, bad schemas) and mathematical
-domain violations (degree caps, non-invertible elements, zero traces).
+domain violations (degree caps, zero traces, unmet preconditions).
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ class DegreeCapExceeded(MathDomainError):
 
 
 #: Ceiling for ground-set sizes, of NC(n) and of the series maps; NC(10)
-#: has 16,796 elements.
+#: has 16,796 elements. The letters of a scalar word, a different cost,
+#: are bounded by scalar_space.MAX_DEGREE (8); merging the two caps
+#: either way would refuse ``nc list --n 9`` and ``10`` or accept config
+#: caps 9 and 10.
 DEFAULT_DEGREE_CAP = 10
-
-
-class NonInvertible(MathDomainError):
-    """Convolution inverse requested for an element with first entry 0."""
 
 
 class ZeroTrace(MathDomainError):

@@ -1,9 +1,8 @@
 """Library routines that no moments, cumulants, R-transform or freeness
 query runs.
 
-Powers, inverses and chain products in B; the expectation E, taken as
-K_1; the evenness predicate; the sparsity pattern of the R-transform of
-a free-generator tuple; and the symmetric and compressed R-transforms.
+The evenness predicate; the sparsity pattern of the R-transform of a
+free-generator tuple; and the symmetric and compressed R-transforms.
 They are built on ``toeplitz_core`` and kept apart from it, so that a
 process that runs none of them never compiles them: the CLI imports this
 module only for ``check-even``, ``compress`` and ``sparsity``, and the
@@ -13,16 +12,10 @@ package namespace binds each name here on first use.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    NonInvertible,
-    PreconditionError,
-    ZeroTrace,
-)
+from .errors import DimensionMismatch, PreconditionError, ZeroTrace
 from .ncpoly import RationalLike, as_fraction, format_rational
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
@@ -30,55 +23,9 @@ from .toeplitz_core import (
     BSeries,
     TVariable,
     _check_vars,
-    _reduced,
     b_mul,
     r_transform,
-    t_cumulant,
-    t_mul,
 )
-
-
-def b_pow(x: BScalar, exponent: int) -> BScalar:
-    """x to a nonnegative integer power; x^0 is the unit."""
-    if exponent < 0:
-        raise ValueError("negative powers not supported; use b_inv first")
-    result = BScalar.one(x.order)
-    for _ in range(exponent):
-        result = b_mul(result, x)
-    return result
-
-
-def b_inv(x: BScalar) -> BScalar:
-    """Convolution inverse, by forward substitution on the triangular system.
-
-    Requires a nonzero first entry; otherwise the element is not invertible
-    (its matrix form has a zero diagonal). With x = a / D, the inverse is
-    D e / a_0^N for the integers e with a e = a_0^N: e_0 = a_0^(N-1) and
-    e_j = -(sum_{k=1}^{j} a_k e_{j-k}) / a_0, a division that is exact.
-    """
-    a = x.nums
-    a0 = a[0]
-    if a0 == 0:
-        raise NonInvertible("first entry is zero; no convolution inverse")
-    n = len(a)
-    e = [a0 ** (n - 1)]
-    for j in range(1, n):
-        e.append(-sum(a[k] * e[j - k] for k in range(1, j + 1)) // a0)
-    den = a0**n
-    sign = 1 if den > 0 else -1
-    return _reduced(sign * den, tuple(sign * x.den * v for v in e))
-
-
-def chain_product(vars_: Sequence[TVariable]) -> TVariable:
-    """Left-associated t_mul chain; entries are the P_j polynomials."""
-    if not vars_:
-        raise ValueError("empty product chain")
-    return reduce(t_mul, vars_)
-
-
-def expect(functional: MomentFunctional, x: TVariable) -> BScalar:
-    """E(a_1, ..., a_N) = (phi(a_1), ..., phi(a_N)), taken as K_1(X)."""
-    return t_cumulant(functional, [x], (1,))
 
 
 def check_even(functional: MomentFunctional, x: TVariable,

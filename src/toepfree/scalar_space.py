@@ -31,7 +31,10 @@ from .ncpoly import Generator, RationalLike, Word, as_fraction
 DEFAULT_DEGREE = 6
 #: Largest supported truncation degree. It bounds the letters of a word
 #: cumulant, so each first-block sum of cumulant_words visits at most
-#: 2^7 = 128 blocks V.
+#: 2^7 = 128 blocks V. errors.DEFAULT_DEGREE_CAP (10) bounds another
+#: cost, the size of NC(n), and the two differ on purpose: raising this
+#: to 10 would accept config caps 9 and 10, lowering that to 8 would
+#: refuse ``nc list --n 9`` and ``10``.
 MAX_DEGREE = 8
 
 CumulantTable = Mapping[tuple[str, ...], RationalLike]

@@ -12,11 +12,11 @@ variable as X = sum over words w of A[w] w with A[w] in B, K_n is the sum
 over word tuples of the scalar cumulant kappa(w_1, ..., w_n) times the
 B-product of the A_m[w_m]. The cumulants of many index words are taken
 along a walk of the word trie, so words that share a prefix share its
-work. The expectation E, which applies phi entrywise, is K_1
-(``extras.expect``): kappa_1 of a word is phi of that word. The test
-suite holds K_n against Möbius inversion of moments and against the sum
-over compositions of each entry, and the product against an explicit
-matrix embedding (``tests/oracles.py``).
+work. The expectation E, which applies phi entrywise, is K_1,
+``t_cumulant(functional, [x], (1,))``: kappa_1 of a word is phi of that
+word. The test suite holds K_n against Möbius inversion of moments and
+against the sum over compositions of each entry, and the product against
+an explicit matrix embedding (``tests/oracles.py``).
 
 A BSeries is a truncated formal series with a BScalar coefficient at
 each index word. The R-transform collects the cumulants of every index
@@ -41,8 +41,6 @@ from .ncpoly import (
     RationalLike,
     as_fraction,
     format_rational,
-    poly_add,
-    poly_scale,
     poly_sum_of_products,
 )
 from .scalar_space import MomentFunctional
@@ -217,26 +215,12 @@ class TVariable:
     def of(entries: Iterable[NcPolynomial]) -> "TVariable":
         return TVariable(entries)
 
-    @staticmethod
-    def from_bscalar(b: BScalar) -> "TVariable":
-        return TVariable(NcPolynomial.constant(x) for x in b.entries)
-
-    @staticmethod
-    def zero(order: int) -> "TVariable":
-        return TVariable.from_bscalar(BScalar.zero(order))
-
     @property
     def order(self) -> int:
         return len(self.entries)
 
-    def __add__(self, other: "TVariable") -> "TVariable":
-        return t_add(self, other)
-
     def __mul__(self, other: "TVariable") -> "TVariable":
         return t_mul(self, other)
-
-    def scale(self, c: RationalLike) -> "TVariable":
-        return TVariable(poly_scale(c, p) for p in self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TVariable):
@@ -254,12 +238,6 @@ class TVariable:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.entries) + ")"
-
-
-def t_add(x: TVariable, y: TVariable) -> TVariable:
-    """Entrywise sum."""
-    _require_same_order(x, y)
-    return TVariable(poly_add(a, b) for a, b in zip(x.entries, y.entries))
 
 
 def t_mul(x: TVariable, y: TVariable) -> TVariable:

@@ -59,7 +59,11 @@ the Toeplitz algebra on tuples of ``Fraction`` entries: the library runs
 both on integer numerators over one common denominator.
 ``t_mul_oracle`` is the Toeplitz product of variables through explicit
 matrix multiplication, and ``centrality_commutes`` checks that an embedded
-element of B commutes with a variable under it.
+element of B commutes with a variable under it. ``from_bscalar`` embeds
+an element of B as a constant variable (``zero_variable`` embeds 0),
+``t_add`` is the entrywise sum of variables, ``chain_product`` the
+left-associated ``t_mul`` chain, and ``expect`` the B-valued expectation
+E, which applies phi entrywise, taken as K_1.
 """
 
 import itertools
@@ -458,9 +462,40 @@ def t_mul_oracle(x, y):
     return TVariable(tuple(product[0]))
 
 
+def from_bscalar(b):
+    """The constant variable whose entries are those of the BScalar b."""
+    return TVariable(NcPolynomial.constant(x) for x in b.entries)
+
+
+def zero_variable(order):
+    """The variable of ``order`` zero entries."""
+    return from_bscalar(BScalar.zero(order))
+
+
+def t_add(x, y):
+    """Entrywise sum of two variables of one order."""
+    if x.order != y.order:
+        raise DimensionMismatch(
+            f"tuple lengths differ: {x.order} vs {y.order}"
+        )
+    return TVariable(poly_add(a, b) for a, b in zip(x.entries, y.entries))
+
+
+def chain_product(vars_):
+    """Left-associated t_mul chain; entries are the P_j polynomials."""
+    if not vars_:
+        raise ValueError("empty product chain")
+    return reduce(t_mul, vars_)
+
+
+def expect(functional, x):
+    """E(a_1, ..., a_N) = (phi(a_1), ..., phi(a_N)), taken as K_1(X)."""
+    return t_cumulant(functional, [x], (1,))
+
+
 def centrality_commutes(b, x):
     """Whether the embedded BScalar commutes with x under t_mul."""
-    embedded = TVariable.from_bscalar(b)
+    embedded = from_bscalar(b)
     return t_mul(embedded, x) == t_mul(x, embedded)
 
 

@@ -719,7 +719,8 @@ def test_startup_loads_only_what_is_used():
     loaded, the CLI executes neither ``series`` nor ``nc_lattice`` on
     import, and neither do cumulants, rtransform and check-free; moments
     executes ``series`` alone of the two, and ``nc list`` executes
-    ``nc_lattice``."""
+    ``nc_lattice``. ``nc list``, help, ``check-even`` and a ``cumulants``
+    line that is not canonical execute no ``series``; ``boxconv`` does."""
     loaded = _loaded_after("import toepfree")
     assert _package_part(loaded) == {"toepfree"}
     assert {"fractions", "argparse"} & loaded == set()
@@ -768,6 +769,20 @@ def test_startup_loads_only_what_is_used():
         assert _package_part(executed) == package - unread, argv
     executed = _entry_point_modules("nc", "list", "--n", "3", *out)[1]
     assert "toepfree.nc_lattice" in executed
+    # only boxconv, of the commands outside the CLI module, runs the series
+    # calculus, and a command line that is not canonical does not run it
+    for argv in [
+        ["nc", "list", "--n", "3", *out],
+        ["--help"],
+        ["check-even", "--var", "X", "--degree", "2", "--config", moments,
+         *out],
+        ["cumulants", "--vars", "X,Y", "--deg", "2", "--config", moments,
+         *out],
+    ]:
+        assert "toepfree.series" not in _entry_point_modules(*argv)[1], argv
+    boxconv = ["boxconv", "--left", "X", "--right", "Y", "--degree", "2",
+               "--config", moments, *out]
+    assert "toepfree.series" in _entry_point_modules(*boxconv)[1]
     cold = {
         "toepfree.commands": [["nc", "list", "--n", "3", *out], ["--help"]],
         "toepfree.extras": [
@@ -844,7 +859,7 @@ def test_lazy_namespace_contract():
     naming it; in a fresh interpreter ``dir`` lists every name before any is
     read, and reading one imports only its home module and what that module
     imports; and each compute module is a package attribute."""
-    assert len(toepfree.__all__) == 42
+    assert len(toepfree.__all__) == 37
     assert toepfree.__all__ == sorted(set(toepfree.__all__))
     for name in toepfree.__all__:
         value = getattr(toepfree, name)
@@ -1085,8 +1100,13 @@ def test_config_errors_exit_2(tmp_path, label):
             "escaped-top-key",
             "error: config: at /a~0~1b: unknown configuration key\n",
         ),
+        (
+            "cap-too-big",
+            "error: config: at /degree_cap: expected an integer <= 8, got 99\n",
+        ),
     ],
-    ids=["generator-parameter", "variable-entry", "cumulant-key", "top-key"],
+    ids=["generator-parameter", "variable-entry", "cumulant-key", "top-key",
+         "cap-too-big"],
 )
 def test_config_error_pointer_is_exact(tmp_path, label, line):
     """A nested config error names its JSON pointer with one leading slash

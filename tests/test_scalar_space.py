@@ -1,8 +1,8 @@
 """Scalar-model tests: the functional phi, free cumulants, and builders.
 
-phi is read through the paper's E on N = 1 variables (``expect``, which is
-K_1 and takes kappa_1 of each word by the first-block recursion over its
-letters), and compared with the full NC(n) sum (``oracles.phi_word_nc``).
+phi is read through the paper's E on N = 1 variables (``oracles.expect``,
+which is K_1 and takes kappa_1 of each word by the first-block recursion
+over its letters), and compared with the full NC(n) sum (``oracles.phi_word_nc``).
 The multilinear cumulant kappa_n(p_1, ..., p_n) is read the same way, as
 K_n of the N = 1 variables (p_1), ..., (p_n) (``t_cumulant``).
 The central tests are the roundtrip (feed in a cumulant table, recover
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from toepfree.cli import load_config
 from toepfree.errors import DegreeCapExceeded, DimensionMismatch
-from toepfree.extras import expect
 from toepfree.nc_lattice import NcPartition, catalan
 from toepfree.ncpoly import Generator, NcPolynomial, poly_add, poly_scale
 from toepfree.scalar_space import (
@@ -34,7 +33,7 @@ from toepfree.scalar_space import (
 )
 from toepfree.toeplitz_core import TVariable, t_cumulant
 
-from oracles import cumulant_words_mobius, phi_partition, phi_word_nc
+from oracles import cumulant_words_mobius, expect, phi_partition, phi_word_nc
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "golden"
