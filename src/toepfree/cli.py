@@ -29,10 +29,10 @@ import re
 import sys
 from itertools import product
 from types import ModuleType, SimpleNamespace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeAlias
 
 from .errors import ConfigError, DimensionMismatch, EngineError
-from .ncpoly import ExpressionError, parse_expr, parse_rational
+from .ncpoly import ExpressionError, _parse_ratio, parse_expr, parse_rational
 from .scalar_space import DEFAULT_DEGREE, MAX_DEGREE, MomentFunctional, build_space
 from .toeplitz_core import (
     TVariable,
@@ -85,12 +85,15 @@ def _slug(exc: BaseException) -> str:
 # --------------------------------------------------------------------------
 
 
-class Config(NamedTuple):
-    """A validated run configuration."""
+class Config:
+    """A validated run configuration: the functional, and the variables by
+    name, each of the configured order N."""
 
-    order: int
-    functional: MomentFunctional
-    variables: dict[str, TVariable]
+    __slots__ = ("functional", "variables")
+
+    def __init__(self, functional: MomentFunctional,
+                 variables: dict[str, TVariable]):
+        self.functional, self.variables = functional, variables
 
 
 def _pointer(*parts: object) -> str:
@@ -137,7 +140,7 @@ def _want_obj(value: object, pointer: str) -> dict[str, object]:
 
 def _want_rational(value: object, pointer: str) -> object:
     """Distribution parameters must be exact: integers or 'p/q' strings,
-    returned parsed."""
+    returned parsed, a string as integers (p, q)."""
     if isinstance(value, bool):
         raise _config_fail(pointer, "expected an exact rational, got a boolean")
     if isinstance(value, float):
@@ -148,7 +151,7 @@ def _want_rational(value: object, pointer: str) -> object:
         return value
     if isinstance(value, str):
         try:
-            return parse_rational(value)
+            return _parse_ratio(value)
         except (ValueError, ExpressionError) as exc:
             raise _config_fail(pointer, str(exc)) from None
     raise _config_fail(pointer, f"expected an exact rational, got {value!r}")
@@ -174,27 +177,22 @@ def _default_degree_cap() -> int:
 def _parse_distribution(
     dist: dict[str, object], pointer: str
 ) -> dict[str, object]:
-    kind = _want_str(dist.get("kind"), _pointer(pointer, "kind"))
-    out: dict[str, object] = {"kind": kind}
+    out = {"kind": _want_str(dist.get("kind"), _pointer(pointer, "kind"))}
     for key, value in dist.items():
-        if key in ("kind",):
-            continue
+        at = _pointer(pointer, key)
         if key == "cumulants":
-            table = _want_obj(value, _pointer(pointer, key))
             parsed: dict[tuple[str, ...], object] = {}
-            for raw_key, raw_val in table.items():
+            for raw_key, raw_val in _want_obj(value, at).items():
                 ids = tuple(part.strip() for part in raw_key.split(","))
                 if not all(ids):
                     raise _config_fail(
-                        _pointer(pointer, key, raw_key),
+                        _pointer(at, raw_key),
                         "expected comma-separated generator ids",
                     )
-                parsed[ids] = _want_rational(
-                    raw_val, _pointer(pointer, key, raw_key)
-                )
+                parsed[ids] = _want_rational(raw_val, _pointer(at, raw_key))
             out[key] = parsed
-        else:
-            out[key] = _want_rational(value, _pointer(pointer, key))
+        elif key != "kind":
+            out[key] = _want_rational(value, at)
     return out
 
 
@@ -204,7 +202,7 @@ def load_config(path: str) -> Config:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
         root = json.loads(text)
@@ -214,6 +212,10 @@ def load_config(path: str) -> Config:
         ) from None
     except RecursionError:
         raise ConfigError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer over the interpreter's digit limit
+        from .commands import long_integer_error
+
+        raise long_integer_error(text) from None
     top = _want_obj(root, "/")
 
     known = {"N", "degree_cap", "families", "variables"}
@@ -221,34 +223,32 @@ def load_config(path: str) -> Config:
         if key not in known:
             raise _config_fail(_pointer(key), "unknown configuration key")
 
-    order = _want_int(top.get("N"), _pointer("N"))
-    if "degree_cap" in top:
-        degree_cap = _want_int(top.get("degree_cap"), _pointer("degree_cap"))
-    else:
-        degree_cap = _default_degree_cap()
+    order = _want_int(top.get("N"), "/N")
+    degree_cap = (_want_int(top["degree_cap"], "/degree_cap")
+                  if "degree_cap" in top else _default_degree_cap())
     if degree_cap > MAX_DEGREE:
         raise _config_fail(
-            _pointer("degree_cap"),
+            "/degree_cap",
             f"expected an integer <= {MAX_DEGREE}, got {degree_cap}",
         )
 
     family_tables: dict[str, dict[str, dict[str, object]]] = {}
     gen_ids: list[str] = []
-    families = _want_list(top.get("families"), _pointer("families"))
+    families = _want_list(top.get("families"), "/families")
     for f_at, raw_family in enumerate(families):
-        f_ptr = _pointer("families", f_at)
+        f_ptr = _pointer("/families", f_at)
         family = _want_obj(raw_family, f_ptr)
-        name = _want_str(family.get("name"), _pointer("families", f_at, "name"))
+        name = _want_str(family.get("name"), _pointer(f_ptr, "name"))
         if name in family_tables:
             raise _config_fail(
-                _pointer("families", f_at, "name"), f"duplicate family {name!r}"
+                _pointer(f_ptr, "name"), f"duplicate family {name!r}"
             )
         table: dict[str, dict[str, object]] = {}
         generators = _want_list(
-            family.get("generators"), _pointer("families", f_at, "generators")
+            family.get("generators"), _pointer(f_ptr, "generators")
         )
         for g_at, raw_gen in enumerate(generators):
-            g_ptr = _pointer("families", f_at, "generators", g_at)
+            g_ptr = _pointer(f_ptr, "generators", g_at)
             gen = _want_obj(raw_gen, g_ptr)
             gen_id = _want_str(gen.get("id"), _pointer(g_ptr, "id"))
             if gen_id in gen_ids:
@@ -270,9 +270,9 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"in families: {exc}") from None
 
     variables: dict[str, TVariable] = {}
-    raw_vars = _want_list(top.get("variables"), _pointer("variables"))
+    raw_vars = _want_list(top.get("variables"), "/variables")
     for v_at, raw_var in enumerate(raw_vars):
-        v_ptr = _pointer("variables", v_at)
+        v_ptr = _pointer("/variables", v_at)
         var = _want_obj(raw_var, v_ptr)
         name = _want_str(var.get("name"), _pointer(v_ptr, "name"))
         if any(ch.isspace() for ch in name) or "," in name:
@@ -302,7 +302,7 @@ def load_config(path: str) -> Config:
                 ) from None
         variables[name] = TVariable.of(polys)
 
-    return Config(order, functional, variables)
+    return Config(functional, variables)
 
 
 # --------------------------------------------------------------------------
@@ -312,12 +312,9 @@ def load_config(path: str) -> Config:
 Row = tuple[str, str, int, str]
 
 
-class Emission(NamedTuple):
-    """One command's result: a JSON payload, and a function that builds
-    its flat 4-column rows, called only for CSV output."""
-
-    payload: object
-    rows: Callable[[], list[Row]]
+#: one command's result: a JSON payload, and a function that builds its
+#: flat 4-column rows, called only for CSV output
+Emission: TypeAlias = "tuple[object, Callable[[], list[Row]]]"
 
 
 def _compact(obj: object) -> str:
@@ -335,16 +332,17 @@ def _series_rows(query: str, items: Iterable[Mapping[str, object]]) -> list[Row]
 
 
 def _emit(args: SimpleNamespace, emission: Emission) -> None:
+    payload, rows = emission
     if args.format == "csv":
         import csv  # JSON is the default; only CSV output loads csv
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_TABLE_HEADER)
-        writer.writerows(emission.rows())
+        writer.writerows(rows())
         text = buffer.getvalue()
     else:
-        text = json.dumps(emission.payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -391,12 +389,12 @@ def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
         "degree": degree,
         "rows": out_rows,
     }
-    return Emission(payload, lambda: _series_rows(query, out_rows))
+    return (payload, lambda: _series_rows(query, out_rows))
 
 
 def _series_emission(query: str, series) -> Emission:
     obj = series.to_json_obj()
-    return Emission(obj, lambda: _series_rows(query, obj["coefficients"]))
+    return (obj, lambda: _series_rows(query, obj["coefficients"]))
 
 
 def _cmd_rtransform(config: Config, args: SimpleNamespace) -> Emission:
@@ -411,7 +409,7 @@ def _cmd_check_free(config: Config, args: SimpleNamespace) -> Emission:
     report = check_freeness(config.functional, group_a, group_b, args.degree)
     witness = list(report.witness) if report.witness else None
     payload = {"query": "check-free", "free": report.free, "witness": witness}
-    return Emission(payload, lambda: [
+    return (payload, lambda: [
         (
             "check-free",
             _compact(witness if witness is not None else []),
@@ -426,16 +424,20 @@ def _cmd_check_free(config: Config, args: SimpleNamespace) -> Emission:
 # --------------------------------------------------------------------------
 
 
-class _Flag(NamedTuple):
+class _Flag:
     """One command-line flag, as both parsers read it."""
 
-    name: str
-    metavar: str | None = None
-    type: Callable[[str], object] | None = None
-    required: bool = False
-    default: object = None
-    choices: tuple[str, ...] | None = None
-    help: str | None = None
+    __slots__ = ("name", "metavar", "type", "required", "default", "choices",
+                 "help")
+
+    def __init__(self, name: str, metavar: str | None = None,
+                 type: Callable[[str], object] | None = None,
+                 required: bool = False, default: object = None,
+                 choices: tuple[str, ...] | None = None,
+                 help: str | None = None):
+        self.name, self.metavar, self.type, self.required = (
+            name, metavar, type, required)
+        self.default, self.choices, self.help = default, choices, help
 
 
 _N = _Flag("--n", "K", int, True)
@@ -535,6 +537,8 @@ def _dispatch(args: SimpleNamespace) -> Emission:
             return commands.run_nc(args)
         handler = commands.HANDLERS[args.command]
     config = load_config(args.config)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if args.degree is not None and args.degree < 1:
         raise UsageError(f"--degree must be positive, got {args.degree}")
     return handler(config, args)
@@ -546,6 +550,11 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # a config is read under the interpreter's limit on the digits of an
+    # integer (CPython 3.10.7 on); _dispatch lifts it once the config is
+    # read, so that a result prints exactly, however long, and it is put
+    # back here (int() is 0: no limit to put back)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _parse_canonical(argv)
@@ -566,3 +575,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(exc, 2)
     except EngineError as exc:
         return _fail(exc, 3)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

@@ -1,5 +1,6 @@
 """The command-line commands that no moments, cumulants, rtransform or
-check-free query runs, and help.
+check-free query runs, help, and the error of a config that holds an
+integer too long to read.
 
 ``cli`` parses a canonical command line from its flag table and runs the
 four commands above itself. It imports this module only for ``nc list``,
@@ -10,6 +11,8 @@ or refuse, so that no other query compiles them.
 
 from __future__ import annotations
 
+import json
+import sys
 from types import SimpleNamespace
 
 from . import nc_lattice
@@ -19,15 +22,49 @@ from .cli import (
     Emission,
     UsageError,
     _compact,
+    _config_fail,
+    _pointer,
     _resolve_vars,
     _series_emission,
     _series_rows,
 )
-from .errors import DegreeCapExceeded
+from .errors import ConfigError, DegreeCapExceeded
 from .ncpoly import ExpressionError, format_rational, parse_rational
 from .toeplitz_core import TVariable, r_transform
 
 NC_MOBIUS_CAP = 7
+
+
+def long_integer_error(text: str) -> ConfigError:
+    """The error of a JSON config that json.loads refused for an integer
+    over the interpreter's digit limit, the first problem it met: at the
+    pointer of that integer, with its digits. The pointer is / if a later
+    JSON error or a repeated key leaves no document to find it in."""
+    limit, found = sys.get_int_max_str_digits(), []
+
+    def parse_int(literal: str) -> object:
+        try:
+            return int(literal)
+        except ValueError:
+            found.append((literal,))  # a JSON value is never a tuple
+            return found[-1]
+
+    try:
+        root = json.loads(text, parse_int=parse_int)
+    except (ValueError, RecursionError):
+        root = None
+    pointer, stack = "/", [("", root)]
+    while stack:  # depth first, in document order
+        at, node = stack.pop()
+        if node is found[0]:
+            pointer = at
+            break
+        items = (node.items() if isinstance(node, dict) else
+                 enumerate(node) if isinstance(node, list) else ())
+        stack += reversed([(at + _pointer(key), value) for key, value in items])
+    digits = len(found[0][0].lstrip("-"))
+    return _config_fail(pointer, f"integer of {digits} digits exceeds the "
+                                 f"limit of {limit} digits")
 
 
 def _resolve_var(config: Config, spec: str) -> TVariable:
@@ -55,7 +92,7 @@ def _cmd_nc_list(args: SimpleNamespace) -> Emission:
         "count": len(partitions),
         "rows": out_rows,
     }
-    return Emission(payload, lambda: [
+    return (payload, lambda: [
         ("nc-list", _compact(row["word"]), row["entry"], str(row["value"]))
         for row in out_rows
     ])
@@ -77,7 +114,7 @@ def _cmd_nc_mobius(args: SimpleNamespace) -> Emission:
         for lo, hi, mu in nc_lattice.mobius_intervals(args.n)
     ]
     payload = {"query": "nc-mobius", "n": args.n, "rows": out_rows}
-    return Emission(payload, lambda: [
+    return (payload, lambda: [
         ("nc-mobius", _compact(row["word"]), 0, row["value"])
         for row in out_rows
     ])
@@ -109,7 +146,7 @@ def _cmd_check_even(config: Config, args: SimpleNamespace) -> Emission:
     var = _resolve_var(config, args.var)
     result = check_even(config.functional, var, args.degree)
     payload = {"query": "check-even", "even": result}
-    return Emission(payload, lambda: [
+    return (payload, lambda: [
         ("check-even", "[]", 0, "true" if result else "false")
     ])
 
@@ -134,7 +171,7 @@ def _cmd_sparsity(config: Config, args: SimpleNamespace) -> Emission:
         "series": series_obj,
         "pattern": [row.to_json_obj() for row in pattern],
     }
-    return Emission(payload, lambda: _series_rows(
+    return (payload, lambda: _series_rows(
         "sparsity", series_obj["coefficients"]
     ) + [
         (

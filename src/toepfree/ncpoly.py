@@ -8,21 +8,30 @@ recursive-descent parser turns expression strings into polynomials.
 Everything here is immutable and exact. A polynomial is stored as one
 positive common denominator and integer numerators, so that products and
 sums run on integers with a single reduction per result; ``terms`` and
-``coeff`` give its coefficients as ``Fraction``s.
+``coeff`` give its coefficients as ``Fraction``s. Every rational the
+engine reads, a literal, an int or a Fraction, becomes a pair of integers
+(``_ratio``), so no module imports ``fractions`` until a Fraction is
+asked for.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
+import sys
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple,
+                    NoReturn, TypeAlias)
 
 from .errors import EngineError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: A word is a tuple of generator ids; the empty word is the unit of A.
 Word = tuple[str, ...]
 
-RationalLike = Fraction | int | str
+#: a string, so that no module imports fractions to define it
+RationalLike: TypeAlias = "Fraction | int | str"
 
 
 class Generator(NamedTuple("Generator", [("id", str), ("family", str)])):
@@ -38,36 +47,50 @@ class Generator(NamedTuple("Generator", [("id", str), ("family", str)])):
         return super().__new__(cls, id, family)
 
 
+def _ratio(value: RationalLike | tuple[int, int]) -> tuple[int, int]:
+    """value as integers (p, q), q > 0, with value p/q, not always in
+    lowest terms: from an int, a Fraction or a 'p'/'p/q' string. A pair
+    with q > 0 is returned as it is: the engine passes its own pairs
+    through here."""
+    if isinstance(value, str):
+        return _parse_ratio(value)
+    if isinstance(value, tuple) and value[1] > 0:
+        return value
+    try:  # an int or a Fraction, read without importing fractions
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"not an exact rational: {value!r}") from None
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p'/'p/q' string to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    from fractions import Fraction
+
+    return Fraction(*_ratio(value))
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with integer p and positive integer q."""
-    body = text.strip()
-    num, slash, den = body.partition("/")
+    from fractions import Fraction
+
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """parse_rational of text as integers (p, q). A literal that int()
+    refuses is named by its length when it is long: it may be valid, but
+    longer than the interpreter converts."""
+    num, slash, den = text.strip().partition("/")
     try:
-        p = int(num)
+        p, q = int(num), int(den) if slash else 1
     except ValueError:
-        raise ValueError(f"bad rational literal {text!r}") from None
-    if not slash:
-        return Fraction(p)
-    try:
-        q = int(den)
-    except ValueError:
-        raise ValueError(f"bad rational literal {text!r}") from None
+        shown = repr(text) if len(text) <= 80 else f"of {len(text)} characters"
+        raise ValueError(f"bad rational literal {shown}") from None
     if q == 0:
         raise ZeroDenominatorError(f"zero denominator in {text!r}")
     if q < 0:
         raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(p, q)
+    return p, q
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,10 +98,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _term_key(term: tuple[Word, Fraction]) -> tuple[int, Word]:
-    return (len(term[0]), term[0])
 
 
 class NcPolynomial:
@@ -102,15 +121,9 @@ class NcPolynomial:
     numerators: Mapping[Word, int]
 
     def __init__(self, terms: Mapping[Word, RationalLike] | None = None):
-        fracs: dict[Word, Fraction] = {}
-        if terms:
-            for word, coeff in terms.items():
-                frac = as_fraction(coeff)
-                if frac:
-                    fracs[tuple(word)] = frac
-        den = lcm(*(f.denominator for f in fracs.values()))
-        nums = {w: f.numerator * den // f.denominator for w, f in fracs.items()}
-        _store(self, den, nums)
+        ratios = {tuple(w): _ratio(c) for w, c in (terms or {}).items()}
+        den = lcm(*(q for _, q in ratios.values()))
+        _store(self, den, {w: p * (den // q) for w, (p, q) in ratios.items() if p})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NcPolynomial is immutable")
@@ -125,24 +138,27 @@ class NcPolynomial:
 
     @staticmethod
     def constant(value: RationalLike) -> "NcPolynomial":
-        return NcPolynomial({(): as_fraction(value)})
+        return NcPolynomial({(): value})
 
     @staticmethod
     def generator(gen_id: str) -> "NcPolynomial":
-        return NcPolynomial({(gen_id,): Fraction(1)})
+        return _from_ints(1, {(gen_id,): 1})
 
     @property
     def terms(self) -> tuple[tuple[Word, Fraction], ...]:
         if self._terms is None:
+            from fractions import Fraction
+
             den = self.denominator
             terms = [(w, Fraction(n, den)) for w, n in self.numerators.items()]
-            terms.sort(key=_term_key)
+            terms.sort(key=lambda term: (len(term[0]), term[0]))
             object.__setattr__(self, "_terms", tuple(terms))
         return self._terms
 
     def coeff(self, word: Iterable[str]) -> Fraction:
-        n = self.numerators.get(tuple(word))
-        return Fraction(0) if n is None else Fraction(n, self.denominator)
+        from fractions import Fraction
+
+        return Fraction(self.numerators.get(tuple(word), 0), self.denominator)
 
     def degree(self) -> int:
         """Maximum word length; 0 for constants and for the zero polynomial."""
@@ -235,7 +251,7 @@ def _from_ints(den: int, nums: dict[Word, int]) -> NcPolynomial:
 
 
 _ZERO = NcPolynomial()
-_ONE = NcPolynomial({(): Fraction(1)})
+_ONE = _from_ints(1, {(): 1})
 
 
 def poly_add(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
@@ -250,12 +266,10 @@ def poly_add(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
 
 def poly_scale(c: RationalLike, p: NcPolynomial) -> NcPolynomial:
     """Scalar multiple c * p."""
-    frac = as_fraction(c)
-    if not frac:
+    a, q = _ratio(c)
+    if not a:
         return _ZERO
-    a = frac.numerator
-    nums = {w: a * n for w, n in p.numerators.items()}
-    return _from_ints(p.denominator * frac.denominator, nums)
+    return _from_ints(p.denominator * q, {w: a * n for w, n in p.numerators.items()})
 
 
 def poly_mul(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
@@ -324,136 +338,113 @@ class ZeroDenominatorError(ExpressionError):
     """A rational literal with denominator zero."""
 
 
-class _Token(NamedTuple):
-    kind: str  # 'int' | 'ident' | 'op'
-    text: str
-    pos: int
+#: a token: (kind, text, position), kind one of 'int', 'ident', 'op' and
+#: 'end', which closes every token list, with empty text at the length
+_Token: TypeAlias = "tuple[str, str, int]"
+
+#: after any space: digits (exactly those int() reads), an identifier, an
+#: operator, or any other character, which is refused
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/()])|(\S))")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise LexicalError(f"bad character {ch!r} at position {i}", i)
+    for match in _TOKEN.finditer(text):
+        kind, at = match.lastindex, match.start(match.lastindex)
+        if kind == 4:
+            raise LexicalError(f"bad character {match[4]!r} at position {at}", at)
+        tokens.append((("int", "ident", "op")[kind - 1], match[kind], at))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], symbols: frozenset[str], length: int):
+    """Recursive descent over a token list; an operator is known by its
+    text alone, which no other kind of token can have."""
+
+    def __init__(self, tokens: list[_Token], symbols: frozenset[str]):
         self.tokens = tokens
         self.symbols = symbols
         self.pos = 0
-        self.length = length
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
 
-    def _next(self) -> _Token | None:
+    def _next(self) -> _Token:
+        """The next token, consumed unless it is the end."""
         tok = self._peek()
-        if tok is not None:
-            self.pos += 1
+        self.pos += tok[0] != "end"
         return tok
 
-    def _fail(self, message: str) -> None:
-        tok = self._peek()
-        at = tok.pos if tok is not None else self.length
+    def _fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise ParseError at position at, by default the next token's."""
+        at = self._peek()[2] if at is None else at
         raise ParseError(f"{message} at position {at}", at)
 
     def parse(self) -> NcPolynomial:
         result = self.expr()
-        if self._peek() is not None:
-            self._fail(f"unexpected {self._peek().text!r}")
+        kind, text, _ = self._peek()
+        if kind != "end":
+            self._fail(f"unexpected {text!r}")
         return result
 
     def expr(self) -> NcPolynomial:
-        negate = False
-        tok = self._peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self._next()
-            negate = True
+        negate = self._peek()[1] == "-"
+        self.pos += negate
         total = self.term()
         if negate:
             total = poly_scale(-1, total)
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return total
+        while (op := self._peek()[1]) in ("+", "-"):
             self._next()
             rhs = self.term()
-            if tok.text == "-":
-                rhs = poly_scale(-1, rhs)
-            total = poly_add(total, rhs)
+            total = poly_add(total, rhs if op == "+" else poly_scale(-1, rhs))
+        return total
 
     def term(self) -> NcPolynomial:
         product = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "op" or tok.text != "*":
-                return product
+        while self._peek()[1] == "*":
             self._next()
             product = poly_mul(product, self.factor())
+        return product
 
     def factor(self) -> NcPolynomial:
-        tok = self._next()
-        if tok is None:
+        kind, text, at = self._next()
+        if kind == "end":
             self._fail("unexpected end of expression")
-        if tok.kind == "int":
-            return NcPolynomial.constant(self._rational(tok))
-        if tok.kind == "ident":
-            if tok.text not in self.symbols:
+        if kind == "int":
+            return self._rational(text, at)
+        if kind == "ident":
+            if text not in self.symbols:
                 raise UnknownSymbolError(
-                    f"unknown symbol {tok.text!r} at position {tok.pos}",
-                    tok.pos,
+                    f"unknown symbol {text!r} at position {at}", at
                 )
-            return NcPolynomial.generator(tok.text)
-        if tok.kind == "op" and tok.text == "(":
+            return NcPolynomial.generator(text)
+        if text == "(":
             inner = self.expr()
-            closing = self._next()
-            if closing is None or closing.kind != "op" or closing.text != ")":
-                self.pos -= closing is not None
-                self._fail("expected ')'")
+            _, closing, at = self._next()
+            if closing != ")":
+                self._fail("expected ')'", at)
             return inner
-        self.pos -= 1
-        self._fail(f"unexpected {tok.text!r}")
-        raise AssertionError("unreachable")
+        self._fail(f"unexpected {text!r}", at)
 
-    def _rational(self, tok: _Token) -> Fraction:
-        numerator = int(tok.text)
-        nxt = self._peek()
-        if nxt is None or nxt.kind != "op" or nxt.text != "/":
-            return Fraction(numerator)
-        self._next()
-        den_tok = self._next()
-        if den_tok is None or den_tok.kind != "int":
-            self._fail("expected integer denominator after '/'")
-        denominator = int(den_tok.text)
-        if denominator == 0:
-            raise ZeroDenominatorError(
-                f"zero denominator at position {den_tok.pos}", den_tok.pos
-            )
-        return Fraction(numerator, denominator)
+    def _rational(self, text: str, at: int) -> NcPolynomial:
+        numerator, denominator = self._int(text, at), 1
+        if self._peek()[1] == "/":
+            self._next()
+            kind, text, at = self._next()
+            if kind != "int":
+                self._fail("expected integer denominator after '/'")
+            denominator = self._int(text, at)
+            if denominator == 0:
+                raise ZeroDenominatorError(f"zero denominator at position {at}", at)
+        return NcPolynomial.constant((numerator, denominator))
+
+    def _int(self, digits: str, at: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            self._fail(f"integer of {len(digits)} digits exceeds the limit of "
+                       f"{sys.get_int_max_str_digits()} digits", at)
 
 
 def parse_expr(
@@ -470,7 +461,7 @@ def parse_expr(
     ids = frozenset(
         s.id if isinstance(s, Generator) else str(s) for s in symbols
     )
-    parser = _Parser(_tokenize(text), ids, len(text))
+    parser = _Parser(_tokenize(text), ids)
     try:
         return parser.parse()
     except RecursionError:

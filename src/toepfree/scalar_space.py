@@ -21,11 +21,15 @@ V = [n] term kept. Slots of one letter each are a table lookup.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from math import lcm
+from typing import TYPE_CHECKING, Iterable, Mapping, TypeAlias
 
 from .errors import DegreeCapExceeded
-from .ncpoly import Generator, RationalLike, Word, as_fraction
+from .ncpoly import Generator, RationalLike, Word, _ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Default truncation degree for moments and series.
 DEFAULT_DEGREE = 6
@@ -37,7 +41,7 @@ DEFAULT_DEGREE = 6
 #: refuse ``nc list --n 9`` and ``10``.
 MAX_DEGREE = 8
 
-CumulantTable = Mapping[tuple[str, ...], RationalLike]
+CumulantTable: TypeAlias = "Mapping[tuple[str, ...], RationalLike]"
 
 
 def builtin_distribution(
@@ -53,24 +57,32 @@ def builtin_distribution(
     (param ``value``: k_1 = c), and ``custom`` (param ``cumulants``: a
     mapping from id-tuples to rationals, passed through).
     """
+    from fractions import Fraction
+
+    return {key: Fraction(*value) for key, value in
+            _distribution(gen_id, degree_cap, {**params, "kind": kind}).items()
+            if value[0]}
+
+
+def _distribution(gen_id: str, degree_cap: int, params: dict[str, object]
+                  ) -> dict[tuple[str, ...], tuple[int, int]]:
+    """builtin_distribution of the descriptor params, {kind, **params},
+    with each value as integers (p, q), q > 0, and zeros kept; it pops
+    what it reads."""
+    kind = str(params.pop("kind", ""))
     if kind == "semicircular":
-        variance = as_fraction(params.pop("variance", 1))  # type: ignore[arg-type]
-        table = {(gen_id, gen_id): variance}
+        table = {(gen_id, gen_id): _ratio(params.pop("variance", 1))}
     elif kind == "free_poisson":
-        rate = as_fraction(params.pop("rate", 1))  # type: ignore[arg-type]
-        table = {
-            (gen_id,) * n: rate for n in range(1, degree_cap + 1)
-        }
+        rate = _ratio(params.pop("rate", 1))
+        table = {(gen_id,) * n: rate for n in range(1, degree_cap + 1)}
     elif kind == "constant":
-        value = as_fraction(params.pop("value", 0))  # type: ignore[arg-type]
-        table = {(gen_id,): value}
+        table = {(gen_id,): _ratio(params.pop("value", 0))}
     elif kind == "custom":
         raw = params.pop("cumulants", {})
         if not isinstance(raw, Mapping):
             raise ValueError("custom distribution needs a cumulants mapping")
         table = {
-            tuple(str(g) for g in key): as_fraction(val)  # type: ignore[arg-type]
-            for key, val in raw.items()
+            tuple(str(g) for g in key): _ratio(val) for key, val in raw.items()
         }
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
@@ -78,7 +90,7 @@ def builtin_distribution(
         raise ValueError(
             f"unexpected parameters for {kind!r}: {sorted(params)}"
         )
-    return {key: val for key, val in table.items() if val}
+    return table
 
 
 class MomentFunctional:
@@ -88,12 +100,16 @@ class MomentFunctional:
     Keys of each family table are tuples of that family's generator ids
     (length 1..degree_cap); missing tuples mean cumulant zero, and zero
     values are dropped. Cross-family joint cumulants are identically zero
-    and are never stored. Carries the generator table (ids with their
-    families) and a per-instance memo of word cumulants, which holds word
-    tuples of at most degree_cap letters over the declared generators and
-    is freed together with the functional. Dict mutations are single
-    atomic assignments, so shared use across threads yields identical
-    results.
+    and are never stored, so one table by key serves every family. Every
+    value is held in integers: ``den`` is a positive integer that clears
+    the tables, and a cumulant whose key has b letters is held as
+    kappa den^b. By homogeneity, a word cumulant of m letters in all is
+    then an integer over den^m; the per-instance memo of word cumulants
+    holds those integers, for word tuples of at most degree_cap letters
+    over the declared generators, and is freed together with the
+    functional. ``families`` and ``cumulant_words`` give Fractions. Dict
+    mutations are single atomic assignments, so shared use across threads
+    yields identical results.
     """
 
     def __init__(
@@ -102,12 +118,10 @@ class MomentFunctional:
         families: Mapping[str, CumulantTable],
         degree_cap: int = DEFAULT_DEGREE,
     ):
-        self.families: dict[str, dict[tuple[str, ...], Fraction]] = {
-            family: {
-                tuple(key): value
-                for key, val in table.items()
-                if (value := as_fraction(val))
-            }
+        # per family, each nonzero value as integers (p, q)
+        self._ratios = {
+            family: {tuple(key): r for key, val in table.items()
+                     if (r := _ratio(val))[0]}
             for family, table in families.items()
         }
         self.generators: dict[str, Generator] = {}
@@ -119,7 +133,7 @@ class MomentFunctional:
             raise ValueError(
                 f"degree cap must be in 1..{MAX_DEGREE}, got {degree_cap}"
             )
-        for family, table in self.families.items():
+        for family, table in self._ratios.items():
             for key in table:
                 if not 1 <= len(key) <= degree_cap:
                     raise ValueError(
@@ -140,17 +154,33 @@ class MomentFunctional:
                             f"{gen.family!r}"
                         )
         self.degree_cap = degree_cap
-        self._word_cumulant_memo: dict[tuple[Word, ...], Fraction] = {}
+        tables = self._ratios.values()
+        #: a positive integer that clears every table value
+        self.den = den = lcm(*(q for table in tables for _, q in table.values()))
+        self._kappa = {key: p * den ** len(key) // q
+                       for table in tables for key, (p, q) in table.items()}
+        self._word_cumulant_memo: dict[tuple[Word, ...], int] = {}
 
-    def _block_cumulant(self, letters: tuple[str, ...]) -> Fraction:
-        """kappa(V): the joint cumulant of a block of generator letters."""
-        families = {self.generators[g].family for g in letters}
-        if len(families) != 1:
-            return Fraction(0)
-        return self.families.get(families.pop(), {}).get(letters, Fraction(0))
+    @cached_property
+    def families(self) -> dict[str, dict[tuple[str, ...], Fraction]]:
+        """The cumulant table of each family, as Fractions, built on the
+        first read."""
+        from fractions import Fraction
+
+        return {family: {key: Fraction(*r) for key, r in table.items()}
+                for family, table in self._ratios.items()}
 
     def cumulant_words(self, words: tuple[Word, ...]) -> Fraction:
-        """The cumulant with one plain word per slot, memoized.
+        """The cumulant with one plain word per slot: cumulant_numerator
+        over den^m, m the letters of the words."""
+        from fractions import Fraction
+
+        return Fraction(self.cumulant_numerator(words),
+                        self.den ** sum(map(len, words)))
+
+    def cumulant_numerator(self, words: tuple[Word, ...]) -> int:
+        """The cumulant with one plain word per slot times den^m, m the
+        letters of the words: an integer, memoized.
 
         Products as arguments, by the first-block recursion of the module
         docstring; every value it reaches is memoized too. An empty word
@@ -173,12 +203,12 @@ class MomentFunctional:
                 raise ValueError(f"undeclared generator {gen_id!r} in word")
         return self._cumulant(words)
 
-    def _cumulant(self, words: tuple[Word, ...]) -> Fraction:
-        """cumulant_words of checked words, past its memo lookup."""
+    def _cumulant(self, words: tuple[Word, ...]) -> int:
+        """cumulant_numerator of checked words, past its memo lookup."""
         if not all(words):
-            total = Fraction(len(words) == 1)
+            total = int(len(words) == 1)
         elif all(len(word) == 1 for word in words):
-            total = self._block_cumulant(tuple(word[0] for word in words))
+            total = self._kappa.get(tuple(word[0] for word in words), 0)
         elif len(words) == 1:
             total = self._first_block_sum(tuple((g,) for g in words[0]), True)
         else:
@@ -190,17 +220,18 @@ class MomentFunctional:
         self._word_cumulant_memo[words] = total
         return total
 
-    def _first_block_sum(self, slots: tuple[Word, ...],
-                         whole: bool) -> Fraction:
+    def _first_block_sum(self, slots: tuple[Word, ...], whole: bool) -> int:
         """The sum over the blocks V that hold slot 1 (V = [n] only if
-        ``whole``) of kappa(slots|V) times phi of each gap's product."""
+        ``whole``) of kappa(slots|V) times phi of each gap's product, each
+        factor over den to the power of its letters, so the sum over den^m
+        too."""
         memo, n = self._word_cumulant_memo, len(slots)
         blocks = [((0,), slots[:1])]  # (V, slots|V)
         for i in range(1, n):
             blocks += [(v + (i,), key + slots[i:i + 1]) for v, key in blocks]
         if not whole:
             blocks.pop()  # [n], the last block made
-        total = Fraction(0)
+        total = 0
         for block, key in blocks:
             value = memo.get(key)
             if value is None:
@@ -228,15 +259,13 @@ def build_space(
     tables is ``MomentFunctional(generators, families, degree_cap)``.
     """
     gens: list[Generator] = []
-    merged: dict[str, dict[tuple[str, ...], Fraction]] = {}
+    merged: dict[str, dict[tuple[str, ...], tuple[int, int]]] = {}
     for family, gen_dists in family_tables.items():
-        table: dict[tuple[str, ...], Fraction] = {}
+        table = merged[family] = {}
         for gen_id, dist in gen_dists.items():
             gens.append(Generator(gen_id, family))
-            kind = str(dist.get("kind", ""))
-            params = {k: v for k, v in dist.items() if k != "kind"}
-            fragment = builtin_distribution(kind, gen_id, degree_cap, **params)
-            for key, val in fragment.items():
-                table[key] = table.get(key, Fraction(0)) + val
-        merged[family] = table
+            for key, (p, q) in _distribution(gen_id, degree_cap,
+                                             dict(dist)).items():
+                a, b = table.get(key, (0, 1))
+                table[key] = (a * q + p * b, b * q)
     return MomentFunctional(gens, merged, degree_cap)

@@ -30,20 +30,16 @@ one of its maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeCapExceeded, DimensionMismatch
-from .ncpoly import (
-    NcPolynomial,
-    RationalLike,
-    as_fraction,
-    format_rational,
-    poly_sum_of_products,
-)
+from .ncpoly import NcPolynomial, RationalLike, _ratio, poly_sum_of_products
 from .scalar_space import MomentFunctional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IndexWord = tuple[int, ...]
 
@@ -66,10 +62,9 @@ class BScalar:
     nums: tuple[int, ...]
 
     def __init__(self, entries: Iterable[RationalLike]):
-        fracs = [as_fraction(v) for v in entries]
-        den = lcm(*(f.denominator for f in fracs))
-        nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
-        _store(self, den, nums)
+        ratios = [_ratio(v) for v in entries]
+        den = lcm(*(q for _, q in ratios))
+        _store(self, den, tuple(p * (den // q) for p, q in ratios))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BScalar is immutable")
@@ -89,6 +84,8 @@ class BScalar:
     @property
     def entries(self) -> tuple[Fraction, ...]:
         if self._entries is None:
+            from fractions import Fraction
+
             den = self.den
             entries = tuple(Fraction(n, den) for n in self.nums)
             object.__setattr__(self, "_entries", entries)
@@ -102,9 +99,8 @@ class BScalar:
         return not any(self.nums)
 
     def scale(self, c: RationalLike) -> "BScalar":
-        frac = as_fraction(c)
-        nums = tuple(frac.numerator * n for n in self.nums)
-        return _reduced(self.den * frac.denominator, nums)
+        p, q = _ratio(c)
+        return _reduced(self.den * q, tuple(p * n for n in self.nums))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BScalar):
@@ -130,7 +126,7 @@ class BScalar:
         return f"BScalar({self})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(format_rational(x) for x in self.entries) + ")"
+        return "(" + ", ".join(_json_entries(self.den, self.nums)) + ")"
 
 
 def _store(b: BScalar, den: int, nums: tuple[int, ...]) -> None:
@@ -264,7 +260,9 @@ def t_cumulants(
     For n >= 2 the empty word reads 0 and is left out. Tuple prefixes are
     built along the word trie: one whose B-product is 0 is cut, and so is
     one that mixes families, unless a word of some variable spans two
-    families and could link them. Each word's sum runs on integers.
+    families and could link them. Each word's sum runs on integers: A[w]
+    is held over den^|w|, den the functional's, so that a tuple's product
+    of them times the integer cumulant_numerator of its words is its term.
     """
     cap, generators = functional.degree_cap, functional.generators
 
@@ -276,8 +274,9 @@ def t_cumulants(
     for x in vars_:
         _require_same_order(vars_[0], x)
         support = dict.fromkeys(w for p in x.entries for w in p.numerators)
-        terms = [((w,), family_of(w), BScalar(p.coeff(w) for p in x.entries))
-                 for w in support]
+        terms = [((w,), family_of(w), BScalar(
+            (p.numerators.get(w, 0), p.denominator * functional.den ** len(w))
+            for p in x.entries)) for w in support]
         tables.append((terms, max(map(len, support), default=0)))
     # a word with no family of its own can link words of two families
     cut = all(f is not None for t, _ in tables for (w,), f, _ in t if w)
@@ -318,9 +317,9 @@ def t_cumulants(
             _refuse(cap, [vars_[i - 1] for i in idx])
         total, common = [0] * vars_[0].order, 1
         for prefix, _, product in path[-1]:
-            value = functional.cumulant_words(prefix)
-            if value:
-                a, b = value.numerator, value.denominator * product.den
+            a = functional.cumulant_numerator(prefix)
+            if a:
+                b = product.den
                 if common % b:
                     scale = b // gcd(common, b)
                     total = [t * scale for t in total]
@@ -616,7 +615,7 @@ def check_freeness(functional: MomentFunctional,
     """
     if not group_a or not group_b:
         raise ValueError("both groups must be nonempty")
-    combined = list(group_a) + list(group_b)
+    combined = [*group_a, *group_b]
     _check_vars(combined)
     d = _resolve_degree(functional, degree)
     _require_word_count(len(combined), d)

@@ -579,7 +579,8 @@ def composition_terms(chain, j):
 def cumulant_multilinear(functional, args):
     """The scalar cumulant kappa_n(p_1, ..., p_n) of polynomials by
     multilinear expansion: the sum over one word from each slot of the
-    product of their coefficients times ``cumulant_words`` of the words.
+    product of their coefficients times the cumulant of the words, read
+    as ``cumulant_numerator`` over den^m, m the letters of the words.
 
     For n >= 2 a constant term reads 0 wherever it stands, so it is
     dropped before the expansion. The values are brought to the lcm of
@@ -595,15 +596,15 @@ def cumulant_multilinear(functional, args):
     slots = [[word for word in p.numerators if word or n == 1] for p in args]
     num, common = 0, 1
     for words in itertools.product(*slots):
-        value = functional.cumulant_words(words)
+        value = functional.cumulant_numerator(words)
         if value:
-            b = value.denominator
+            b = functional.den ** sum(map(len, words))
             if common % b:
                 step = b // gcd(common, b)
                 num *= step
                 common *= step
             weight = prod(p.numerators[w] for p, w in zip(args, words))
-            num += weight * value.numerator * (common // b)
+            num += weight * value * (common // b)
     return Fraction(num, common * prod(p.denominator for p in args))
 
 

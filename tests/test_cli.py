@@ -27,7 +27,6 @@ from oracles import (
     t_cumulant_mobius,
 )
 from toepfree.cli import load_config
-from toepfree.ncpoly import parse_rational
 from toepfree.series import BSeries, all_index_words
 from toepfree.toeplitz_core import BScalar, b_mul
 
@@ -720,7 +719,10 @@ def test_startup_loads_only_what_is_used():
     import, and neither do cumulants, rtransform and check-free; moments
     executes ``series`` alone of the two, and ``nc list`` executes
     ``nc_lattice``. ``nc list``, help, ``check-even`` and a ``cumulants``
-    line that is not canonical execute no ``series``; ``boxconv`` does."""
+    line that is not canonical execute no ``series``; ``boxconv`` does.
+    Neither ``import toepfree.cli`` nor a hot command loads ``fractions``,
+    or the ``decimal`` and ``numbers`` it would bring: the hot path runs
+    on integers."""
     loaded = _loaded_after("import toepfree")
     assert _package_part(loaded) == {"toepfree"}
     assert {"fractions", "argparse"} & loaded == set()
@@ -739,6 +741,7 @@ def test_startup_loads_only_what_is_used():
     loaded = _loaded_after("import toepfree.cli")
     assert _package_part(loaded) == package
     assert {"csv", "argparse", "gettext"} & loaded == set()
+    assert {"fractions", "decimal", "numbers"} & loaded == set()
     lazy = {"toepfree.series", "toepfree.nc_lattice"}
     executed = _loaded_after("import toepfree.cli", _EXECUTED)
     assert _package_part(executed) == package - lazy
@@ -765,6 +768,7 @@ def test_startup_loads_only_what_is_used():
         loaded, executed = _entry_point_modules(*argv, *out)
         assert _package_part(loaded) == package, argv
         assert {"csv", "argparse", "gettext"} & loaded == set(), argv
+        assert {"fractions", "decimal", "numbers"} & loaded == set(), argv
         unread = {"toepfree.nc_lattice"} if argv[0] == "moments" else lazy
         assert _package_part(executed) == package - unread, argv
     executed = _entry_point_modules("nc", "list", "--n", "3", *out)[1]
@@ -1131,11 +1135,107 @@ def test_missing_and_malformed_config_exit_2(tmp_path):
     code, _, err = run("moments", "--vars", "X", "--config", str(deep))
     assert code == 2, err
     assert err.startswith("error: config:") and err.count("\n") == 1, err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"N": 1, "families": [], "variables": ["\xe9"]}')
+    code, out, err = run("moments", "--vars", "X", "--config", str(latin))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config: cannot read {latin}: 'utf-8' codec")
+    assert err.count("\n") == 1, err
+
+
+#: an integer of 5,001 digits: over CPython's default limit of 4,300 on
+#: the digits int() reads from a string and str() writes
+LONG = "1" + "0" * 5000
+
+
+def _config_text(marked: dict, literal: str) -> str:
+    """The JSON of marked with each string "LONG" replaced by literal, so
+    that a JSON integer longer than json.dumps writes can be placed."""
+    return json.dumps(marked).replace('"LONG"', literal)
+
+
+@pytest.mark.parametrize(
+    "where,literal,pointer",
+    [
+        ("variance", LONG, "/families/0/generators/0/distribution/variance"),
+        ("entry", LONG, "/variables/0/entries/1"),
+        ("variance", "-" + LONG, "/families/0/generators/0/distribution/variance"),
+        # a JSON error after the integer leaves no document to point into
+        ("variance", LONG + ",", "/"),
+    ],
+    ids=["parameter", "list-item", "negative", "then-bad-json"],
+)
+def test_json_integer_over_the_digit_limit_exits_2(tmp_path, where, literal,
+                                                   pointer):
+    """A JSON integer longer than the interpreter converts is refused with
+    exit 2 and one line that names its pointer and its digits, not a
+    traceback: json.loads raises ValueError, not JSONDecodeError, on it."""
+    config = json.loads(json.dumps(BASE))
+    if where == "variance":
+        config["families"][0]["generators"][0]["distribution"]["variance"] = "LONG"
+    else:
+        config["variables"][0]["entries"][1] = "LONG"
+    path = tmp_path / "long.json"
+    path.write_text(_config_text(config, literal))
+    code, out, err = run("moments", "--vars", "X", "--config", str(path))
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (2, "", (
+        f"error: config: at {pointer}: integer of 5001 digits exceeds the "
+        f"limit of {limit} digits\n"))
+
+
+def test_literal_over_the_digit_limit_in_a_string_exits_2(tmp_path):
+    """An integer literal of 5,001 digits in an entry ends with exit 2 and
+    one line that names the entry's pointer, the digits and the column; in
+    a rational parameter string, with the pointer and the literal's length
+    (the literal is not echoed)."""
+    config = json.loads(json.dumps(BASE))
+    config["variables"][0]["entries"][0] = f"{LONG}*s"
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run("moments", "--vars", "X", "--config", str(path))
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (2, "", (
+        "error: config: at /variables/0/entries/0: integer of 5001 digits "
+        f"exceeds the limit of {limit} digits at position 0 (column 1)\n"))
+    config = json.loads(json.dumps(BASE))
+    config["families"][1]["generators"][0]["distribution"]["rate"] = f"{LONG}/3"
+    path.write_text(json.dumps(config))
+    code, out, err = run("moments", "--vars", "X", "--config", str(path))
+    assert (code, out, err) == (2, "", (
+        "error: config: at /families/1/generators/0/distribution/rate: bad "
+        "rational literal of 5003 characters\n"))
+
+
+def test_output_over_the_digit_limit_prints_exactly(tmp_path):
+    """m_8 of a semicircular of variance 10^1100 is Cat(4) 10^4400, whose
+    4,402 digits str() refuses under the interpreter's default limit: the
+    CLI prints it exactly, and an in-process run leaves the limit as it
+    found it."""
+    config = {
+        "N": 1,
+        "degree_cap": 8,
+        "families": [{"name": "semi", "generators": [{"id": "s", "distribution": {
+            "kind": "semicircular", "variance": "LONG"}}]}],
+        "variables": [{"name": "X", "entries": ["s"]}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(_config_text(config, "1" + "0" * 1100))
+    argv = ["moments", "--vars", "X", "--degree", "8", "--config", str(path)]
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == [
+        {"word": [1] * 8, "value": ["14" + "0" * 4400]}]
+    limit = sys.get_int_max_str_digits()
+    assert toepfree.cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert (tmp_path / "out.json").read_text() == out
 
 
 def test_config_parses_each_parameter_once(tmp_path, monkeypatch):
-    """load_config parses each distribution parameter string once and
-    keeps the Fraction it parsed, in a named law and in a custom table."""
+    """load_config parses each distribution parameter string once, into
+    integers through ncpoly._parse_ratio, and keeps the value it parsed, in
+    a named law and in a custom table."""
     config = json.loads(json.dumps(BASE))
     config["families"][0]["generators"].append({
         "id": "c",
@@ -1146,12 +1246,14 @@ def test_config_parses_each_parameter_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(config))
     parsed = []
 
+    parse_ratio = toepfree.ncpoly._parse_ratio
+
     def counted(text):
         parsed.append(text)
-        return parse_rational(text)
+        return parse_ratio(text)
 
-    monkeypatch.setattr(toepfree.cli, "parse_rational", counted)
-    monkeypatch.setattr(toepfree.ncpoly, "parse_rational", counted)
+    monkeypatch.setattr(toepfree.cli, "_parse_ratio", counted)
+    monkeypatch.setattr(toepfree.ncpoly, "_parse_ratio", counted)
     functional = load_config(str(path)).functional
     assert sorted(parsed) == ["-1/5", "1/2", "3/4"]
     assert functional.families["semi"][("c", "c")] == Fraction(-1, 5)

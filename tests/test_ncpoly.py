@@ -66,6 +66,32 @@ def test_parse_and_format_rational():
         parse_rational("x")
     with pytest.raises(TypeError):
         as_fraction(0.5)
+    # the engine's own (p, q) pairs pass through only with q > 0, so that
+    # every stored denominator stays positive
+    assert as_fraction((6, 4)) == F(3, 2)
+    for pair in ((1, 0), (1, -2)):
+        with pytest.raises(TypeError):
+            poly_scale(pair, NcPolynomial.generator("a"))
+
+
+def test_literals_int_refuses_are_errors_with_a_position():
+    """A literal longer than the interpreter converts is refused with its
+    length, not its text: in parse_rational by its characters, in an
+    expression by its digits and position. A digit int() does not read,
+    such as a superscript, is no integer token."""
+    long = "1" + "0" * 5000
+    with pytest.raises(ValueError, match="^bad rational literal of 5003 "
+                                         "characters$"):
+        parse_rational(f"{long}/3")
+    assert parse_rational("12/" + "0" * 90 + "3") == F(4)
+    with pytest.raises(ParseError) as info:
+        parse_expr(f"a + {long}*b", IDS)
+    assert info.value.position == 4
+    assert str(info.value).startswith("integer of 5001 digits exceeds the limit")
+    with pytest.raises(UnknownSymbolError) as info:
+        parse_expr("a*\u00b2", IDS)
+    assert info.value.position == 2
+    assert parse_expr("\u0663/4*a", IDS) == NcPolynomial({("a",): F(3, 4)})
 
 
 def test_generator_validation():

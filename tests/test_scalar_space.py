@@ -25,15 +25,29 @@ from hypothesis import strategies as st
 from toepfree.cli import load_config
 from toepfree.errors import DegreeCapExceeded, DimensionMismatch
 from toepfree.nc_lattice import NcPartition, catalan
-from toepfree.ncpoly import Generator, NcPolynomial, poly_add, poly_scale
+from toepfree.ncpoly import (
+    Generator,
+    NcPolynomial,
+    as_fraction,
+    parse_expr,
+    parse_rational,
+    poly_add,
+    poly_scale,
+)
 from toepfree.scalar_space import (
     MomentFunctional,
     builtin_distribution,
     build_space,
 )
-from toepfree.toeplitz_core import TVariable, t_cumulant
+from toepfree.toeplitz_core import BScalar, TVariable, t_cumulant, t_cumulants
 
-from oracles import cumulant_words_mobius, expect, phi_partition, phi_word_nc
+from oracles import (
+    cumulant_words_mobius,
+    expect,
+    phi_partition,
+    phi_word_nc,
+    t_cumulant_compositions,
+)
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -353,12 +367,89 @@ def test_cumulant_words_match_mobius_oracle():
         )
 
 
+#: a Mersenne prime: a table over it holds integers of 61 bits per letter
+M61 = 2**61 - 1
+
+
+def prime_space() -> MomentFunctional:
+    """A semicircular of variance 1/101, a free Poisson of rate 2/103, and
+    a joint custom family over 2^61 - 1, whose tables no small integer
+    clears."""
+    return build_space(
+        {
+            "sf": {"s": {"kind": "semicircular", "variance": "1/101"}},
+            "pf": {"p": {"kind": "free_poisson", "rate": "2/103"}},
+            "cf": {
+                "c": {"kind": "custom", "cumulants": {
+                    ("c",): F(1, M61), ("c", "c"): F(-3, M61),
+                    ("c", "d", "c"): F(5, M61)}},
+                "d": {"kind": "custom", "cumulants": {
+                    ("d",): F(7, 11), ("c", "d"): F(M61 - 2, M61)}},
+            },
+        },
+        degree_cap=6,
+    )
+
+
+def test_large_prime_denominators_match_the_oracles():
+    """With large prime denominators the integer scalar layer is still
+    exact: den is the product of 101, 103, 11 and 2^61 - 1, the cumulants
+    of random word tuples (products in the slots) agree with Möbius
+    inversion of moments, and t_cumulants of variables with products such
+    as s*p as entries agree with the sum over compositions."""
+    fn = prime_space()
+    assert fn.den == 101 * 103 * 11 * M61
+    rng = random.Random(6101)
+    ids = tuple(fn.generators)
+    seen = set()
+    while len(seen) < 120:
+        words = random_slots(rng, ids, fn.degree_cap)
+        seen.add(words)
+        assert fn.cumulant_words(words) == cumulant_words_mobius(fn, words), words
+    assert any(fn.cumulant_words(ws) for ws in seen if len(ws) > 1)
+    ids = list(fn.generators)
+    entries = [
+        ["s*p + 1/7", "p*s - 2/3*c", "c*d"],
+        ["p + 1/13*d*c", "1/5*s*s", "0"],
+        ["c", "d - 3/101*s", "p*s"],
+    ]
+    vars_ = [TVariable.of([parse_expr(e, ids) for e in row]) for row in entries]
+    idx = [w for n in (1, 2, 3) for w in product((1, 2, 3), repeat=n)]
+    got = list(t_cumulants(fn, vars_, sorted(idx)))
+    for word, value in zip(sorted(idx), got):
+        assert value == t_cumulant_compositions(fn, vars_, word), word
+    assert any(not value.is_zero() for value in got)
+
+
+def test_public_rationals_are_fractions():
+    """The engine holds its rationals as integers, and every public
+    accessor still returns a Fraction, built when it is read: table
+    values, word cumulants, parsed literals, polynomial coefficients and
+    the entries of a BScalar."""
+    fn = prime_space()
+    families = fn.families
+    assert families["sf"] == {("s", "s"): F(1, 101)}
+    assert families["cf"][("c", "d")] == F(M61 - 2, M61)
+    values = [v for table in families.values() for v in table.values()]
+    values += builtin_distribution("free_poisson", "p", 2, rate="2/103").values()
+    values += [fn.cumulant_words((("s", "p"), ("p", "s"))),
+               fn.cumulant_words(((),)), parse_rational("4/6"),
+               as_fraction(3), as_fraction(F(1, 2))]
+    poly = parse_expr("3/4*s*p - 2", ids := list(fn.generators))
+    values += [c for _, c in poly.terms] + [poly.coeff(("s", "p")),
+                                            poly.coeff(("p",))]
+    values += BScalar.of([1, "2/3", F(-1, 5)]).entries
+    x = TVariable.of([parse_expr("s*p", ids), parse_expr("c", ids)])
+    values += t_cumulant(fn, [x, x], (1, 2)).entries
+    assert values and all(type(v) is F for v in values), values
+
+
 def test_cumulant_expansion_matches_mobius_and_skips_constants(monkeypatch):
     """kappa_n of polynomials, read as K_n at N = 1, against the
     multilinear expansion with Möbius inversion of each word combination,
     on seeded affine and s*p arguments; for arity n >= 2 no word tuple
     with an empty slot (a constant term, whose cumulant is 0) reaches
-    cumulant_words."""
+    cumulant_numerator, which t_cumulants reads."""
     rng = random.Random(6113)
     fn = build_space(
         {
@@ -379,13 +470,13 @@ def test_cumulant_expansion_matches_mobius_and_skips_constants(monkeypatch):
         return NcPolynomial({("s", "p"): rational(), ("p", "s"): rational()})
 
     calls = []
-    words_of = MomentFunctional.cumulant_words
+    words_of = MomentFunctional.cumulant_numerator
 
     def recording(self, words):
         calls.append(words)
         return words_of(self, words)
 
-    monkeypatch.setattr(MomentFunctional, "cumulant_words", recording)
+    monkeypatch.setattr(MomentFunctional, "cumulant_numerator", recording)
     arities = set()
     for _ in range(40):
         arity = rng.randint(1, 3)

@@ -274,7 +274,7 @@ def test_word_cap_is_checked_before_any_sum(monkeypatch):
         raise AssertionError("computed past the pre-flight check")
 
     assert not hasattr(MomentFunctional, "cumulant")
-    monkeypatch.setattr(MomentFunctional, "cumulant_words", boom)
+    monkeypatch.setattr(MomentFunctional, "cumulant_numerator", boom)
     for build in (r_transform, moment_series):
         with pytest.raises(DegreeCapExceeded) as err:
             build(fn, [x], 8)
@@ -394,13 +394,13 @@ def test_cli_cumulant_path_skips_mixed_family_tuples(
     path.write_text(json.dumps(config))
     family = {"s": "semi", "p": "pois"}
     read = []
-    cumulant_words = MomentFunctional.cumulant_words
+    cumulant_numerator = MomentFunctional.cumulant_numerator
 
     def recorded(self, words):
         read.append(words)
-        return cumulant_words(self, words)
+        return cumulant_numerator(self, words)
 
-    monkeypatch.setattr(MomentFunctional, "cumulant_words", recorded)
+    monkeypatch.setattr(MomentFunctional, "cumulant_numerator", recorded)
     assert not hasattr(MomentFunctional, "cumulant")
     for argv in (
         ["rtransform", "--vars", "X,Y", "--degree", "6"],

@@ -45,3 +45,31 @@ def test_compiled_nodes_lists_what_a_query_executes(capsys):
     source = ROOT / "src" / "toepfree" / "toeplitz_core.py"
     assert counts["toepfree.toeplitz_core"] == tool.nodes(source)
     assert total == ["total", str(sum(counts.values()))]
+
+
+#: the most AST nodes each hot query may compile, the package's share of a
+#: query's start-up: a change may lower a ceiling, and then pins the new
+#: total here, but may not raise one
+NODE_CEILINGS = {"cumulants": 12_702, "rtransform": 12_702,
+                 "check-free": 12_702, "moments": 15_238}
+
+
+def test_hot_queries_compile_no_more_nodes_than_their_ceilings():
+    """tools/compiled_nodes.py on each hot command over a golden config:
+    the total nodes of the package modules it executes stay at or under
+    the ceiling pinned for that command."""
+    tool = _tool("compiled_nodes")
+    golden = ROOT / "tests" / "golden"
+    moments, k3 = golden / "moments_config.json", golden / "k3_config.json"
+    lines = {
+        "cumulants": ["--vars", "X,Y", "--degree", "3", "--config", moments],
+        "rtransform": ["--vars", "X,Y", "--degree", "3", "--config", moments],
+        "check-free": ["--a", "A1,A2", "--b", "A3", "--config", k3],
+        "moments": ["--vars", "X,Y", "--degree", "3", "--config", moments],
+    }
+    totals = {
+        command: sum(map(tool.nodes, tool.executed(
+            [command, *map(str, argv), "--out", os.devnull]).values()))
+        for command, argv in lines.items()
+    }
+    assert {c: t for c, t in totals.items() if t > NODE_CEILINGS[c]} == {}
