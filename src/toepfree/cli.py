@@ -165,7 +165,9 @@ def _default_degree_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ConfigError(
-            f"{ENV_DEGREE_CAP} must be an integer, got {raw!r}"
+            f"{ENV_DEGREE_CAP} must be an integer, got {raw!r}" if len(raw) <= 80
+            else f"{ENV_DEGREE_CAP} must be an integer in 1..{MAX_DEGREE}, got "
+            f"a value of {len(raw)} characters"
         ) from None
     if not 1 <= cap <= MAX_DEGREE:
         raise ConfigError(
@@ -377,10 +379,9 @@ def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
     if query == "cumulants":
         values = (v.to_json_obj()
                   for v in t_cumulants(config.functional, vars_, words))
-    else:  # the moments of the words of one degree, off the series' rows
-        held = {w: (den, row) for w, den, row in
-                series.moment_series(config.functional, vars_, degree)._held()}
-        values = (_json_entries(*held.get(w, (1, [0] * order))) for w in words)
+    else:  # the moments of the words of one degree, off the series' terms
+        terms = series.moment_series(config.functional, vars_, degree)._terms
+        values = (_json_entries(*terms.get(w, (1, [0] * order))) for w in words)
     out_rows = [{"word": list(w), "value": v} for w, v in zip(words, values)]
     payload = {
         "query": query,

@@ -210,6 +210,16 @@ def build_parser():
         except (ValueError, ExpressionError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
+    def int_flag(text: str) -> int:
+        """int(text), refused in argparse's words, or by its length when
+        it is long."""
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}" if len(text) <= 80
+                else f"invalid int value of {len(text)} characters") from None
+
     parser = Parser(prog="toepfree", description=(
         "Exact engine for moments, cumulants, R-transforms, and boxed "
         "convolution over Toeplitz matricial algebras."
@@ -223,7 +233,8 @@ def build_parser():
         for flag in flags:
             sub.add_argument(
                 flag.name, metavar=flag.metavar, required=flag.required,
-                type=rational_flag if flag.type is parse_rational else flag.type,
+                type={parse_rational: rational_flag, int: int_flag}.get(
+                    flag.type, flag.type),
                 default=flag.default, choices=flag.choices, help=flag.help,
             )
     return parser

@@ -108,11 +108,10 @@ class NcPolynomial:
     no factor common to D and every n_w; equal polynomials hold equal
     data. ``terms`` is the same polynomial as (word, Fraction) pairs
     ordered by degree, then lexicographically on letters, built on first
-    use. Instances are immutable and hashable (they serve as memo keys
-    throughout the engine).
+    use. Instances are immutable and hashable.
     """
 
-    __slots__ = ("denominator", "numerators", "_terms", "_hash")
+    __slots__ = ("denominator", "numerators", "_terms")
 
     #: the common denominator D > 0
     denominator: int
@@ -182,10 +181,7 @@ class NcPolynomial:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            key = (self.denominator, frozenset(self.numerators.items()))
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
+        return hash((self.denominator, frozenset(self.numerators.items())))
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         return poly_add(self, other)
@@ -240,8 +236,6 @@ def _store(poly: NcPolynomial, den: int, nums: dict[Word, int]) -> None:
     object.__setattr__(poly, "denominator", den)
     object.__setattr__(poly, "numerators", nums)
     object.__setattr__(poly, "_terms", None)
-    # hashed on first use: most products are never memo keys
-    object.__setattr__(poly, "_hash", None)
 
 
 def _from_ints(den: int, nums: dict[Word, int]) -> NcPolynomial:

@@ -1,6 +1,6 @@
 """The calculus of truncated formal series over the Toeplitz algebra.
 
-A BSeries (``toeplitz_core``) assigns a BScalar coefficient to every
+A BSeries (``toeplitz_core``) assigns a coefficient in B to every
 nonempty index word (i_1, ..., i_n) over {1..s} of length at most D.
 R-transforms collect tuple cumulants, and moment series collect tuple
 moments. The two determine each other through the sum over NC(n) of
@@ -91,7 +91,8 @@ def _root(b: int) -> int:
 
 
 def _scale(f: BSeries) -> int:
-    """An integer lam with den(w) | lam^|w| for every word w of f.
+    """An integer lam with den(w) | lam^|w| for every word w of f, den(w)
+    the denominator f's terms hold at w.
 
     The denominators split into pairwise coprime bases by gcds (factor
     refinement); each base is taken as its least root q, and lam holds
@@ -100,10 +101,10 @@ def _scale(f: BSeries) -> int:
     is unless two primes only ever come together, so no prime, however
     large, makes lam^|w| wider than the denominators need."""
     dens: dict[int, int] = {}
-    for word, value in f._table().items():
-        dens[len(word)] = lcm(dens.get(len(word), 1), value.den)
+    for word, (den, _) in f._terms.items():
+        dens[len(word)] = lcm(dens.get(len(word), 1), den)
     bases: list[int] = []
-    todo = list({value.den for value in f._coeffs.values()} - {1})
+    todo = list({den for den, _ in f._terms.values()} - {1})
     while todo:
         x = todo.pop()
         for b in bases:
@@ -180,9 +181,9 @@ def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
     k-bit slot j of one weight, listed at the ids of words (0 where f has
     no coefficient). Returns lam, the product of the lam_f, k and the
     packed series. f keeps lam_f = _scale(f), its rows and beta_f in its
-    private slot _rows (see BSeries), or, made by a map, the map's lam and
+    cache slot _pack (see BSeries), or, made by a map, the map's lam and
     the rows it decoded from, with beta_f once it is packed, so no series
-    is measured twice.
+    is scaled or measured twice.
 
     The width is the calling map's: terms(N, n) is its count below, and
 
@@ -247,15 +248,15 @@ def _packed(words: list[IndexWord], terms: Callable[[int, int], int],
     """
     lam, beta, scaled = 1, 0, []
     for f in series:
-        lam_f, rows, beta_f = f._rows or (_scale(f), None, None)
+        lam_f, rows, beta_f = f._pack or (_scale(f), None, None)
         if rows is None:
             powers = [lam_f**n for n in range(f.degree + 1)]
-            rows = {w: [c * (powers[len(w)] // v.den) for c in v.nums]
-                    for w, v in f._coeffs.items()}
+            rows = {w: [c * (powers[len(w)] // den) for c in nums]
+                    for w, (den, nums) in f._terms.items()}
         if beta_f is None:
             beta_f = max((-(-max(max(c), -min(c)).bit_length() // len(w))
                           for w, c in rows.items()), default=0)
-            object.__setattr__(f, "_rows", (lam_f, rows, beta_f))
+            object.__setattr__(f, "_pack", (lam_f, rows, beta_f))
         beta += beta_f
         lam *= lam_f
         scaled.append(rows)
@@ -276,21 +277,25 @@ def _decoded(f: BSeries, lam: int, k: int, words: list[IndexWord],
              packed: list[int]) -> BSeries:
     """The series of f's shape whose coefficient at words[x], x > 0, is the
     packed weight packed[x] read as balanced k-bit digits, over lam^|w|.
-    Zeros are dropped. The series holds only the digits, as its rows, and
-    builds no coefficient until one is read."""
+    Zeros are dropped. Its terms are (lam^|w|, digits), and its cache
+    _pack holds (lam, rows, None), the rows being the same digit lists; no
+    BScalar is built."""
     half, low = 1 << (k - 1), (1 << k) - 1
     # half carried into every digit but the last makes each nonnegative
     carry = sum(half << j * k for j in range(f.order - 1))
-    rows = {}
+    powers = [lam**n for n in range(f.degree + 1)]
+    terms, rows = {}, {}
     for x in range(1, len(packed)):
         if value := packed[x]:
-            rows[words[x]] = nums = []
+            w = words[x]
+            rows[w] = nums = []
+            terms[w] = (powers[len(w)], nums)
             value += carry
             for _ in range(f.order - 1):
                 nums.append((value & low) - half)
                 value >>= k
             nums.append(value)
-    return _fill(object.__new__(BSeries), f.s, f.order, f.degree, None,
+    return _fill(object.__new__(BSeries), f.s, f.order, f.degree, terms,
                  (lam, rows, None))
 
 

@@ -18,12 +18,13 @@ word. The test suite holds K_n against Möbius inversion of moments and
 against the sum over compositions of each entry, and the product against
 an explicit matrix embedding (``tests/oracles.py``).
 
-A BSeries is a truncated formal series with a BScalar coefficient at
-each index word. The R-transform collects the cumulants of every index
-word up to a degree, and the freeness predicate scans the mixed ones;
-both are sums of t_cumulants, checked against the degree cap and the
-word cap before any word is made. Moments of index words are not summed
-here: they are read off the R-transform by the series calculus
+A BSeries is a truncated formal series with a coefficient in B at each
+index word, held as integers (den, nums) per word and read as a BScalar.
+The R-transform collects the cumulants of every index word up to a
+degree, and the freeness predicate scans the mixed ones; both are sums
+of t_cumulants, checked against the degree cap and the word cap before
+any word is made. Moments of index words are not summed here: they are
+read off the R-transform by the series calculus
 (``series.moment_series``), which a process compiles only when it runs
 one of its maps.
 """
@@ -406,18 +407,16 @@ class BSeries:
     """A truncated B-valued formal series in s noncommuting indeterminates.
 
     Immutable; zero coefficients are never stored, so two series are equal
-    exactly when they agree coefficientwise. Two private slots lie outside
-    equality and hashing. ``_coeffs`` holds the BScalar coefficients by
-    word, or None until one is read. ``_rows`` is None or (lam, rows,
-    beta): an integer lam > 0, rows mapping each supported word w to the
-    N integer entries of lam^|w| f(w), and beta, None until the series
-    calculus (``series._packed``) measures it, with every entry below
-    2^(beta |w|) in absolute value. A map's output holds only its rows:
-    it builds its BScalar coefficients on the first read that needs them,
-    and prints its JSON, tests for zero and counts its words off the rows.
+    exactly when they agree coefficientwise. ``_terms`` maps each
+    supported word to integers (den, nums), the coefficient's entry j
+    being nums[j-1] / den, not always in lowest terms; every read builds
+    its BScalar from them, or prints them as they are. ``_pack`` lies
+    outside equality and hashing: None, or the series calculus' (lam,
+    rows, beta), which only ``series._packed`` and ``series._decoded``
+    read and set (see there).
     """
 
-    __slots__ = ("s", "order", "degree", "_coeffs", "_rows")
+    __slots__ = ("s", "order", "degree", "_terms", "_pack")
 
     def __init__(self, s: int, order: int, degree: int,
                  coefficients: Mapping[IndexWord, BScalar]):
@@ -427,7 +426,7 @@ class BSeries:
             raise ValueError(f"need a positive Toeplitz order, got {order}")
         if degree < 1:
             raise ValueError(f"need a positive degree bound, got {degree}")
-        clean: dict[IndexWord, BScalar] = {}
+        terms: dict[IndexWord, tuple[int, tuple[int, ...]]] = {}
         for word, value in coefficients.items():
             word = tuple(word)
             if not word or len(word) > degree:
@@ -444,56 +443,40 @@ class BSeries:
                     f"series has order {order}"
                 )
             if not value.is_zero():
-                clean[word] = value
-        _fill(self, s, order, degree, clean, None)
+                terms[word] = (value.den, value.nums)
+        _fill(self, s, order, degree, terms, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BSeries is immutable")
 
-    def _held(self) -> Iterator[tuple[IndexWord, int, list[int]]]:
-        """A map's output as (w, lam^|w|, row) per row, shortest first."""
-        lam, rows, _ = self._rows
-        powers = [lam**n for n in range(self.degree + 1)]
-        return ((w, powers[len(w)], row) for w, row in rows.items())
-
-    def _table(self) -> dict[IndexWord, BScalar]:
-        """The coefficients by word, built from the rows on first use."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", {
-                w: _reduced(den, tuple(row)) for w, den, row in self._held()
-            })
-        return self._coeffs
-
     def coef(self, word: Iterable[int]) -> BScalar:
-        return self._table().get(tuple(word), BScalar.zero(self.order))
+        term = self._terms.get(tuple(word))
+        if term is None:
+            return BScalar.zero(self.order)
+        return _reduced(term[0], tuple(term[1]))
 
     def words(self) -> list[IndexWord]:
         """Supported words, shortest first, lexicographic within a length."""
-        return sorted(self._table(), key=lambda w: (len(w), w))
+        return sorted(self._terms, key=lambda w: (len(w), w))
 
     def items(self) -> list[tuple[IndexWord, BScalar]]:
-        return [(w, self._coeffs[w]) for w in self.words()]
+        return [(w, self.coef(w)) for w in self.words()]
 
     def is_zero(self) -> bool:
-        return not (self._rows[1] if self._coeffs is None else self._coeffs)
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
-        return (self.s, self.order, self.degree, self._table()) == (
-            other.s, other.order, other.degree, other._table())
+        return (self.s, self.order, self.degree, self.items()) == (
+            other.s, other.order, other.degree, other.items())
 
     def __hash__(self) -> int:
-        return hash((self.s, self.order, self.degree,
-                     frozenset(self._table().items())))
+        return hash((self.s, self.order, self.degree, tuple(self.items())))
 
     def to_json_obj(self) -> dict[str, object]:
-        if self._coeffs is None:
-            coefficients = [{"word": list(w), "value": _json_entries(den, row)}
-                            for w, den, row in self._held()]
-        else:
-            coefficients = [{"word": list(w), "value": v.to_json_obj()}
-                            for w, v in self.items()]
+        coefficients = [{"word": list(w), "value": _json_entries(*self._terms[w])}
+                        for w in self.words()]
         return {"s": self.s, "N": self.order, "D": self.degree,
                 "coefficients": coefficients}
 
@@ -508,8 +491,7 @@ class BSeries:
     def __repr__(self) -> str:
         return (
             f"BSeries(s={self.s}, N={self.order}, D={self.degree}, "
-            f"{len(self._rows[1] if self._coeffs is None else self._coeffs)}"
-            " coefficients)"
+            f"{len(self._terms)} coefficients)"
         )
 
 
@@ -595,8 +577,9 @@ def r_transform(functional: MomentFunctional, vars_: Sequence[TVariable],
     order, d = check_series_request(functional, vars_, degree)
     # lexicographic order walks the word trie, sharing prefix products
     words = sorted(all_index_words(len(vars_), d))
-    coeffs = dict(zip(words, t_cumulants(functional, vars_, words)))
-    return BSeries(len(vars_), order, d, coeffs)
+    terms = {w: (v.den, v.nums) for w, v in
+             zip(words, t_cumulants(functional, vars_, words)) if not v.is_zero()}
+    return _fill(object.__new__(BSeries), len(vars_), order, d, terms, None)
 
 
 class FreenessReport(NamedTuple):

@@ -1294,3 +1294,37 @@ def test_env_degree_cap_semantics(cfg, tmp_path):
             env={"TOEPFREE_DEGREE_CAP": junk},
         )
         assert code == 2, (junk, err)
+
+
+def test_long_env_degree_cap_is_named_by_its_length(tmp_path):
+    """A TOEPFREE_DEGREE_CAP of 5,001 digits, which int() refuses, is named
+    by its length, not echoed, with the range a cap must be in; a short
+    one is still quoted."""
+    uncapped = json.loads(json.dumps(BASE))
+    del uncapped["degree_cap"]
+    path = tmp_path / "nocap.json"
+    path.write_text(json.dumps(uncapped))
+    argv = ("moments", "--vars", "X", "--config", str(path))
+    assert run(*argv, env={"TOEPFREE_DEGREE_CAP": LONG}) == (2, "", (
+        "error: config: TOEPFREE_DEGREE_CAP must be an integer in 1..8, got "
+        "a value of 5001 characters\n"))
+    assert run(*argv, env={"TOEPFREE_DEGREE_CAP": "2.5"}) == (2, "", (
+        "error: config: TOEPFREE_DEGREE_CAP must be an integer, got '2.5'\n"))
+
+
+def test_long_degree_flag_is_named_by_its_length(cfg):
+    """--degree of 5,001 digits is refused by its length, not echoed, where
+    argparse quotes a short value."""
+    assert run("moments", "--vars", "X", "--degree", LONG, "--config", cfg) == (
+        1, "", "error: usage: argument --degree: invalid int value of 5001 "
+        "characters\n")
+
+
+def test_long_n_flag_is_named_by_its_length():
+    """nc list --n of 5,001 digits is refused by its length, not echoed;
+    a short value is quoted as argparse quotes it."""
+    assert run("nc", "list", "--n", LONG) == (
+        1, "", "error: usage: argument --n: invalid int value of 5001 "
+        "characters\n")
+    assert run("nc", "list", "--n", "3x") == (
+        1, "", "error: usage: argument --n: invalid int value: '3x'\n")

@@ -20,6 +20,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,7 @@ from toepfree.toeplitz_core import (
 )
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 gen = NcPolynomial.generator
 zero = NcPolynomial.zero()
 
@@ -455,7 +457,7 @@ def test_series_calculus_aligns_coprime_denominators():
         for s, degree, density in ((1, 5, 1.0), (2, 4, 1.0), (2, 5, 0.4)):
             f = random_series(rng, s, order, degree, density, max_den=9)
             g = random_series(rng, s, order, degree, density, max_den=9)
-            dens = {v.den for v in f._coeffs.values()}
+            dens = {v.den for _, v in f.items()}
             assert len(dens) > 3, dens
             assert moments_from_r(f) == moments_from_r_nc(f)
             assert r_from_moments(f) == r_from_moments_mobius(f)
@@ -521,12 +523,12 @@ def test_series_calculus_stays_fused(monkeypatch):
 
 
 def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
-    """A map returns its packed rows and no BScalar coefficient: with every
-    BScalar construction made to raise, moments_from_r, r_from_moments
-    chained on its output and boxed_convolution return and print their
-    JSON; once the patch is off, their coefficients are built on first
-    read and equal the NC(n) oracles'. The moments table prints its rows,
-    zero rows included, off the moment series' rows and builds no
+    """A map returns its decoded terms and no BScalar coefficient: with
+    every BScalar construction made to raise, moments_from_r,
+    r_from_moments chained on its output and boxed_convolution return and
+    print their JSON; once the patch is off, their coefficients, built on
+    each read, equal the NC(n) oracles'. The moments table prints its
+    rows, zero rows included, off the moment series' terms and builds no
     coefficient of that series."""
     rng = random.Random(4409)
     r = random_series(rng, 2, 3, 5, max_den=9)
@@ -560,17 +562,11 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
         "variables": [{"name": "X", "entries": ["s", "1/3"]},
                       {"name": "Y", "entries": ["2*s", "0"]}],
     }))
-    table = BSeries._table
-
-    def no_table(f):
-        if f._coeffs is None:
-            boom()
-        return table(f)
-
     with monkeypatch.context() as patch:
-        # a series builds its BScalar coefficients from its rows in _table,
-        # through the toeplitz_core._reduced that t_cumulants also calls
-        patch.setattr(BSeries, "_table", no_table)
+        # a series builds a BScalar coefficient in coef, which items, == and
+        # hash read, through the toeplitz_core._reduced that t_cumulants
+        # also calls
+        patch.setattr(BSeries, "coef", boom)
         assert cli.main(["moments", "--vars", "X,Y", "--degree", "3",
                          "--config", str(path)]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
@@ -1221,9 +1217,9 @@ def test_truncation_coherence(fn_mix, pool_mix):
 
 
 def _printed(out):
-    """The entries a map's output prints off its rows, never read, once
-    they are checked to be the bytes its BScalar coefficients print."""
-    assert out._coeffs is None
+    """The entries a map's output prints off its terms, once they are
+    checked to be the bytes its BScalar coefficients print."""
+    assert out._pack is not None
     text = json.dumps(out.to_json_obj())
     want = BSeries(out.s, out.order, out.degree, dict(out.items()))
     assert text == json.dumps(want.to_json_obj())
@@ -1269,7 +1265,7 @@ def test_packed_kernel_matches_nc_oracles(s, order, degree, dens, bits):
     primes = [p for p in dens if p in (10_007, 2**61 - 1)]
     for out in outs:
         assert {x[0] == "-" for x in _printed(out)} == {True, False}
-        assert all(out._rows[0] % p == 0 for p in primes)
+        assert all(out._pack[0] % p == 0 for p in primes)
     assert outs[0] == moments_from_r_nc(f)
     assert outs[1] == r_from_moments_mobius(f)
     assert outs[2] == boxed_convolution_kreweras(f, g)
@@ -1430,14 +1426,14 @@ def test_property_packed_scale_clears_every_denominator(order, degree, rows):
 
 
 def test_series_scale_cache_is_not_observable(monkeypatch):
-    """A series keeps its scaled rows in a private slot, and a map's output
-    holds only the rows it was decoded from: repeated and chained calls,
-    and calls on equal series rebuilt from JSON (nothing kept), agree; the
-    slot is outside == and hash and cannot be set; a chained map does not
-    scale its input again; a map's output, packed from the rows it
-    carries, decodes back to itself; and an output never read, and one
-    read once, answer ==, hash, coef, items, words, is_zero, repr and
-    to_json_obj as the series built from its coefficients does."""
+    """A series keeps its scaled rows in a private slot, _pack, and a map's
+    output holds there the rows it was decoded from: repeated and chained
+    calls, and calls on equal series rebuilt from JSON (nothing kept),
+    agree; the slot is outside == and hash and cannot be set; a chained
+    map does not scale its input again; a map's output, packed from the
+    rows it carries, decodes back to itself; and an output answers ==,
+    hash, coef, items, words, is_zero, repr and to_json_obj as the series
+    built from its coefficients does."""
     rng = random.Random(7717)
     f = random_series(rng, 2, 3, 4, 0.7, max_den=9)
     g = random_series(rng, 2, 3, 4, 0.7, max_den=9)
@@ -1455,11 +1451,11 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
     assert boxed_convolution(m, box) == boxed_convolution(fresh(m), fresh(box))
     assert box == boxed_convolution_kreweras(f, g)
 
-    assert f._rows is not None and fresh(f)._rows is None
+    assert f._pack is not None and fresh(f)._pack is None
     assert f == fresh(f) and hash(f) == hash(fresh(f))
     assert {m: 1}[fresh(m)] == 1
     with pytest.raises(AttributeError, match="immutable"):
-        f._rows = None
+        f._pack = None
     with pytest.raises(AttributeError, match="immutable"):
         m.degree = 2
 
@@ -1468,12 +1464,12 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
     for out, terms in ((m, series_module._mobius_terms),
                        (r_from_moments(m), series_module._zeta_terms),
                        (box, series_module._boxed_terms)):
-        assert out._rows is not None
+        assert out._pack is not None
         lam, k, (packed,) = series_module._packed(words, terms, out)
         assert series_module._decoded(out, lam, k, words, packed) == out
 
-    # an output never read and one read once read as the series built from
-    # its coefficients, zero outputs included
+    # an output reads as the series built from its coefficients, zero
+    # outputs included
     zero = BSeries(2, 3, 4, {})
     reads = (
         lambda h, want: h == want and want == h,
@@ -1492,11 +1488,7 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
         out = make()
         want = BSeries(out.s, out.order, out.degree, dict(out.items()))
         for read in reads:
-            never = make()
-            assert never._coeffs is None and read(never, want)
-            once = make()
-            once.items()
-            assert once._coeffs is not None and read(once, want)
+            assert read(make(), want)
 
     # the word plans of alternating shapes, cold and warm, in one process
     plans = series_module._words_by_id
@@ -1528,6 +1520,44 @@ def test_series_scale_cache_is_not_observable(monkeypatch):
     monkeypatch.setattr(series_module, "_scale", boom)
     assert r_from_moments(moments_from_r(f)) == f
     assert boxed_convolution(m, box) == boxed_convolution_kreweras(m, box)
+
+
+def test_coefficients_read_reduced_with_tuple_entries():
+    """A coefficient read by coef or items is a BScalar in its stored form,
+    with tuple numerators and no factor common to the denominator and
+    every numerator, on a series from the constructor, from r_transform
+    and from each map, though a map keeps its terms over lam^|w| with
+    list numerators, most of them not in lowest terms."""
+    rng = random.Random(6113)
+    f = random_series(rng, 2, 3, 4, 0.8, max_den=9)
+    g = random_series(rng, 2, 3, 4, 0.8, max_den=9)
+    model = cli.load_config(str(GOLDEN / "moments_config.json"))
+    xy = [model.variables["X"], model.variables["Y"]]
+    outs = (moments_from_r(f), r_from_moments(f), boxed_convolution(f, g))
+    for out in outs:
+        terms = out._terms.values()
+        assert all(type(nums) is list for _, nums in terms)
+        assert any(gcd(den, *nums) > 1 for den, nums in terms)
+    for h in (f, r_transform(model.functional, xy, 3), *outs):
+        read = [h.coef(w) for w in h.words()] + [v for _, v in h.items()]
+        assert read and all(type(v.nums) is tuple for v in read)
+        assert all(gcd(v.den, *v.nums) == 1 for v in read)
+
+
+@pytest.mark.parametrize(("name", "degree"), [
+    ("moments_config", 2), ("k3_config", 4), ("sparsity_config", 4)])
+def test_r_transform_equals_the_series_of_its_coefficients(name, degree):
+    """On each golden config, the R-transform of all its variables, whose
+    terms r_transform fills itself, equals the series the constructor
+    builds from its coefficients, hashes alike and prints the same JSON
+    bytes."""
+    model = cli.load_config(str(GOLDEN / f"{name}.json"))
+    vars_ = list(model.variables.values())
+    r = r_transform(model.functional, vars_, degree)
+    want = BSeries(r.s, r.order, r.degree, dict(r.items()))
+    assert not r.is_zero() and r == want and want == r
+    assert hash(r) == hash(want)
+    assert json.dumps(r.to_json_obj()) == json.dumps(want.to_json_obj())
 
 
 def test_benchmark_library_pass_checks_out(monkeypatch, tmp_path):
