@@ -349,7 +349,20 @@ def _emit(args: SimpleNamespace, emission: Emission) -> None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        stdout = sys.stdout
+        if stdout is None:  # the process started with descriptor 1 closed
+            raise OSError("standard output is closed")
+        try:
+            stdout.write(text)
+            stdout.flush()
+        except OSError:
+            # what the stream still holds would fail again when the
+            # interpreter flushes it at exit: point the descriptor at
+            # os.devnull, the recipe of the signal module's documentation
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+            raise
 
 
 # --------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Library routines that no moments, cumulants, R-transform or freeness
-query runs.
+query runs, unless it refuses an index word.
 
 The evenness predicate; the sparsity pattern of the R-transform of a
-free-generator tuple; and the symmetric and compressed R-transforms.
-They are built on ``toeplitz_core`` and kept apart from it, so that a
-process that runs none of them never compiles them: the CLI imports this
-module only for ``check-even``, ``compress`` and ``sparsity``, and the
-package namespace binds each name here on first use.
+free-generator tuple; the symmetric and compressed R-transforms; and
+``_refuse``, which decides whether a long index word is refused and
+words the refusal. They are built on ``toeplitz_core`` and kept apart
+from it, so that a process that runs none of them never compiles them:
+the CLI imports this module only for ``check-even``, ``compress`` and
+``sparsity``, ``t_cumulants`` only for a word that may exceed the degree
+cap, and the package namespace binds each name here on first use.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, PreconditionError, ZeroTrace
+from .errors import (
+    DegreeCapExceeded,
+    DimensionMismatch,
+    PreconditionError,
+    ZeroTrace,
+)
 from .ncpoly import RationalLike, as_fraction, format_rational
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
@@ -23,9 +29,13 @@ from .toeplitz_core import (
     BSeries,
     TVariable,
     _check_vars,
+    _most_letters,
     b_mul,
     r_transform,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def check_even(functional: MomentFunctional, x: TVariable,
@@ -147,3 +157,39 @@ def compress_r_transform(r: BSeries, alpha0: RationalLike) -> BSeries:
     powers = [alpha**n for n in range(r.degree)]
     coeffs = {w: value.scale(powers[len(w) - 1]) for w, value in r.items()}
     return BSeries(r.s, r.order, r.degree, coeffs)
+
+
+def _refuse(cap: int, chosen: Sequence[TVariable]) -> None:
+    """Raise DegreeCapExceeded if the index word of ``chosen`` is refused.
+
+    Entry j of its cumulant sums, over the k_1 + ... + k_n = j with every
+    x^(m)_{k_m} nonzero, the cumulants of the tuples of one nonempty word
+    from each x^(m)_{k_m}. It is refused when n exceeds the cap and such k
+    exist, or when such a tuple has more letters than the cap; the message
+    gives the length of the first one by j, then k lexicographically, then
+    the words in each entry's order.
+    """
+    n, order = len(chosen), chosen[0].order
+    if n > cap:
+        low = (next((k for k, p in enumerate(x.entries) if p), order) for x in chosen)
+        if sum(low) < order:
+            raise DegreeCapExceeded(f"cumulant arity {n} exceeds degree cap {cap}")
+        return
+    lens = [[[len(w) for w in p.numerators if w] for p in x.entries] for x in chosen]
+    top = [[max(ws, default=float("-inf")) for ws in row] for row in lens]
+    most = _most_letters(top)
+    over = [r for r in range(order) if most[0][r] > cap]
+    if not over:
+        return
+    # the first k, lexicographically, that some word tuple takes over the cap
+    r, ks, held = over[0], [], 0
+    for m, row in enumerate(top):
+        k = next(k for k in range(r + 1) if held + row[k] + most[m + 1][r - k] > cap)
+        ks.append(k)
+        held += row[k]
+        r -= k
+    length = 0  # then the first such tuple, word by word
+    for m, k in enumerate(ks):
+        held -= top[m][k]
+        length += next(w for w in lens[m][k] if length + w + held > cap)
+    raise DegreeCapExceeded(f"word of length {length} exceeds degree cap {cap}")

@@ -315,6 +315,8 @@ def t_cumulants(
             path.append(step(path[-1], i) if path else tables[i - 1][0])
         last = idx
         if len(idx) > cap or sum(tables[i - 1][1] for i in idx) > cap:
+            from .extras import _refuse  # compiled only when a word may be refused
+
             _refuse(cap, [vars_[i - 1] for i in idx])
         total, common = [0] * vars_[0].order, 1
         for prefix, _, product in path[-1]:
@@ -342,42 +344,6 @@ def _most_letters(rows: Sequence[list[float]]) -> list[list[float]]:
             max(row[k] + after[r - k] for k in range(r + 1)) for r in range(order)
         ])
     return most
-
-
-def _refuse(cap: int, chosen: Sequence[TVariable]) -> None:
-    """Raise DegreeCapExceeded if the index word of ``chosen`` is refused.
-
-    Entry j of its cumulant sums, over the k_1 + ... + k_n = j with every
-    x^(m)_{k_m} nonzero, the cumulants of the tuples of one nonempty word
-    from each x^(m)_{k_m}. It is refused when n exceeds the cap and such k
-    exist, or when such a tuple has more letters than the cap; the message
-    gives the length of the first one by j, then k lexicographically, then
-    the words in each entry's order.
-    """
-    n, order = len(chosen), chosen[0].order
-    if n > cap:
-        low = (next((k for k, p in enumerate(x.entries) if p), order) for x in chosen)
-        if sum(low) < order:
-            raise DegreeCapExceeded(f"cumulant arity {n} exceeds degree cap {cap}")
-        return
-    lens = [[[len(w) for w in p.numerators if w] for p in x.entries] for x in chosen]
-    top = [[max(ws, default=float("-inf")) for ws in row] for row in lens]
-    most = _most_letters(top)
-    over = [r for r in range(order) if most[0][r] > cap]
-    if not over:
-        return
-    # the first k, lexicographically, that some word tuple takes over the cap
-    r, ks, held = over[0], [], 0
-    for m, row in enumerate(top):
-        k = next(k for k in range(r + 1) if held + row[k] + most[m + 1][r - k] > cap)
-        ks.append(k)
-        held += row[k]
-        r -= k
-    length = 0  # then the first such tuple, word by word
-    for m, k in enumerate(ks):
-        held -= top[m][k]
-        length += next(w for w in lens[m][k] if length + w + held > cap)
-    raise DegreeCapExceeded(f"word of length {length} exceeds degree cap {cap}")
 
 
 def t_cumulant(
@@ -410,7 +376,8 @@ class BSeries:
     exactly when they agree coefficientwise. ``_terms`` maps each
     supported word to integers (den, nums), the coefficient's entry j
     being nums[j-1] / den, not always in lowest terms; every read builds
-    its BScalar from them, or prints them as they are. ``_pack`` lies
+    its BScalar from them, or prints them as they are, and == and hash
+    compare them reduced, building no BScalar. ``_pack`` lies
     outside equality and hashing: None, or the series calculus' (lam,
     rows, beta), which only ``series._packed`` and ``series._decoded``
     read and set (see there).
@@ -465,14 +432,23 @@ class BSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _key(self) -> tuple[int, int, int, dict]:
+        """s, order, degree and each word's (den, nums) in lowest terms,
+        built without a BScalar: what == and hash compare."""
+        terms = {}
+        for word, (den, nums) in self._terms.items():
+            common = gcd(den, *nums)
+            terms[word] = (den // common, tuple([n // common for n in nums]))
+        return self.s, self.order, self.degree, terms
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BSeries):
             return NotImplemented
-        return (self.s, self.order, self.degree, self.items()) == (
-            other.s, other.order, other.degree, other.items())
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.s, self.order, self.degree, tuple(self.items())))
+        *shape, terms = self._key()
+        return hash((*shape, frozenset(terms.items())))
 
     def to_json_obj(self) -> dict[str, object]:
         coefficients = [{"word": list(w), "value": _json_entries(*self._terms[w])}

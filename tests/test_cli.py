@@ -8,6 +8,7 @@ a checkout on ``PYTHONPATH`` as well as from an installed package.
 
 import ast
 import csv
+import errno
 import io
 import json
 import os
@@ -570,6 +571,47 @@ def test_out_flag_io_failure_exits_1(cfg, tmp_path):
     assert code == 1 and err.startswith("error: io:")
 
 
+#: a query, run by the entry point (which may end with os._exit) and by a
+#: plain call of cli.main (which ends with the interpreter's normal exit)
+ENTRY_COMMANDS = {
+    "entry-point": (sys.executable, "-m", "toepfree"),
+    "cli-main": (sys.executable, "-c",
+                 "import sys; from toepfree.cli import main; sys.exit(main())"),
+}
+
+
+@pytest.mark.parametrize("command", ENTRY_COMMANDS.values(),
+                         ids=ENTRY_COMMANDS.keys())
+def test_closed_stdout_is_an_io_error(command):
+    """Started with descriptor 1 closed (sys.stdout is None), a query
+    ends with one error: io line and exit 1, no traceback."""
+    proc = subprocess.run(
+        [*command, "nc", "list", "--n", "2"], stderr=subprocess.PIPE,
+        text=True, preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: io: standard output is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ENTRY_COMMANDS.values(),
+                         ids=ENTRY_COMMANDS.keys())
+def test_full_stdout_is_an_io_error(command):
+    """A small output to a buffered stdout on a full device fails when it
+    is flushed: one error: io line and exit 1, with nothing left for the
+    interpreter's exit to flush again (which printed an ignored OSError
+    and exited 120). PYTHONUNBUFFERED would write straight through and
+    hide the case, so the child runs without it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [*command, "nc", "list", "--n", "2"], stdout=full,
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+    no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (proc.returncode, proc.stderr) == (1, f"error: io: {no_space}\n")
+
+
 def test_config_commands_are_deterministic(cfg):
     first = run("rtransform", "--vars", "X,Y", "--degree", "3", "--config", cfg)
     second = run("rtransform", "--vars", "X,Y", "--degree", "3", "--config", cfg)
@@ -854,6 +896,73 @@ def test_tracer_installs_on_the_package():
         "toeplitz_core.t_moment",
         "toeplitz_core.build_q",
     }
+
+
+def _env_with_path(*paths: object) -> dict[str, str]:
+    """os.environ with paths, then the package's source, first on
+    PYTHONPATH."""
+    src = Path(toepfree.__file__).resolve().parents[1]
+    path = [*map(str, paths), str(src), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_tracer_still_writes_its_stats(tmp_path):
+    """perfbench/tracer.py runs the entry point inside its own program,
+    which must get control back: it writes its stats file after the query,
+    with one cli.main call, and exits with the query's code."""
+    stats = tmp_path / "stats.json"
+    argv = ["cumulants", "--vars", "X,Y", "--degree", "3",
+            "--config", str(GOLDEN / "moments_config.json"), "--out", os.devnull]
+    proc = subprocess.run(
+        [sys.executable, str(PYPROJECT.parent / "perfbench" / "tracer.py"),
+         str(stats), *argv],
+        capture_output=True, text=True, env=_env_with_path(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert json.loads(stats.read_text())["spans"]["cli.main"]["calls"] == 1
+
+
+def test_entry_point_runs_exit_hooks_and_skips_teardown(tmp_path):
+    """A sitecustomize registers an exit hook that writes a line to stderr
+    and holds an object whose finalizer writes another. The entry point
+    runs the hook and, as the whole program, skips the teardown that would
+    run the finalizer; stdout and the exit code are those of a run without
+    them. Under -X dev the interpreter's normal exit runs both."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(sys.stderr.write, 'exit hook\\n')\n"
+        "class Finalized:\n"
+        "    def __del__(self):\n"
+        "        sys.stderr.write('finalized\\n')\n"
+        "held = Finalized()\n"
+    )
+    argv = ["-m", "toepfree", "nc", "list", "--n", "2"]
+    plain = run(*argv, command=(sys.executable,))
+    assert plain[0] == 0 and plain[2] == ""
+    env = _env_with_path(tmp_path)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, plain[1], "exit hook\n")
+    proc = subprocess.run([sys.executable, "-X", "dev", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == plain[:2]
+    assert proc.stderr.splitlines() == ["exit hook", "finalized"]
+
+
+def test_entry_point_under_cprofile_prints_the_profile():
+    """cProfile runs the entry point as a module of its own program and
+    prints its profile after the query's output."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "toepfree", "nc", "list",
+         "--n", "2"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    table, end = json.JSONDecoder().raw_decode(proc.stdout)
+    profile = proc.stdout[end:]
+    assert table["query"] == "nc-list"
+    assert "function calls" in profile and "Ordered by" in profile
 
 
 def test_lazy_namespace_contract():

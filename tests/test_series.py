@@ -526,10 +526,11 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
     """A map returns its decoded terms and no BScalar coefficient: with
     every BScalar construction made to raise, moments_from_r,
     r_from_moments chained on its output and boxed_convolution return and
-    print their JSON; once the patch is off, their coefficients, built on
-    each read, equal the NC(n) oracles'. The moments table prints its
-    rows, zero rows included, off the moment series' terms and builds no
-    coefficient of that series."""
+    print their JSON, and == and hash compare and hash their terms; once
+    the patch is off, their coefficients, built on each read, equal the
+    NC(n) oracles'. The moments table prints its rows, zero rows included,
+    off the moment series' terms and builds no coefficient of that
+    series."""
     rng = random.Random(4409)
     r = random_series(rng, 2, 3, 5, max_den=9)
     g = random_series(rng, 2, 3, 5, 0.6, max_den=9)
@@ -547,6 +548,8 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
         box = boxed_convolution(r, g)
         printed = [json.dumps(out.to_json_obj()) for out in (m, back, box)]
         assert not m.is_zero() and repr(m).endswith(" 62 coefficients)")
+        assert back == r and r == back and hash(back) == hash(r)
+        assert m != back and box != r and {m, back, box, r} == {m, box, r}
     assert m == moments_from_r_nc(r)
     assert back == r_from_moments_mobius(m) == r
     assert box == boxed_convolution_kreweras(r, g)
@@ -563,9 +566,8 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
                       {"name": "Y", "entries": ["2*s", "0"]}],
     }))
     with monkeypatch.context() as patch:
-        # a series builds a BScalar coefficient in coef, which items, == and
-        # hash read, through the toeplitz_core._reduced that t_cumulants
-        # also calls
+        # a series builds a BScalar coefficient in coef, which items reads,
+        # through the toeplitz_core._reduced that t_cumulants also calls
         patch.setattr(BSeries, "coef", boom)
         assert cli.main(["moments", "--vars", "X,Y", "--degree", "3",
                          "--config", str(path)]) == 0
@@ -1542,6 +1544,21 @@ def test_coefficients_read_reduced_with_tuple_entries():
         read = [h.coef(w) for w in h.words()] + [v for _, v in h.items()]
         assert read and all(type(v.nums) is tuple for v in read)
         assert all(gcd(v.den, *v.nums) == 1 for v in read)
+
+
+def test_unreduced_and_reduced_terms_compare_and_hash_alike():
+    """A series whose terms are not in lowest terms equals, and hashes
+    like, the series of the same values in lowest terms, and differs from
+    one whose value differs in one entry."""
+    held = {(1,): (6, [2, 4]), (1, 2): (4, [0, -2]), (2, 2, 1): (5, [5, 10])}
+    unreduced = toeplitz_core._fill(object.__new__(BSeries), 2, 2, 3, held, None)
+    reduced = BSeries(2, 2, 3, {
+        (1,): BScalar.of(["1/3", "2/3"]), (1, 2): BScalar.of([0, "-1/2"]),
+        (2, 2, 1): BScalar.of([1, 2])})
+    assert unreduced == reduced and reduced == unreduced
+    assert hash(unreduced) == hash(reduced)
+    assert unreduced != BSeries(2, 2, 3, {
+        **dict(reduced.items()), (1,): BScalar.of(["1/3", "1/3"])})
 
 
 @pytest.mark.parametrize(("name", "degree"), [
