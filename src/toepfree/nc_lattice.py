@@ -1,12 +1,21 @@
 """Noncrossing partitions NC(n): enumeration, Kreweras complement, Möbius.
 
 Provides the canonical enumeration of noncrossing partitions, the Kreweras
-complement, and the Möbius function of NC(n) in closed form: every
-interval of NC(n) is a product of full lattices NC(k), so each Möbius
-value is a product of signed Catalan numbers, and no order relation is
-built. The refinement order, zeta / delta, the recursive Möbius function,
-interleaving and the even-block enumeration are reference routes in the
-test suite (``tests/oracles.py``).
+complement, and the Möbius function of NC(n) in closed form.
+
+NC(n) is built by the Catalan recursion on the least element: it is a
+singleton, or it shares its block with a later element e, and then the
+elements strictly between are partitioned on their own while those from e
+on are partitioned with the least element joined to the block of e. A
+partition given as blocks is checked in one left-to-right pass over a
+stack of open blocks: each element lies in the innermost open block or
+opens a new one.
+
+Every interval of NC(n) is a product of full lattices NC(k), so each
+Möbius value is a product of signed Catalan numbers, and no order relation
+is built. The refinement order, zeta / delta, the recursive Möbius
+function, interleaving and the even-block enumeration are reference routes
+in the test suite (``tests/oracles.py``).
 
 All values are immutable and all functions are pure; the enumeration of
 each NC(n) is kept in an ``lru_cache``.
@@ -29,23 +38,24 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _is_noncrossing(blocks: Sequence[Sequence[int]]) -> bool:
+def _is_noncrossing(blocks: Sequence[tuple[int, ...]]) -> bool:
     """True iff no a<b<c<d has {a,c} and {b,d} in two different blocks.
 
-    Two disjoint blocks cross exactly when their merged, sorted elements
-    switch between the two blocks at least three times (the alternating
-    pattern a b a b); nesting produces at most two switches.
+    One left-to-right pass keeps a stack of the open blocks, innermost on
+    top. Each element must lie in the innermost open block or open a new
+    one, and a block closes at its greatest element. The blocks must be
+    sorted tuples.
     """
-    spans = [(min(b), max(b), set(b)) for b in blocks]
-    for i, (lo1, hi1, set1) in enumerate(spans):
-        for lo2, hi2, set2 in spans[i + 1 :]:
-            if hi1 < lo2 or hi2 < lo1:
-                continue  # separated spans never cross
-            merged = sorted(set1 | set2)
-            sides = [x in set1 for x in merged]
-            switches = sum(a != b for a, b in zip(sides, sides[1:]))
-            if switches >= 3:
-                return False
+    block_of = {x: block for block in blocks for x in block}
+    open_blocks: list[tuple[int, ...]] = []
+    for x in sorted(block_of):
+        block = block_of[x]
+        if x == block[0]:
+            open_blocks.append(block)
+        elif open_blocks[-1] is not block:
+            return False
+        if x == block[-1]:
+            open_blocks.pop()
     return True
 
 
@@ -102,49 +112,32 @@ def _check_n(n: int) -> None:
 
 
 def _generate_nc(elements: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """All noncrossing partitions of an ordered ground set, unsorted.
+    """All noncrossing partitions of an ordered ground set, in no order.
 
-    Recursive decomposition by the block containing the least element: any
-    choice S of that block cuts the rest into independent gap intervals,
-    each of which carries an arbitrary noncrossing partition.
+    The Catalan recursion on the least element: it is a singleton, or its
+    block continues at some later element e. Then the elements strictly
+    between form an independent noncrossing partition, and the least
+    element joins the block of e in a noncrossing partition of the rest
+    from e on. Each partition's blocks come ordered by their minima.
     """
     if not elements:
         return [()]
     first, rest = elements[0], elements[1:]
-    out: list[tuple[tuple[int, ...], ...]] = []
-    for mask in range(1 << len(rest)):
-        block = [first] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        gaps: list[list[int]] = []
-        cut = iter(block[1:] + [None])
-        bound = next(cut)
-        current: list[int] = []
-        for x in rest:
-            if bound is not None and x == bound:
-                gaps.append(current)
-                current = []
-                bound = next(cut)
-            elif x not in block:
-                current.append(x)
-        gaps.append(current)
-        partials: list[tuple[tuple[int, ...], ...]] = [(tuple(block),)]
-        for gap in gaps:
-            if not gap:
-                continue
-            sub = _generate_nc(tuple(gap))
-            partials = [p + q for p in partials for q in sub]
-        out.extend(partials)
+    out = [((first,), *p) for p in _generate_nc(rest)]
+    for i in range(len(rest)):
+        out.extend(
+            ((first, *block), *inner, *others)
+            for inner, (block, *others) in product(
+                _generate_nc(rest[:i]), _generate_nc(rest[i:])
+            )
+        )
     return out
 
 
 @lru_cache(maxsize=None)
 def _enumerate_nc_cached(n: int) -> tuple[NcPartition, ...]:
     raw = _generate_nc(tuple(range(1, n + 1)))
-    parts = [
-        NcPartition(n, tuple(sorted(blocks, key=lambda b: b[0])))
-        for blocks in raw
-    ]
-    parts.sort(key=lambda p: p.blocks)
-    return tuple(parts)
+    return tuple(NcPartition(n, blocks) for blocks in sorted(raw))
 
 
 def enumerate_nc(n: int) -> list[NcPartition]:

@@ -102,7 +102,7 @@ def catalan_by_recurrence(n: int) -> int:
 
 
 def test_enumeration_matches_set_partition_filter():
-    for n in range(1, 7):
+    for n in range(1, 9):  # up to Bell(8) = 4,140 set partitions
         expected = {
             p for p in all_set_partitions(n) if not crossing_by_definition(p)
         }
@@ -179,6 +179,23 @@ def test_from_blocks_rejects_crossings_and_bad_covers():
         NcPartition.from_blocks(3, [[1, 2, 3], []])  # empty block
     with pytest.raises(ValueError):
         NcPartition.from_blocks(3, [[1, 2, 3, 4]])  # out of range
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 10))
+def test_property_from_blocks_accepts_exactly_the_noncrossing(data, n):
+    """A random set partition, its blocks listed by label and unsorted,
+    is accepted iff the quadruple definition finds no crossing."""
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    by_label: dict[int, list[int]] = {}
+    for x, label in enumerate(labels, 1):
+        by_label.setdefault(label, []).insert(0, x)
+    canon = tuple(sorted(tuple(sorted(b)) for b in by_label.values()))
+    if crossing_by_definition(canon):
+        with pytest.raises(CrossingPartition):
+            NcPartition.from_blocks(n, by_label.values())
+    else:
+        assert NcPartition.from_blocks(n, by_label.values()).blocks == canon
 
 
 def test_extremes():
