@@ -10,8 +10,13 @@ in ``tests/oracles.py``, and are not part of the package.
 
 The top-level names are bound lazily (PEP 562): ``import toepfree`` loads
 no submodule, and the first use of a name, or of a compute module such as
-``toepfree.series``, imports its home module.
+``toepfree.series``, imports its home module. The compute modules that a
+CLI query executes bind the same way, from ``toepfree.library``, the
+functions and methods of their layer that no such query calls
+(``_from_library`` and ``_defer``).
 """
+
+from __future__ import annotations
 
 from importlib import import_module
 
@@ -83,3 +88,41 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+def _from_library(module: str, names: str) -> object:
+    """The module __getattr__ (PEP 562) of ``module``: each of the
+    space-separated names is read from ``library``, executed on the first
+    such read, and any other name raises AttributeError."""
+    moved = names.split()
+
+    def __getattr__(name: str) -> object:
+        if name not in moved:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(".library", __name__), name)
+
+    return __getattr__
+
+
+class _Deferred:
+    """A class attribute defined on the namespace class of ``library``
+    named after its class with a leading underscore, bound on its class in
+    place of this one on the first read, when ``library`` is executed."""
+
+    __slots__ = ("owner", "name")
+
+    def __init__(self, owner: type, name: str):
+        self.owner, self.name = owner, name
+
+    def __get__(self, obj: object, owner: type | None = None) -> object:
+        library = import_module(".library", __name__)
+        value = vars(getattr(library, f"_{self.owner.__name__}"))[self.name]
+        setattr(self.owner, self.name, value)
+        return value.__get__(obj, owner)
+
+
+def _defer(owner: type, names: str) -> None:
+    """Bind each of the space-separated names on owner, a method, property
+    or dunder no CLI query calls, to its definition in ``library``."""
+    for name in names.split():
+        setattr(owner, name, _Deferred(owner, name))

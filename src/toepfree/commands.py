@@ -29,7 +29,7 @@ from .cli import (
     _series_rows,
 )
 from .errors import ConfigError, DegreeCapExceeded
-from .ncpoly import ExpressionError, format_rational, parse_rational
+from .ncpoly import ExpressionError, parse_rational
 from .toeplitz_core import TVariable, r_transform
 
 NC_MOBIUS_CAP = 7
@@ -109,7 +109,7 @@ def _cmd_nc_mobius(args: SimpleNamespace) -> Emission:
         {
             "word": [lo.to_json_obj(), hi.to_json_obj()],
             "entry": 0,
-            "value": format_rational(mu),
+            "value": str(mu),  # an int
         }
         for lo, hi, mu in nc_lattice.mobius_intervals(args.n)
     ]
@@ -166,21 +166,14 @@ def _cmd_sparsity(config: Config, args: SimpleNamespace) -> Emission:
     var = _resolve_var(config, args.var)
     series, pattern = free_family_sparsity(config.functional, var, args.degree)
     series_obj = series.to_json_obj()
-    payload = {
-        "query": "sparsity",
-        "series": series_obj,
-        "pattern": [row.to_json_obj() for row in pattern],
-    }
+    pattern_obj = [row.to_json_obj() for row in pattern]
+    payload = {"query": "sparsity", "series": series_obj, "pattern": pattern_obj}
     return (payload, lambda: _series_rows(
         "sparsity", series_obj["coefficients"]
     ) + [
-        (
-            "sparsity-pattern",
-            _compact([row.degree, row.source]),
-            row.entry,
-            format_rational(row.value),
-        )
-        for row in pattern
+        ("sparsity-pattern", _compact([row["degree"], row["source"]]),
+         row["entry"], row["value"])
+        for row in pattern_obj
     ])
 
 

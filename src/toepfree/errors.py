@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the engine, and its degree cap.
+"""Exception hierarchy shared across the engine, and its degree caps.
 
 Two broad classes matter to callers (and map onto the CLI exit codes):
 configuration problems (bad expressions, bad schemas) and mathematical
@@ -26,10 +26,15 @@ class DegreeCapExceeded(MathDomainError):
 
 #: Ceiling for ground-set sizes, of NC(n) and of the series maps; NC(10)
 #: has 16,796 elements. The letters of a scalar word, a different cost,
-#: are bounded by scalar_space.MAX_DEGREE (8); merging the two caps
-#: either way would refuse ``nc list --n 9`` and ``10`` or accept config
-#: caps 9 and 10.
+#: are bounded by MAX_DEGREE (8); merging the two caps either way would
+#: refuse ``nc list --n 9`` and ``10`` or accept config caps 9 and 10.
 DEFAULT_DEGREE_CAP = 10
+
+#: Largest supported truncation degree of a model (scalar_space), and the
+#: longest monomial the expression parser accepts. It bounds the letters
+#: of a word cumulant, so each first-block sum of cumulant_words visits at
+#: most 2^7 = 128 blocks V.
+MAX_DEGREE = 8
 
 
 class ZeroTrace(MathDomainError):

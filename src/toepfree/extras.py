@@ -8,7 +8,9 @@ words the refusal. They are built on ``toeplitz_core`` and kept apart
 from it, so that a process that runs none of them never compiles them:
 the CLI imports this module only for ``check-even``, ``compress`` and
 ``sparsity``, ``t_cumulants`` only for a word that may exceed the degree
-cap, and the package namespace binds each name here on first use.
+cap, and the package namespace binds each name here on first use. The
+routines that read Fractions import them from ``library`` when called,
+so that ``_refuse`` executes no more than this module.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     PreconditionError,
     ZeroTrace,
 )
-from .ncpoly import RationalLike, as_fraction, format_rational
+from .ncpoly import RationalLike
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
     BScalar,
@@ -60,6 +62,8 @@ class PatternRow(NamedTuple):
     value: Fraction
 
     def to_json_obj(self) -> dict[str, object]:
+        from .library import format_rational
+
         return {
             "degree": self.degree,
             "entry": self.entry,
@@ -144,6 +148,8 @@ def symm_r_transform(functional: MomentFunctional,
 def nonzero_trace(alpha0: RationalLike) -> Fraction:
     """alpha0 as a Fraction, refused with ZeroTrace if it is 0: the trace
     of a projection that compress_r_transform can scale by."""
+    from .library import as_fraction
+
     alpha = as_fraction(alpha0)
     if alpha == 0:
         raise ZeroTrace("compression needs a projection of nonzero trace")

@@ -3,7 +3,10 @@
 The model algebra A is the free unital algebra on a declared set of
 generators: elements are finite rational linear combinations of words
 (sequences of generator ids), multiplied by word concatenation. A small
-recursive-descent parser turns expression strings into polynomials.
+recursive-descent parser turns expression strings into polynomials, in
+time linear in the expression's length: it refuses a monomial longer
+than ``errors.MAX_DEGREE`` and a product that expands to more than
+``EXPANSION_CAP`` terms before it forms them.
 
 Everything here is immutable and exact. A polynomial is stored as one
 positive common denominator and integer numerators, so that products and
@@ -11,7 +14,10 @@ sums run on integers with a single reduction per result; ``terms`` and
 ``coeff`` give its coefficients as ``Fraction``s. Every rational the
 engine reads, a literal, an int or a Fraction, becomes a pair of integers
 (``_ratio``), so no module imports ``fractions`` until a Fraction is
-asked for.
+asked for. The Fraction views, formatting, comparison and the operators
+of ``NcPolynomial``, and ``poly_add``, ``poly_scale``, ``as_fraction`` and
+``format_rational``, are defined in ``library`` and bound here on first
+use, so that a query that calls none of them never compiles them.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ from __future__ import annotations
 import re
 import sys
 from math import gcd, lcm
-from typing import (TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple,
-                    NoReturn, TypeAlias)
+from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, NoReturn,
+                    TypeAlias)
 
-from .errors import EngineError
+from . import _defer, _from_library
+from .errors import MAX_DEGREE, EngineError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,6 +39,9 @@ Word = tuple[str, ...]
 
 #: a string, so that no module imports fractions to define it
 RationalLike: TypeAlias = "Fraction | int | str"
+
+__getattr__ = _from_library(__name__, "as_fraction format_rational poly_add "
+                                      "poly_scale")
 
 
 class Generator(NamedTuple("Generator", [("id", str), ("family", str)])):
@@ -62,13 +72,6 @@ def _ratio(value: RationalLike | tuple[int, int]) -> tuple[int, int]:
         raise TypeError(f"not an exact rational: {value!r}") from None
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or 'p'/'p/q' string to an exact rational."""
-    from fractions import Fraction
-
-    return Fraction(*_ratio(value))
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with integer p and positive integer q."""
     from fractions import Fraction
@@ -91,13 +94,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     if q < 0:
         raise ValueError(f"denominator must be positive in {text!r}")
     return p, q
-
-
-def format_rational(value: Fraction) -> str:
-    """Render exactly, as 'p' for integers and 'p/q' otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 class NcPolynomial:
@@ -124,17 +120,6 @@ class NcPolynomial:
         den = lcm(*(q for _, q in ratios.values()))
         _store(self, den, {w: p * (den // q) for w, (p, q) in ratios.items() if p})
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NcPolynomial is immutable")
-
-    @staticmethod
-    def zero() -> "NcPolynomial":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "NcPolynomial":
-        return _ONE
-
     @staticmethod
     def constant(value: RationalLike) -> "NcPolynomial":
         return NcPolynomial({(): value})
@@ -143,87 +128,17 @@ class NcPolynomial:
     def generator(gen_id: str) -> "NcPolynomial":
         return _from_ints(1, {(gen_id,): 1})
 
-    @property
-    def terms(self) -> tuple[tuple[Word, Fraction], ...]:
-        if self._terms is None:
-            from fractions import Fraction
-
-            den = self.denominator
-            terms = [(w, Fraction(n, den)) for w, n in self.numerators.items()]
-            terms.sort(key=lambda term: (len(term[0]), term[0]))
-            object.__setattr__(self, "_terms", tuple(terms))
-        return self._terms
-
-    def coeff(self, word: Iterable[str]) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.numerators.get(tuple(word), 0), self.denominator)
-
     def degree(self) -> int:
         """Maximum word length; 0 for constants and for the zero polynomial."""
         return max(map(len, self.numerators), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
-    def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self.terms)
-
     def __bool__(self) -> bool:
         return bool(self.numerators)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return (
-            self.denominator == other.denominator
-            and self.numerators == other.numerators
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.denominator, frozenset(self.numerators.items())))
-
-    def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return poly_add(self, poly_scale(-1, other))
-
-    def __neg__(self) -> "NcPolynomial":
-        return poly_scale(-1, self)
-
-    def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return poly_mul(self, other)
-
-    def __rmul__(self, scalar: RationalLike) -> "NcPolynomial":
-        return poly_scale(scalar, self)
-
-    def __repr__(self) -> str:
-        return f"NcPolynomial({self})"
-
-    def __str__(self) -> str:
-        if not self.numerators:
-            return "0"
-        parts: list[str] = []
-        for word, coeff in self.terms:
-            body = "*".join(word)
-            if not word:
-                piece = format_rational(abs(coeff))
-            elif abs(coeff) == 1:
-                piece = body
-            else:
-                piece = f"{format_rational(abs(coeff))}*{body}"
-            if not parts:
-                parts.append(piece if coeff > 0 else f"-{piece}")
-            else:
-                parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-        return " ".join(parts)
-
-    def to_json_obj(self) -> list[dict[str, object]]:
-        return [
-            {"word": list(word), "coeff": format_rational(coeff)}
-            for word, coeff in self.terms
-        ]
+_defer(NcPolynomial, "__setattr__ zero one terms coeff is_zero __iter__ __eq__ "
+                     "__hash__ __add__ __sub__ __neg__ __mul__ __rmul__ "
+                     "__repr__ __str__ to_json_obj")
 
 
 def _store(poly: NcPolynomial, den: int, nums: dict[Word, int]) -> None:
@@ -244,26 +159,8 @@ def _from_ints(den: int, nums: dict[Word, int]) -> NcPolynomial:
     return poly
 
 
-_ZERO = NcPolynomial()
 _ONE = _from_ints(1, {(): 1})
-
-
-def poly_add(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
-    """Coefficientwise sum, over the lcm of the two denominators."""
-    den = lcm(p.denominator, q.denominator)
-    sp, sq = den // p.denominator, den // q.denominator
-    total = {w: sp * n for w, n in p.numerators.items()}
-    for w, n in q.numerators.items():
-        total[w] = total.get(w, 0) + sq * n
-    return _from_ints(den, {w: n for w, n in total.items() if n})
-
-
-def poly_scale(c: RationalLike, p: NcPolynomial) -> NcPolynomial:
-    """Scalar multiple c * p."""
-    a, q = _ratio(c)
-    if not a:
-        return _ZERO
-    return _from_ints(p.denominator * q, {w: a * n for w, n in p.numerators.items()})
+_MINUS_ONE = _from_ints(1, {(): -1})
 
 
 def poly_mul(p: NcPolynomial, q: NcPolynomial) -> NcPolynomial:
@@ -304,7 +201,9 @@ def poly_sum_of_products(
 #
 # Rational literals are 'p' or 'p/q' (integer p, positive integer q);
 # identifiers are [A-Za-z_][A-Za-z0-9_]* and must be declared generators.
-# Whitespace is insignificant; multiplication preserves written order.
+# Whitespace is insignificant; multiplication preserves written order. A
+# monomial longer than MAX_DEGREE letters, and a product of more than
+# EXPANSION_CAP terms, is refused with an ExpansionError.
 # --------------------------------------------------------------------------
 
 
@@ -330,6 +229,15 @@ class UnknownSymbolError(ExpressionError):
 
 class ZeroDenominatorError(ExpressionError):
     """A rational literal with denominator zero."""
+
+
+class ExpansionError(ExpressionError):
+    """A product with a monomial longer than MAX_DEGREE letters, or of
+    more than EXPANSION_CAP terms."""
+
+
+#: the most terms the parser expands a product of two factors to
+EXPANSION_CAP = 2**14
 
 
 #: a token: (kind, text, position), kind one of 'int', 'ident', 'op' and
@@ -383,23 +291,48 @@ class _Parser:
         return result
 
     def expr(self) -> NcPolynomial:
-        negate = self._peek()[1] == "-"
-        self.pos += negate
-        total = self.term()
-        if negate:
-            total = poly_scale(-1, total)
+        """A sum, each term paired with 1 or -1, collected in one term table."""
+        sign = _MINUS_ONE if self._peek()[1] == "-" else _ONE
+        self.pos += sign is _MINUS_ONE
+        terms = [(self.term(), sign)]
         while (op := self._peek()[1]) in ("+", "-"):
             self._next()
-            rhs = self.term()
-            total = poly_add(total, rhs if op == "+" else poly_scale(-1, rhs))
-        return total
+            terms.append((self.term(), _ONE if op == "+" else _MINUS_ONE))
+        return poly_sum_of_products(terms)
 
     def term(self) -> NcPolynomial:
-        product = self.factor()
-        while self._peek()[1] == "*":
-            self._next()
-            product = poly_mul(product, self.factor())
-        return product
+        """A product. Its constant factors are multiplied apart, as one
+        fraction applied once at the end; before each other factor is
+        multiplied in, the product is refused if its longest monomial (of
+        as many letters as the factors' longest, summed: the free algebra
+        has no zero divisors) would exceed MAX_DEGREE letters, or its
+        expansion EXPANSION_CAP terms. So at most MAX_DEGREE factors are
+        multiplied, each into a bounded product."""
+        num, den, product, letters = 1, 1, _ONE, 0
+        while True:
+            factor = self.factor()
+            length = factor.degree()
+            if not length:  # a constant, or 0
+                num *= factor.numerators.get((), 0)
+                den *= factor.denominator
+            elif product is _ONE:
+                product, letters = factor, length
+            else:
+                letters += length
+                terms = len(product.numerators) * len(factor.numerators)
+                if letters > MAX_DEGREE:
+                    raise ExpansionError(f"monomial of length {letters} exceeds "
+                                         f"degree cap {MAX_DEGREE} at position "
+                                         f"{at}", at)
+                if terms > EXPANSION_CAP:
+                    raise ExpansionError(f"product of {terms} terms exceeds "
+                                         f"expansion cap {EXPANSION_CAP} at "
+                                         f"position {at}", at)
+                product = poly_mul(product, factor)
+            if self._peek()[1] != "*":
+                return _from_ints(den * product.denominator, {
+                    w: num * n for w, n in product.numerators.items() if num})
+            at = self._next()[2]
 
     def factor(self) -> NcPolynomial:
         kind, text, at = self._next()

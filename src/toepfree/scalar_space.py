@@ -17,51 +17,28 @@ n >= 2 slots
 
 and phi(u) = kappa_1(u) is the same sum over the letters of u, with the
 V = [n] term kept. Slots of one letter each are a table lookup.
+
+The Fraction views, ``builtin_distribution`` and the functional's
+``families`` and ``cumulant_words``, are defined in ``library`` and bound
+here on first use, so that a query that reads none of them never
+compiles them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, TypeAlias
+from typing import Iterable, Mapping, TypeAlias
 
-from .errors import DegreeCapExceeded
+from . import _defer, _from_library
+from .errors import MAX_DEGREE, DegreeCapExceeded
 from .ncpoly import Generator, RationalLike, Word, _ratio
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 #: Default truncation degree for moments and series.
 DEFAULT_DEGREE = 6
-#: Largest supported truncation degree. It bounds the letters of a word
-#: cumulant, so each first-block sum of cumulant_words visits at most
-#: 2^7 = 128 blocks V. errors.DEFAULT_DEGREE_CAP (10) bounds another
-#: cost, the size of NC(n), and the two differ on purpose: raising this
-#: to 10 would accept config caps 9 and 10, lowering that to 8 would
-#: refuse ``nc list --n 9`` and ``10``.
-MAX_DEGREE = 8
 
 CumulantTable: TypeAlias = "Mapping[tuple[str, ...], RationalLike]"
 
-
-def builtin_distribution(
-    kind: str,
-    gen_id: str,
-    degree_cap: int = DEFAULT_DEGREE,
-    **params: object,
-) -> dict[tuple[str, ...], Fraction]:
-    """The cumulant-table fragment of one generator for a named law.
-
-    Kinds: ``semicircular`` (param ``variance``: k_2 = v), ``free_poisson``
-    (param ``rate``: k_n = rate for every n <= degree_cap), ``constant``
-    (param ``value``: k_1 = c), and ``custom`` (param ``cumulants``: a
-    mapping from id-tuples to rationals, passed through).
-    """
-    from fractions import Fraction
-
-    return {key: Fraction(*value) for key, value in
-            _distribution(gen_id, degree_cap, {**params, "kind": kind}).items()
-            if value[0]}
+__getattr__ = _from_library(__name__, "builtin_distribution")
 
 
 def _distribution(gen_id: str, degree_cap: int, params: dict[str, object]
@@ -161,23 +138,6 @@ class MomentFunctional:
                        for table in tables for key, (p, q) in table.items()}
         self._word_cumulant_memo: dict[tuple[Word, ...], int] = {}
 
-    @cached_property
-    def families(self) -> dict[str, dict[tuple[str, ...], Fraction]]:
-        """The cumulant table of each family, as Fractions, built on the
-        first read."""
-        from fractions import Fraction
-
-        return {family: {key: Fraction(*r) for key, r in table.items()}
-                for family, table in self._ratios.items()}
-
-    def cumulant_words(self, words: tuple[Word, ...]) -> Fraction:
-        """The cumulant with one plain word per slot: cumulant_numerator
-        over den^m, m the letters of the words."""
-        from fractions import Fraction
-
-        return Fraction(self.cumulant_numerator(words),
-                        self.den ** sum(map(len, words)))
-
     def cumulant_numerator(self, words: tuple[Word, ...]) -> int:
         """The cumulant with one plain word per slot times den^m, m the
         letters of the words: an integer, memoized.
@@ -247,6 +207,9 @@ class MomentFunctional:
                         break
             total += value
         return total
+
+
+_defer(MomentFunctional, "families cumulant_words")
 
 
 def build_space(

@@ -27,22 +27,28 @@ any word is made. Moments of index words are not summed here: they are
 read off the R-transform by the series calculus
 (``series.moment_series``), which a process compiles only when it runs
 one of its maps.
+
+What no moments, cumulants, R-transform or freeness query calls is
+defined in ``library`` and bound here on first use: ``b_add``, ``t_mul``
+and ``t_cumulant``, the Fraction views, formatting, comparison and
+operators of BScalar and TVariable, and the BSeries constructor, readers
+and comparison (``toepfree._defer``).
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _defer, _from_library
 from .errors import DegreeCapExceeded, DimensionMismatch
-from .ncpoly import NcPolynomial, RationalLike, _ratio, poly_sum_of_products
+from .ncpoly import NcPolynomial, RationalLike, _ratio
 from .scalar_space import MomentFunctional
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 IndexWord = tuple[int, ...]
+
+__getattr__ = _from_library(__name__, "b_add t_mul t_cumulant")
 
 
 class BScalar:
@@ -67,67 +73,15 @@ class BScalar:
         den = lcm(*(q for _, q in ratios))
         _store(self, den, tuple(p * (den // q) for p, q in ratios))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BScalar is immutable")
-
-    @staticmethod
-    def of(values: Iterable[RationalLike]) -> "BScalar":
-        return BScalar(values)
-
-    @staticmethod
-    def one(order: int) -> "BScalar":
-        return _reduced(1, (1,) + (0,) * (order - 1))
-
-    @staticmethod
-    def zero(order: int) -> "BScalar":
-        return _reduced(1, (0,) * order)
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        if self._entries is None:
-            from fractions import Fraction
-
-            den = self.den
-            entries = tuple(Fraction(n, den) for n in self.nums)
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
-
-    @property
-    def order(self) -> int:
-        return len(self.nums)
-
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def scale(self, c: RationalLike) -> "BScalar":
-        p, q = _ratio(c)
-        return _reduced(self.den * q, tuple(p * n for n in self.nums))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BScalar):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.nums))
-
-    def __add__(self, other: "BScalar") -> "BScalar":
-        return b_add(self, other)
-
-    def __sub__(self, other: "BScalar") -> "BScalar":
-        return b_add(self, other.scale(-1))
-
-    def __mul__(self, other: "BScalar") -> "BScalar":
-        return b_mul(self, other)
 
     def to_json_obj(self) -> list[str]:
         return _json_entries(self.den, self.nums)
 
-    def __repr__(self) -> str:
-        return f"BScalar({self})"
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(_json_entries(self.den, self.nums)) + ")"
+_defer(BScalar, "__setattr__ of one zero entries order scale __eq__ __hash__ "
+                "__add__ __sub__ __mul__ __repr__ __str__")
 
 
 def _store(b: BScalar, den: int, nums: tuple[int, ...]) -> None:
@@ -165,17 +119,6 @@ def _require_same_order(x: BScalar | "TVariable", y: BScalar | "TVariable") -> N
         )
 
 
-def b_add(x: BScalar, y: BScalar) -> BScalar:
-    """Entrywise sum, over the lcm of the two denominators."""
-    xs, ys = x.nums, y.nums
-    if len(xs) != len(ys):
-        _require_same_order(x, y)
-    dx, dy = x.den, y.den
-    den = lcm(dx, dy)
-    sx, sy = den // dx, den // dy
-    return _reduced(den, tuple([a * sx + b * sy for a, b in zip(xs, ys)]))
-
-
 def b_mul(x: BScalar, y: BScalar) -> BScalar:
     """Convolution product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}, on
     the integer numerators over the product of the denominators."""
@@ -205,9 +148,6 @@ class TVariable:
     def __init__(self, entries: Iterable[NcPolynomial]):
         object.__setattr__(self, "entries", tuple(entries))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TVariable is immutable")
-
     @staticmethod
     def of(entries: Iterable[NcPolynomial]) -> "TVariable":
         return TVariable(entries)
@@ -216,39 +156,9 @@ class TVariable:
     def order(self) -> int:
         return len(self.entries)
 
-    def __mul__(self, other: "TVariable") -> "TVariable":
-        return t_mul(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TVariable):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def to_json_obj(self) -> list[list[dict[str, object]]]:
-        return [p.to_json_obj() for p in self.entries]
-
-    def __repr__(self) -> str:
-        return f"TVariable({self})"
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.entries) + ")"
-
-
-def t_mul(x: TVariable, y: TVariable) -> TVariable:
-    """Toeplitz product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}.
-
-    Iterating this over a chain of factors produces exactly the P_j
-    polynomials of the product recursion.
-    """
-    _require_same_order(x, y)
-    xs, ys = x.entries, y.entries
-    return TVariable(
-        poly_sum_of_products((xs[k], ys[j - k]) for k in range(j + 1))
-        for j in range(x.order)
-    )
+_defer(TVariable, "__setattr__ __mul__ __eq__ __hash__ to_json_obj __repr__ "
+                  "__str__")
 
 
 def t_cumulants(
@@ -346,15 +256,6 @@ def _most_letters(rows: Sequence[list[float]]) -> list[list[float]]:
     return most
 
 
-def t_cumulant(
-    functional: MomentFunctional,
-    vars_: Sequence[TVariable],
-    idx: Sequence[int],
-) -> BScalar:
-    """The (i_1, ..., i_n)-th cumulant: one word of ``t_cumulants``."""
-    return next(t_cumulants(functional, vars_, (idx,)))
-
-
 #: The most index words of its top length D that one request may ask for:
 #: s^D over s letters. A series, a degree table or a freeness scan makes
 #: the words of every length up to D, fewer than 2 s^D of them for s > 1,
@@ -385,70 +286,9 @@ class BSeries:
 
     __slots__ = ("s", "order", "degree", "_terms", "_pack")
 
-    def __init__(self, s: int, order: int, degree: int,
-                 coefficients: Mapping[IndexWord, BScalar]):
-        if s < 1:
-            raise ValueError(f"need at least one indeterminate, got s={s}")
-        if order < 1:
-            raise ValueError(f"need a positive Toeplitz order, got {order}")
-        if degree < 1:
-            raise ValueError(f"need a positive degree bound, got {degree}")
-        terms: dict[IndexWord, tuple[int, tuple[int, ...]]] = {}
-        for word, value in coefficients.items():
-            word = tuple(word)
-            if not word or len(word) > degree:
-                raise ValueError(
-                    f"index word {word} has length outside 1..{degree}"
-                )
-            if any(not 1 <= i <= s for i in word):
-                raise ValueError(
-                    f"index word {word} has letters outside 1..{s}"
-                )
-            if value.order != order:
-                raise DimensionMismatch(
-                    f"coefficient at {word} has order {value.order}, "
-                    f"series has order {order}"
-                )
-            if not value.is_zero():
-                terms[word] = (value.den, value.nums)
-        _fill(self, s, order, degree, terms, None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BSeries is immutable")
-
-    def coef(self, word: Iterable[int]) -> BScalar:
-        term = self._terms.get(tuple(word))
-        if term is None:
-            return BScalar.zero(self.order)
-        return _reduced(term[0], tuple(term[1]))
-
     def words(self) -> list[IndexWord]:
         """Supported words, shortest first, lexicographic within a length."""
         return sorted(self._terms, key=lambda w: (len(w), w))
-
-    def items(self) -> list[tuple[IndexWord, BScalar]]:
-        return [(w, self.coef(w)) for w in self.words()]
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def _key(self) -> tuple[int, int, int, dict]:
-        """s, order, degree and each word's (den, nums) in lowest terms,
-        built without a BScalar: what == and hash compare."""
-        terms = {}
-        for word, (den, nums) in self._terms.items():
-            common = gcd(den, *nums)
-            terms[word] = (den // common, tuple([n // common for n in nums]))
-        return self.s, self.order, self.degree, terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BSeries):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        *shape, terms = self._key()
-        return hash((*shape, frozenset(terms.items())))
 
     def to_json_obj(self) -> dict[str, object]:
         coefficients = [{"word": list(w), "value": _json_entries(*self._terms[w])}
@@ -456,19 +296,9 @@ class BSeries:
         return {"s": self.s, "N": self.order, "D": self.degree,
                 "coefficients": coefficients}
 
-    @staticmethod
-    def from_json_obj(obj: Mapping[str, object]) -> "BSeries":
-        coeffs = {
-            tuple(int(i) for i in row["word"]): BScalar.of(row["value"])
-            for row in obj["coefficients"]  # type: ignore[union-attr]
-        }
-        return BSeries(int(obj["s"]), int(obj["N"]), int(obj["D"]), coeffs)
 
-    def __repr__(self) -> str:
-        return (
-            f"BSeries(s={self.s}, N={self.order}, D={self.degree}, "
-            f"{len(self._terms)} coefficients)"
-        )
+_defer(BSeries, "__init__ __setattr__ coef items is_zero _key __eq__ __hash__ "
+                "from_json_obj __repr__")
 
 
 def _fill(f: BSeries, *values: object) -> BSeries:

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toepfree import ncpoly
+from toepfree.errors import MAX_DEGREE
 from toepfree.ncpoly import (
+    EXPANSION_CAP,
+    ExpansionError,
     Generator,
     LexicalError,
     NcPolynomial,
@@ -311,6 +315,45 @@ def test_parser_errors_carry_positions():
         parse_expr("   ", IDS)
     with pytest.raises(ZeroDenominatorError):
         parse_expr("1/0 + a", IDS)
+
+
+def test_parser_bounds_products_before_forming_them(monkeypatch):
+    """A product is refused, with the position of the '*' before the
+    factor that crosses a bound, once its longest monomial would exceed
+    MAX_DEGREE letters or its expansion EXPANSION_CAP terms, with no more
+    than MAX_DEGREE products formed. The bounds are inclusive; constant
+    factors, however many, multiply no polynomial."""
+    calls = []
+    poly_mul = ncpoly.poly_mul
+
+    def counted(p, q):
+        calls.append(len(p.numerators) * len(q.numerators))
+        return poly_mul(p, q)
+
+    monkeypatch.setattr(ncpoly, "poly_mul", counted)
+    assert parse_expr("*".join(["a"] * MAX_DEGREE), IDS) == NcPolynomial(
+        {("a",) * MAX_DEGREE: 1})
+    with pytest.raises(ExpansionError) as info:
+        parse_expr("*".join(["a"] * 32_000), IDS)
+    assert str(info.value) == (
+        "monomial of length 9 exceeds degree cap 8 at position 15")
+    assert info.value.position == 15
+    calls.clear()
+    with pytest.raises(ExpansionError) as info:
+        parse_expr("*".join(["(a+b+c+d+e+f)"] * 7), "abcdef")
+    assert str(info.value).startswith(
+        "product of 46656 terms exceeds expansion cap 16384 at position ")
+    assert calls == [36, 216, 1296, 7776]
+    four = "*".join(["(a+b+c_1+d)"] * 7)  # 4^7 = EXPANSION_CAP terms
+    assert len(parse_expr(four, (*IDS, "d")).numerators) == EXPANSION_CAP
+    with pytest.raises(ExpansionError, match="^product of 78125 terms"):
+        parse_expr("*".join(["(a+b+c_1+d+e)"] * 7), (*IDS, "d", "e"))
+    calls.clear()
+    assert parse_expr("*".join(["2"] * 5_000 + ["a", "1/4"]), IDS) == (
+        NcPolynomial({("a",): F(2**5_000, 4)}))
+    assert parse_expr("a*0*b", IDS).is_zero() and calls == [1]
+    assert parse_expr("-a - a*b + 3 - 3", IDS) == NcPolynomial(
+        {("a",): -1, ("a", "b"): -1})
 
 
 @settings(max_examples=80, deadline=None)

@@ -46,7 +46,7 @@ from oracles import (
     t_mul_oracle,
     zero_variable,
 )
-from toepfree import cli, extras, nc_lattice, toeplitz_core
+from toepfree import cli, extras, library, nc_lattice, toeplitz_core
 from toepfree import series as series_module
 from toepfree.errors import (
     DegreeCapExceeded,
@@ -511,8 +511,11 @@ def test_series_calculus_stays_fused(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a series map built a BScalar product or sum")
 
+    # b_mul is defined in toeplitz_core and b_add in library, which binds
+    # both for the BScalar operators
     monkeypatch.setattr(toeplitz_core, "b_mul", boom)
-    monkeypatch.setattr(toeplitz_core, "b_add", boom)
+    monkeypatch.setattr(library, "b_mul", boom)
+    monkeypatch.setattr(library, "b_add", boom)
     # series binds no b_mul of its own now; the patch guards any it gains
     monkeypatch.setattr(series_module, "b_mul", boom, raising=False)
     with pytest.raises(AssertionError, match="product or sum"):
