@@ -4,9 +4,10 @@ The model algebra A is the free unital algebra on a declared set of
 generators: elements are finite rational linear combinations of words
 (sequences of generator ids), multiplied by word concatenation. A small
 recursive-descent parser turns expression strings into polynomials, in
-time linear in the expression's length: it refuses a monomial longer
-than ``errors.MAX_DEGREE`` and a product that expands to more than
-``EXPANSION_CAP`` terms before it forms them.
+time linear in the expression's length plus ``EXPANSION_CAP``: it
+refuses a monomial longer than ``errors.MAX_DEGREE``, and an expression
+whose products, sums and scalings would form more than ``EXPANSION_CAP``
+terms beyond one per token, before it forms them.
 
 Everything here is immutable and exact. A polynomial is stored as one
 positive common denominator and integer numerators, so that products and
@@ -202,8 +203,11 @@ def poly_sum_of_products(
 # Rational literals are 'p' or 'p/q' (integer p, positive integer q);
 # identifiers are [A-Za-z_][A-Za-z0-9_]* and must be declared generators.
 # Whitespace is insignificant; multiplication preserves written order. A
-# monomial longer than MAX_DEGREE letters, and a product of more than
-# EXPANSION_CAP terms, is refused with an ExpansionError.
+# monomial longer than MAX_DEGREE letters is refused with an
+# ExpansionError, and so is an expression whose products, and whose sums
+# and scalings of polynomials of more than one term, form more than
+# EXPANSION_CAP terms in all: a parse writes at most EXPANSION_CAP terms
+# beyond one per token.
 # --------------------------------------------------------------------------
 
 
@@ -232,11 +236,11 @@ class ZeroDenominatorError(ExpressionError):
 
 
 class ExpansionError(ExpressionError):
-    """A product with a monomial longer than MAX_DEGREE letters, or of
-    more than EXPANSION_CAP terms."""
+    """A monomial longer than MAX_DEGREE letters, or an expression that
+    forms more than EXPANSION_CAP terms."""
 
 
-#: the most terms the parser expands a product of two factors to
+#: the most terms the parser forms in one expression, beyond one per token
 EXPANSION_CAP = 2**14
 
 
@@ -268,6 +272,7 @@ class _Parser:
         self.tokens = tokens
         self.symbols = symbols
         self.pos = 0
+        self.formed = 0
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -283,6 +288,14 @@ class _Parser:
         at = self._peek()[2] if at is None else at
         raise ParseError(f"{message} at position {at}", at)
 
+    def _form(self, terms: int, at: int) -> None:
+        """Count terms about to be formed; refuse them past EXPANSION_CAP."""
+        self.formed += terms
+        if self.formed > EXPANSION_CAP:
+            raise ExpansionError(f"expansion of {self.formed} terms exceeds "
+                                 f"expansion cap {EXPANSION_CAP} at position "
+                                 f"{at}", at)
+
     def parse(self) -> NcPolynomial:
         result = self.expr()
         kind, text, _ = self._peek()
@@ -291,13 +304,18 @@ class _Parser:
         return result
 
     def expr(self) -> NcPolynomial:
-        """A sum, each term paired with 1 or -1, collected in one term table."""
-        sign = _MINUS_ONE if self._peek()[1] == "-" else _ONE
+        """A sum, each term paired with 1 or -1, collected in one term
+        table; a lone term is returned as it is."""
+        _, op, at = self._peek()
+        sign = _MINUS_ONE if op == "-" else _ONE
         self.pos += sign is _MINUS_ONE
         terms = [(self.term(), sign)]
         while (op := self._peek()[1]) in ("+", "-"):
             self._next()
             terms.append((self.term(), _ONE if op == "+" else _MINUS_ONE))
+        if len(terms) == 1 and sign is _ONE:
+            return terms[0][0]
+        self._form(sum(n for t, _ in terms if (n := len(t.numerators)) > 1), at)
         return poly_sum_of_products(terms)
 
     def term(self) -> NcPolynomial:
@@ -305,10 +323,13 @@ class _Parser:
         fraction applied once at the end; before each other factor is
         multiplied in, the product is refused if its longest monomial (of
         as many letters as the factors' longest, summed: the free algebra
-        has no zero divisors) would exceed MAX_DEGREE letters, or its
-        expansion EXPANSION_CAP terms. So at most MAX_DEGREE factors are
-        multiplied, each into a bounded product."""
+        has no zero divisors) would exceed MAX_DEGREE letters, or the
+        terms it forms would take the expression past EXPANSION_CAP, and
+        so is the copy that scales a product of more than one term by its
+        constants. So at most MAX_DEGREE factors are multiplied, each
+        into a bounded product."""
         num, den, product, letters = 1, 1, _ONE, 0
+        start = self._peek()[2]
         while True:
             factor = self.factor()
             length = factor.degree()
@@ -319,17 +340,17 @@ class _Parser:
                 product, letters = factor, length
             else:
                 letters += length
-                terms = len(product.numerators) * len(factor.numerators)
                 if letters > MAX_DEGREE:
                     raise ExpansionError(f"monomial of length {letters} exceeds "
                                          f"degree cap {MAX_DEGREE} at position "
                                          f"{at}", at)
-                if terms > EXPANSION_CAP:
-                    raise ExpansionError(f"product of {terms} terms exceeds "
-                                         f"expansion cap {EXPANSION_CAP} at "
-                                         f"position {at}", at)
+                self._form(len(product.numerators) * len(factor.numerators), at)
                 product = poly_mul(product, factor)
             if self._peek()[1] != "*":
+                if num == den == 1:
+                    return product
+                if num and len(product.numerators) > 1:
+                    self._form(len(product.numerators), start)
                 return _from_ints(den * product.denominator, {
                     w: num * n for w, n in product.numerators.items() if num})
             at = self._next()[2]

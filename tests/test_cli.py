@@ -1024,6 +1024,36 @@ def test_lazy_namespace_contract():
         assert getattr(toepfree, module) is sys.modules[f"toepfree.{module}"]
 
 
+def test_deferred_names_match_the_library_namespaces():
+    """Each class whose cold methods live on a ``library._<Class>``
+    namespace defers exactly that namespace's members: each is a
+    ``_Deferred`` of its own name on the class, or, once read, the
+    namespace's object itself, and no other ``_Deferred`` is left on the
+    class, so that a method added to one list and not the other fails
+    here rather than going unbound."""
+    from toepfree import _Deferred, library
+
+    plain = {"__module__", "__doc__", "__qualname__", "__dict__",
+             "__weakref__"}
+    owners = (toepfree.NcPolynomial, toepfree.MomentFunctional,
+              toepfree.BScalar, toepfree.TVariable, toepfree.BSeries)
+    assert {f"_{cls.__name__}" for cls in owners} == {
+        name for name, space in vars(library).items()
+        if isinstance(space, type) and space.__module__ == library.__name__
+        and name.startswith("_")}
+    for cls in owners:
+        name = f"_{cls.__name__}"
+        members = {k: v for k, v in vars(getattr(library, name)).items()
+                   if k not in plain}
+        deferred = {k for k, v in vars(cls).items()
+                    if isinstance(v, _Deferred)}
+        assert deferred <= set(members), name
+        for member, value in members.items():
+            bound = vars(cls).get(member)
+            assert bound is value or (isinstance(bound, _Deferred)
+                                      and bound.name == member), (name, member)
+
+
 def test_console_script_is_installed():
     """The `toepfree` script declared in pyproject.toml runs and works.
 

@@ -7,6 +7,7 @@ together.
 """
 
 from fractions import Fraction
+import time
 from math import gcd
 
 import pytest
@@ -320,9 +321,10 @@ def test_parser_errors_carry_positions():
 def test_parser_bounds_products_before_forming_them(monkeypatch):
     """A product is refused, with the position of the '*' before the
     factor that crosses a bound, once its longest monomial would exceed
-    MAX_DEGREE letters or its expansion EXPANSION_CAP terms, with no more
-    than MAX_DEGREE products formed. The bounds are inclusive; constant
-    factors, however many, multiply no polynomial."""
+    MAX_DEGREE letters or the terms formed in the expression would pass
+    EXPANSION_CAP, with no more than MAX_DEGREE products formed. The
+    bounds are inclusive; constant factors, however many, multiply no
+    polynomial."""
     calls = []
     poly_mul = ncpoly.poly_mul
 
@@ -342,18 +344,46 @@ def test_parser_bounds_products_before_forming_them(monkeypatch):
     with pytest.raises(ExpansionError) as info:
         parse_expr("*".join(["(a+b+c+d+e+f)"] * 7), "abcdef")
     assert str(info.value).startswith(
-        "product of 46656 terms exceeds expansion cap 16384 at position ")
+        "expansion of 55980 terms exceeds expansion cap 16384 at position ")
     assert calls == [36, 216, 1296, 7776]
-    four = "*".join(["(a+b+c_1+d)"] * 7)  # 4^7 = EXPANSION_CAP terms
-    assert len(parse_expr(four, (*IDS, "d")).numerators) == EXPANSION_CAP
-    with pytest.raises(ExpansionError, match="^product of 78125 terms"):
-        parse_expr("*".join(["(a+b+c_1+d+e)"] * 7), (*IDS, "d", "e"))
+    ids = [f"g{i}" for i in range(128)]
+    square = "({0})*({0})".format("+".join(ids))  # 128^2 = EXPANSION_CAP
+    assert len(parse_expr(square, ids).numerators) == EXPANSION_CAP
+    with pytest.raises(ExpansionError, match="^expansion of 32768 terms"):
+        parse_expr(f"{square}*g0", ids)
     calls.clear()
     assert parse_expr("*".join(["2"] * 5_000 + ["a", "1/4"]), IDS) == (
         NcPolynomial({("a",): F(2**5_000, 4)}))
     assert parse_expr("a*0*b", IDS).is_zero() and calls == [1]
     assert parse_expr("-a - a*b + 3 - 3", IDS) == NcPolynomial(
         {("a",): -1, ("a", "b"): -1})
+
+
+def test_parser_bounds_the_terms_an_entry_forms():
+    """EXPANSION_CAP bounds the terms one expression forms in all, not
+    one product: a sum of products, each within the cap, is refused once
+    their terms pass it, and so are sums and scalings that copy a
+    polynomial of more than one term through nested parentheses. Terms of
+    one word, and a lone term in parentheses, are not counted, so a flat
+    sum of any length is read. Each is refused or read fast."""
+    four = "*".join(["(a+b+c_1+d)"] * 6)  # 4^6 terms, 5,456 formed
+    probes = {
+        "+".join([four] * 470): 5456 * 3 + 16 + 64,
+        "(" * 200 + four + ")+a" * 200: 5456 + 4096 + 2 * 4097,
+        "2*(" * 200 + four + ")" * 200: 5456 + 3 * 4096,
+    }
+    for entry, formed in probes.items():
+        start = time.process_time()
+        with pytest.raises(ExpansionError,
+                           match=f"^expansion of {formed} terms exceeds "):
+            parse_expr(entry, (*IDS, "d"))
+        assert time.process_time() - start < 0.5
+    start = time.process_time()
+    assert len(parse_expr("(" * 200 + four + ")" * 200, (*IDS, "d"))
+               .numerators) == 4096
+    assert parse_expr("+".join(["a", "b"] * 20_000), IDS) == NcPolynomial(
+        {("a",): 20_000, ("b",): 20_000})
+    assert time.process_time() - start < 0.5
 
 
 @settings(max_examples=80, deadline=None)

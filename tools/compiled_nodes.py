@@ -97,16 +97,16 @@ def nodes(path: Path) -> int:
     return sum(1 for _ in ast.walk(tree))
 
 
-def uncalled(argv: list[str], status: int = 0) -> list[tuple[str, str, int]]:
+def uncalled(argv: list[str]) -> list[tuple[str, str, int]]:
     """(module, qualified name, nodes) of each function that ``toepfree
     argv`` compiled and never called, in source order by module; the
-    command must exit with status."""
+    command must exit 0."""
     proc = subprocess.run([sys.executable, "-c", PROFILED, *argv],
                           capture_output=True, text=True, env=_env())
     line = next((line for line in reversed(proc.stdout.splitlines())
                  if line.startswith("PROFILED ")), None)
-    if line is None or json.loads(line[9:])[0] != status:
-        raise SystemExit(f"toepfree {' '.join(argv)} did not exit {status}:\n"
+    if line is None or json.loads(line[9:])[0] != 0:
+        raise SystemExit(f"toepfree {' '.join(argv)} did not exit 0:\n"
                          f"{proc.stderr}")
     _, modules, called = json.loads(line[9:])
     called = {(file, first, name) for file, first, name in called}
