@@ -12,7 +12,7 @@ The top-level names are bound lazily (PEP 562): ``import toepfree`` loads
 no submodule, and the first use of a name, or of a compute module such as
 ``toepfree.series``, imports its home module. The compute modules that a
 CLI query executes bind the same way, from ``toepfree.library``, the
-functions and methods of their layer that no such query calls
+classes, functions and methods of their layer that no such query calls
 (``_from_library`` and ``_defer``).
 """
 

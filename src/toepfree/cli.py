@@ -390,8 +390,8 @@ def _degree_table(config: Config, args: SimpleNamespace) -> Emission:
     order, degree = check_series_request(config.functional, vars_, args.degree)
     words = list(product(range(1, len(vars_) + 1), repeat=degree))
     if query == "cumulants":
-        values = (v.to_json_obj()
-                  for v in t_cumulants(config.functional, vars_, words))
+        values = (_json_entries(*value)
+                  for value in t_cumulants(config.functional, vars_, words))
     else:  # the moments of the words of one degree, off the series' terms
         terms = series.moment_series(config.functional, vars_, degree)._terms
         values = (_json_entries(*terms.get(w, (1, [0] * order))) for w in words)

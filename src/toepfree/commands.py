@@ -15,7 +15,6 @@ import json
 import sys
 from types import SimpleNamespace
 
-from . import nc_lattice
 from .cli import (
     _COMMANDS,
     Config,
@@ -80,8 +79,10 @@ def _require_positive_n(n: int) -> None:
 
 
 def _cmd_nc_list(args: SimpleNamespace) -> Emission:
+    from .nc_lattice import enumerate_nc
+
     _require_positive_n(args.n)
-    partitions = nc_lattice.enumerate_nc(args.n)
+    partitions = enumerate_nc(args.n)
     out_rows = [
         {"word": pi.to_json_obj(), "entry": at, "value": len(pi.blocks)}
         for at, pi in enumerate(partitions, start=1)
@@ -99,6 +100,8 @@ def _cmd_nc_list(args: SimpleNamespace) -> Emission:
 
 
 def _cmd_nc_mobius(args: SimpleNamespace) -> Emission:
+    from .nc_lattice import mobius_intervals
+
     _require_positive_n(args.n)
     if args.n > NC_MOBIUS_CAP:
         raise DegreeCapExceeded(
@@ -111,7 +114,7 @@ def _cmd_nc_mobius(args: SimpleNamespace) -> Emission:
             "entry": 0,
             "value": str(mu),  # an int
         }
-        for lo, hi, mu in nc_lattice.mobius_intervals(args.n)
+        for lo, hi, mu in mobius_intervals(args.n)
     ]
     payload = {"query": "nc-mobius", "n": args.n, "rows": out_rows}
     return (payload, lambda: [

@@ -9,8 +9,8 @@ from it, so that a process that runs none of them never compiles them:
 the CLI imports this module only for ``check-even``, ``compress`` and
 ``sparsity``, ``t_cumulants`` only for a word that may exceed the degree
 cap, and the package namespace binds each name here on first use. The
-routines that read Fractions import them from ``library`` when called,
-so that ``_refuse`` executes no more than this module.
+routines that read Fractions or BScalars import them from ``library``
+when called, so that ``_refuse`` executes no more than this module.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from .errors import (
 from .ncpoly import RationalLike
 from .scalar_space import MomentFunctional
 from .toeplitz_core import (
-    BScalar,
     BSeries,
     TVariable,
     _check_vars,
     _most_letters,
-    b_mul,
     r_transform,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .library import BScalar
 
 
 def check_even(functional: MomentFunctional, x: TVariable,
@@ -133,6 +133,8 @@ def symm_r_transform(functional: MomentFunctional,
     """The b0-symmetric R-transform: each degree-n coefficient is the
     tuple cumulant multiplied by b0^(n-1) (b0 is central, so the
     interleaved insertions collapse to a single power)."""
+    from .library import BScalar, b_mul
+
     order = _check_vars(vars_)
     if b0.order != order:
         raise DimensionMismatch(

@@ -2,17 +2,19 @@
 R-transform or freeness query of the CLI calls.
 
 The core modules hold every value in integers and run the CLI's hot
-queries on them. This module holds what a program built on the library
-reads on top of that core: the Fraction views and the formatting of
-polynomials, of elements of B and of variables; their comparison and
-operators; the BSeries constructor from a mapping of BScalars, its
-readers, its comparison and its JSON reader; ``poly_add``, ``poly_scale``,
-``b_add``, ``t_mul`` and ``t_cumulant``; ``builtin_distribution`` and the
-Fraction views of a MomentFunctional; ``as_fraction`` and
-``format_rational``. Each Fraction view imports ``fractions`` when it
-is called, so that the rest loads no ``fractions``.
+queries on them; an element of B is a pair of integers (den, nums)
+there. This module holds what a program built on the library reads on
+top of that core: ``BScalar``, an element of B as one value, with
+``b_add`` and ``b_mul``; the Fraction views and the formatting of
+polynomials and of variables; their comparison and operators; the
+BSeries constructor from a mapping of BScalars, its readers, its
+comparison and its JSON reader; ``poly_add``, ``poly_scale``, ``t_mul``
+and ``t_cumulant``; ``builtin_distribution`` and the Fraction views of a
+MomentFunctional; ``as_fraction`` and ``format_rational``. Each Fraction
+view imports ``fractions`` when it is called, so that the rest loads no
+``fractions``.
 
-Each function here is read from its home module, ``ncpoly``,
+Each class and function here is read from its home module, ``ncpoly``,
 ``scalar_space`` or ``toeplitz_core``, through that module's
 ``__getattr__`` (PEP 562), and each method through a deferred class
 attribute (``toepfree._defer``) that binds the method defined on the
@@ -42,15 +44,12 @@ from .ncpoly import (
 )
 from .scalar_space import DEFAULT_DEGREE, MomentFunctional, _distribution
 from .toeplitz_core import (
-    BScalar,
     BSeries,
     IndexWord,
     TVariable,
+    _convolve,
     _fill,
     _json_entries,
-    _reduced,
-    _require_same_order,
-    b_mul,
     t_cumulants,
 )
 
@@ -242,8 +241,34 @@ class _MomentFunctional:
 # --------------------------------------------------------------------------
 
 
-class _BScalar:
-    """BScalar's methods that no CLI query calls."""
+def _require_same_order(x: BScalar | TVariable, y: BScalar | TVariable) -> None:
+    if x.order != y.order:
+        raise DimensionMismatch(
+            f"tuple lengths differ: {x.order} vs {y.order}"
+        )
+
+
+class BScalar:
+    """An element (a_1, ..., a_N) of the Toeplitz matricial algebra.
+
+    Stored as one positive denominator ``den`` and a tuple ``nums`` of N
+    integer numerators, a_j = nums[j-1] / den, with no factor common to
+    den and every numerator; zero is (1, (0, ..., 0)), and equal elements
+    hold equal data. ``entries`` is the same element as a tuple of
+    Fractions, built on first use. Instances are immutable and hashable.
+    """
+
+    __slots__ = ("den", "nums", "_entries")
+
+    #: the common denominator, > 0
+    den: int
+    #: the integer numerators: entry j is nums[j-1] / den
+    nums: tuple[int, ...]
+
+    def __new__(cls, entries: Iterable[RationalLike]) -> BScalar:
+        ratios = [_ratio(v) for v in entries]
+        den = lcm(*(q for _, q in ratios))
+        return _reduced(den, [p * (den // q) for p, q in ratios])
 
     __setattr__ = _immutable
 
@@ -273,9 +298,12 @@ class _BScalar:
     def order(self) -> int:
         return len(self.nums)
 
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
     def scale(self, c: RationalLike) -> BScalar:
         p, q = _ratio(c)
-        return _reduced(self.den * q, tuple(p * n for n in self.nums))
+        return _reduced(self.den * q, [p * n for n in self.nums])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BScalar):
@@ -300,6 +328,34 @@ class _BScalar:
     def __str__(self) -> str:
         return "(" + ", ".join(_json_entries(self.den, self.nums)) + ")"
 
+    def to_json_obj(self) -> list[str]:
+        return _json_entries(self.den, self.nums)
+
+
+def _lowest(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """den > 0 and nums divided by their common factor: the one form of an
+    element of B in lowest terms, zero being (1, (0, ..., 0))."""
+    common = gcd(den, *nums)
+    return den // common, tuple([n // common for n in nums])
+
+
+def _reduced(den: int, nums: Sequence[int]) -> BScalar:
+    """The BScalar of den > 0 and nums, in lowest terms: every BScalar is
+    made here."""
+    b = object.__new__(BScalar)
+    den, nums = _lowest(den, nums)
+    object.__setattr__(b, "den", den)
+    object.__setattr__(b, "nums", nums)
+    object.__setattr__(b, "_entries", None)
+    return b
+
+
+def b_mul(x: BScalar, y: BScalar) -> BScalar:
+    """Convolution product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}, on
+    the integer numerators over the product of the denominators."""
+    _require_same_order(x, y)
+    return _reduced(x.den * y.den, _convolve(x.nums, y.nums))
+
 
 def b_add(x: BScalar, y: BScalar) -> BScalar:
     """Entrywise sum, over the lcm of the two denominators."""
@@ -309,7 +365,7 @@ def b_add(x: BScalar, y: BScalar) -> BScalar:
     dx, dy = x.den, y.den
     den = lcm(dx, dy)
     sx, sy = den // dx, den // dy
-    return _reduced(den, tuple([a * sx + b * sy for a, b in zip(xs, ys)]))
+    return _reduced(den, [a * sx + b * sy for a, b in zip(xs, ys)])
 
 
 class _TVariable:
@@ -358,7 +414,7 @@ def t_cumulant(
     idx: Sequence[int],
 ) -> BScalar:
     """The (i_1, ..., i_n)-th cumulant: one word of ``t_cumulants``."""
-    return next(t_cumulants(functional, vars_, (idx,)))
+    return _reduced(*next(t_cumulants(functional, vars_, (idx,))))
 
 
 class _BSeries:
@@ -398,7 +454,7 @@ class _BSeries:
         term = self._terms.get(tuple(word))
         if term is None:
             return BScalar.zero(self.order)
-        return _reduced(term[0], tuple(term[1]))
+        return _reduced(*term)
 
     def items(self) -> list[tuple[IndexWord, BScalar]]:
         return [(w, self.coef(w)) for w in self.words()]
@@ -409,10 +465,7 @@ class _BSeries:
     def _key(self) -> tuple[int, int, int, dict]:
         """s, order, degree and each word's (den, nums) in lowest terms,
         built without a BScalar: what == and hash compare."""
-        terms = {}
-        for word, (den, nums) in self._terms.items():
-            common = gcd(den, *nums)
-            terms[word] = (den // common, tuple([n // common for n in nums]))
+        terms = {word: _lowest(*term) for word, term in self._terms.items()}
         return self.s, self.order, self.degree, terms
 
     def __eq__(self, other: object) -> bool:

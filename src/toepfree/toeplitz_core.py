@@ -1,11 +1,13 @@
 """The Toeplitz matricial algebra C^N and its probability space.
 
-A BScalar is an N-tuple of rationals with entrywise sum and the truncated
-convolution product whose j-th entry is sum_{k=1}^{j} a_k b_{j+1-k}: the
-commutative algebra B of N x N upper-triangular Toeplitz matrices. It is
-stored as one positive common denominator and N integer numerators, so
-sums and products run on integers. A TVariable is an N-tuple of
-noncommutative polynomials with the same product.
+An element of B is an N-tuple of rationals with entrywise sum and the
+truncated convolution product whose j-th entry is sum_{k=1}^{j} a_k
+b_{j+1-k}: the commutative algebra B of N x N upper-triangular Toeplitz
+matrices. Inside the engine it is held as integers (den, nums), one
+positive common denominator and N integer numerators, so sums and
+products run on integers; ``_convolve`` is the one product of the
+numerators. A TVariable is an N-tuple of noncommutative polynomials
+with the same product.
 
 Cumulants are B-multilinear (Speicher, Mem. AMS 627, 1998): writing each
 variable as X = sum over words w of A[w] w with A[w] in B, K_n is the sum
@@ -19,20 +21,20 @@ against the sum over compositions of each entry, and the product against
 an explicit matrix embedding (``tests/oracles.py``).
 
 A BSeries is a truncated formal series with a coefficient in B at each
-index word, held as integers (den, nums) per word and read as a BScalar.
-The R-transform collects the cumulants of every index word up to a
-degree, and the freeness predicate scans the mixed ones; both are sums
-of t_cumulants, checked against the degree cap and the word cap before
-any word is made. Moments of index words are not summed here: they are
-read off the R-transform by the series calculus
-(``series.moment_series``), which a process compiles only when it runs
-one of its maps.
+index word, held as integers (den, nums) per word. The R-transform
+collects the cumulants of every index word up to a degree, and the
+freeness predicate scans the mixed ones; both are sums of t_cumulants,
+checked against the degree cap and the word cap before any word is made.
+Moments of index words are not summed here: they are read off the
+R-transform by the series calculus (``series.moment_series``), which a
+process compiles only when it runs one of its maps.
 
 What no moments, cumulants, R-transform or freeness query calls is
-defined in ``library`` and bound here on first use: ``b_add``, ``t_mul``
-and ``t_cumulant``, the Fraction views, formatting, comparison and
-operators of BScalar and TVariable, and the BSeries constructor, readers
-and comparison (``toepfree._defer``).
+defined in ``library`` and bound here on first use: ``BScalar``, the
+class of an element of B read as one value, with ``b_add``, ``b_mul``,
+``t_mul`` and ``t_cumulant``; the formatting, comparison and operators
+of TVariable; and the BSeries constructor, readers and comparison
+(``toepfree._defer``).
 """
 
 from __future__ import annotations
@@ -43,67 +45,17 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _defer, _from_library
 from .errors import DegreeCapExceeded, DimensionMismatch
-from .ncpoly import NcPolynomial, RationalLike, _ratio
+from .ncpoly import NcPolynomial
 from .scalar_space import MomentFunctional
 
 IndexWord = tuple[int, ...]
 
-__getattr__ = _from_library(__name__, "b_add t_mul t_cumulant")
-
-
-class BScalar:
-    """An element (a_1, ..., a_N) of the Toeplitz matricial algebra.
-
-    Stored as one positive denominator ``den`` and a tuple ``nums`` of N
-    integer numerators, a_j = nums[j-1] / den, with no factor common to
-    den and every numerator; zero is (1, (0, ..., 0)), and equal elements
-    hold equal data. ``entries`` is the same element as a tuple of
-    Fractions, built on first use. Instances are immutable and hashable.
-    """
-
-    __slots__ = ("den", "nums", "_entries")
-
-    #: the common denominator, > 0
-    den: int
-    #: the integer numerators: entry j is nums[j-1] / den
-    nums: tuple[int, ...]
-
-    def __init__(self, entries: Iterable[RationalLike]):
-        ratios = [_ratio(v) for v in entries]
-        den = lcm(*(q for _, q in ratios))
-        _store(self, den, tuple(p * (den // q) for p, q in ratios))
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def to_json_obj(self) -> list[str]:
-        return _json_entries(self.den, self.nums)
-
-
-_defer(BScalar, "__setattr__ of one zero entries order scale __eq__ __hash__ "
-                "__add__ __sub__ __mul__ __repr__ __str__")
-
-
-def _store(b: BScalar, den: int, nums: tuple[int, ...]) -> None:
-    """Fill b with den > 0 and nums, divided by their common factor."""
-    common = gcd(den, *nums)
-    if common != 1:
-        den //= common
-        nums = tuple([n // common for n in nums])
-    object.__setattr__(b, "den", den)
-    object.__setattr__(b, "nums", nums)
-    object.__setattr__(b, "_entries", None)
-
-
-def _reduced(den: int, nums: tuple[int, ...]) -> BScalar:
-    b = object.__new__(BScalar)
-    _store(b, den, nums)
-    return b
+__getattr__ = _from_library(__name__, "BScalar b_add b_mul t_mul t_cumulant")
 
 
 def _json_entries(den: int, nums: Iterable[int]) -> list[str]:
-    """format_rational of each num / den, den > 0: the JSON of a BScalar,
-    read off any den and nums that hold it, reduced or not."""
+    """format_rational of each num / den, den > 0: the JSON of an element
+    of B, read off any den and nums that hold it, reduced or not."""
     out = []
     for num in nums:
         common = gcd(num, den)
@@ -112,26 +64,16 @@ def _json_entries(den: int, nums: Iterable[int]) -> list[str]:
     return out
 
 
-def _require_same_order(x: BScalar | "TVariable", y: BScalar | "TVariable") -> None:
-    if x.order != y.order:
-        raise DimensionMismatch(
-            f"tuple lengths differ: {x.order} vs {y.order}"
-        )
-
-
-def b_mul(x: BScalar, y: BScalar) -> BScalar:
-    """Convolution product: j-th entry sum_{k=1}^{j} x_k y_{(j+1)-k}, on
-    the integer numerators over the product of the denominators."""
-    xs, ys = x.nums, y.nums
+def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """The numerators of a B-product: entry j is sum_{k=1}^{j} x_k
+    y_{(j+1)-k}, over the product of the two denominators."""
     n = len(xs)
-    if n != len(ys):
-        _require_same_order(x, y)
     nums = [0] * n
     for i, a in enumerate(xs):
         if a:
             for j in range(i, n):
                 nums[j] += a * ys[j - i]
-    return _reduced(x.den * y.den, tuple(nums))
+    return nums
 
 
 class TVariable:
@@ -165,8 +107,9 @@ def t_cumulants(
     functional: MomentFunctional,
     vars_: Sequence[TVariable],
     words: Iterable[Sequence[int]],
-) -> Iterator[BScalar]:
-    """The cumulant of each index word in turn, summed over word tuples.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The cumulant of each index word in turn, summed over word tuples, as
+    integers (den, nums) in lowest terms: entry j is nums[j-1] / den.
 
     For n >= 2 the empty word reads 0 and is left out. Tuple prefixes are
     built along the word trie: one whose B-product is 0 is cut, and so is
@@ -174,6 +117,8 @@ def t_cumulants(
     families and could link them. Each word's sum runs on integers: A[w]
     is held over den^|w|, den the functional's, so that a tuple's product
     of them times the integer cumulant_numerator of its words is its term.
+    A product is held over the product of its factors' denominators and
+    each word's sum is reduced once, when it is yielded.
     """
     cap, generators = functional.degree_cap, functional.generators
 
@@ -181,25 +126,26 @@ def t_cumulants(
         found = {getattr(generators.get(g), "family", None) for g in word}
         return found.pop() if len(found) == 1 else None
 
+    order = _check_vars(vars_)
     tables = []  # per variable: the terms ((w,), family, A[w]), longest w
     for x in vars_:
-        _require_same_order(vars_[0], x)
+        den = lcm(*(p.denominator for p in x.entries))
         support = dict.fromkeys(w for p in x.entries for w in p.numerators)
-        terms = [((w,), family_of(w), BScalar(
-            (p.numerators.get(w, 0), p.denominator * functional.den ** len(w))
-            for p in x.entries)) for w in support]
+        terms = [((w,), family_of(w), (den * functional.den ** len(w), [
+            p.numerators.get(w, 0) * (den // p.denominator) for p in x.entries
+        ])) for w in support]
         tables.append((terms, max(map(len, support), default=0)))
     # a word with no family of its own can link words of two families
     cut = all(f is not None for t, _ in tables for (w,), f, _ in t if w)
 
     def step(states: list, i: int) -> list:
         grown = []
-        for prefix, family, x in states:
-            for (word,), f, y in tables[i - 1][0]:
+        for prefix, family, (dx, xs) in states:
+            for (word,), f, (dy, ys) in tables[i - 1][0]:
                 if word and prefix[-1] and not (cut and f != family):
-                    product = b_mul(x, y)
-                    if not product.is_zero():
-                        grown.append((prefix + (word,), family, product))
+                    nums = _convolve(xs, ys)
+                    if any(nums):
+                        grown.append((prefix + (word,), family, (dx * dy, nums)))
         return grown
 
     # path[k]: the tuple prefixes of the first k+1 indices of the last word;
@@ -228,18 +174,18 @@ def t_cumulants(
             from .extras import _refuse  # compiled only when a word may be refused
 
             _refuse(cap, [vars_[i - 1] for i in idx])
-        total, common = [0] * vars_[0].order, 1
-        for prefix, _, product in path[-1]:
+        total, common = [0] * order, 1
+        for prefix, _, (b, nums) in path[-1]:
             a = functional.cumulant_numerator(prefix)
             if a:
-                b = product.den
                 if common % b:
                     scale = b // gcd(common, b)
                     total = [t * scale for t in total]
                     common *= scale
                 a *= common // b
-                total = [t + a * x for t, x in zip(total, product.nums)]
-        yield _reduced(common, tuple(total))
+                total = [t + a * x for t, x in zip(total, nums)]
+        shared = gcd(common, *total)
+        yield common // shared, tuple([t // shared for t in total])
 
 
 def _most_letters(rows: Sequence[list[float]]) -> list[list[float]]:
@@ -383,8 +329,8 @@ def r_transform(functional: MomentFunctional, vars_: Sequence[TVariable],
     order, d = check_series_request(functional, vars_, degree)
     # lexicographic order walks the word trie, sharing prefix products
     words = sorted(all_index_words(len(vars_), d))
-    terms = {w: (v.den, v.nums) for w, v in
-             zip(words, t_cumulants(functional, vars_, words)) if not v.is_zero()}
+    terms = {w: value for w, value in
+             zip(words, t_cumulants(functional, vars_, words)) if any(value[1])}
     return _fill(object.__new__(BSeries), len(vars_), order, d, terms, None)
 
 
@@ -411,7 +357,7 @@ def check_freeness(functional: MomentFunctional,
     cut = len(group_a)
     words = [word for word in all_index_words(len(combined), d)
              if min(word) <= cut < max(word)]
-    for word, value in zip(words, t_cumulants(functional, combined, words)):
-        if not value.is_zero():
+    for word, (_, nums) in zip(words, t_cumulants(functional, combined, words)):
+        if any(nums):
             return FreenessReport(False, word)
     return FreenessReport(True, None)

@@ -1036,7 +1036,7 @@ def test_deferred_names_match_the_library_namespaces():
     plain = {"__module__", "__doc__", "__qualname__", "__dict__",
              "__weakref__"}
     owners = (toepfree.NcPolynomial, toepfree.MomentFunctional,
-              toepfree.BScalar, toepfree.TVariable, toepfree.BSeries)
+              toepfree.TVariable, toepfree.BSeries)
     assert {f"_{cls.__name__}" for cls in owners} == {
         name for name, space in vars(library).items()
         if isinstance(space, type) and space.__module__ == library.__name__
@@ -1052,6 +1052,48 @@ def test_deferred_names_match_the_library_namespaces():
             bound = vars(cls).get(member)
             assert bound is value or (isinstance(bound, _Deferred)
                                       and bound.name == member), (name, member)
+
+
+#: run in a fresh interpreter with a JSON map from each hot module to the
+#: names of its _from_library list; prints the names the module binds
+#: itself, then those that library does not define or that a read from
+#: the module does not resolve to library's object
+_FROM_LIBRARY_PROBE = """
+import importlib, json, sys
+lists = json.loads(sys.argv[1])
+modules = {m: importlib.import_module("toepfree." + m) for m in lists}
+bound = [n for m, names in lists.items() for n in names if n in vars(modules[m])]
+library = importlib.import_module("toepfree.library")
+unresolved = [
+    n for m, names in lists.items() for n in names
+    if getattr(vars(library).get(n), "__module__", None) != library.__name__
+    or getattr(modules[m], n) is not vars(library)[n]
+]
+print(json.dumps([bound, unresolved]))
+"""
+
+
+def test_from_library_lists_resolve_to_library():
+    """Each name in a hot module's ``_from_library`` list is defined in
+    ``library``, is not bound in the module's own namespace, so that the
+    module's ``__getattr__`` serves it, and reads from the module as
+    ``library``'s own object: checked in a fresh interpreter, so that a
+    name added to a list and not moved, or moved and not listed, fails
+    here rather than at a program's first read of it."""
+    lists = {}
+    for module, tree in _package_modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_from_library"):
+                lists[module] = node.args[1].value.split()
+    assert set(lists) == {"ncpoly", "scalar_space", "toeplitz_core"}
+    assert {"BScalar", "b_mul"} <= set(lists["toeplitz_core"])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FROM_LIBRARY_PROBE, json.dumps(lists)],
+        capture_output=True, text=True, env=_env_with_path(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_console_script_is_installed():

@@ -417,8 +417,9 @@ def test_large_prime_denominators_match_the_oracles():
     idx = [w for n in (1, 2, 3) for w in product((1, 2, 3), repeat=n)]
     got = list(t_cumulants(fn, vars_, sorted(idx)))
     for word, value in zip(sorted(idx), got):
-        assert value == t_cumulant_compositions(fn, vars_, word), word
-    assert any(not value.is_zero() for value in got)
+        want = t_cumulant_compositions(fn, vars_, word)
+        assert value == (want.den, want.nums), word
+    assert any(any(nums) for _, nums in got)
 
 
 def test_public_rationals_are_fractions():

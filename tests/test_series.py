@@ -511,9 +511,8 @@ def test_series_calculus_stays_fused(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a series map built a BScalar product or sum")
 
-    # b_mul is defined in toeplitz_core and b_add in library, which binds
-    # both for the BScalar operators
-    monkeypatch.setattr(toeplitz_core, "b_mul", boom)
+    # b_mul and b_add are defined in library, where the BScalar operators
+    # read them
     monkeypatch.setattr(library, "b_mul", boom)
     monkeypatch.setattr(library, "b_add", boom)
     # series binds no b_mul of its own now; the patch guards any it gains
@@ -531,9 +530,12 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
     r_from_moments chained on its output and boxed_convolution return and
     print their JSON, and == and hash compare and hash their terms; once
     the patch is off, their coefficients, built on each read, equal the
-    NC(n) oracles'. The moments table prints its rows, zero rows included,
-    off the moment series' terms and builds no coefficient of that
-    series."""
+    NC(n) oracles'. Under the same patch the hot CLI queries on the golden
+    lines of cumulants, rtransform, check-free and moments, in JSON and
+    CSV, exit 0 and print the golden bytes: t_cumulants and everything
+    that reads it run on integer pairs. The moments table prints its rows,
+    zero rows included, off the moment series' terms and builds no
+    coefficient of that series."""
     rng = random.Random(4409)
     r = random_series(rng, 2, 3, 5, max_den=9)
     g = random_series(rng, 2, 3, 5, 0.6, max_den=9)
@@ -541,11 +543,28 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("built a BScalar")
 
+    moments, k3 = str(GOLDEN / "moments_config.json"), str(GOLDEN / "k3_config.json")
+    golden = {
+        "k3_cumulants.json": ["cumulants", "--vars", "A1,A2,A3",
+                              "--degree", "3", "--config", k3],
+        "rtransform_xz_d2.json": ["rtransform", "--vars", "X,Z",
+                                  "--degree", "2", "--config", moments],
+        "check_free_k3.json": ["check-free", "--a", "A1,A2", "--b", "A3",
+                               "--config", k3],
+        "moments_d4.json": ["moments", "--vars", "X,Y", "--degree", "4",
+                            "--config", moments],
+        "moments_d4.csv": ["moments", "--vars", "X,Y", "--degree", "4",
+                           "--config", moments, "--format", "csv"],
+    }
     with monkeypatch.context() as patch:
-        patch.setattr(toeplitz_core, "_reduced", boom)
-        patch.setattr(toeplitz_core, "_store", boom)
+        # every BScalar, built by its constructor or by a reader, is made
+        # by library._reduced
+        patch.setattr(library, "_reduced", boom)
         with pytest.raises(AssertionError, match="built a BScalar"):
             BScalar.of([1, 2, 3])
+        for name, argv in golden.items():
+            assert cli.main(argv) == 0, name
+            assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
         m = moments_from_r(r)
         back = r_from_moments(m)
         box = boxed_convolution(r, g)
@@ -569,8 +588,7 @@ def test_series_maps_build_no_bscalar(monkeypatch, tmp_path, capsys):
                       {"name": "Y", "entries": ["2*s", "0"]}],
     }))
     with monkeypatch.context() as patch:
-        # a series builds a BScalar coefficient in coef, which items reads,
-        # through the toeplitz_core._reduced that t_cumulants also calls
+        # a series builds a BScalar coefficient in coef, which items reads
         patch.setattr(BSeries, "coef", boom)
         assert cli.main(["moments", "--vars", "X,Y", "--degree", "3",
                          "--config", str(path)]) == 0
@@ -1568,12 +1586,14 @@ def test_unreduced_and_reduced_terms_compare_and_hash_alike():
     ("moments_config", 2), ("k3_config", 4), ("sparsity_config", 4)])
 def test_r_transform_equals_the_series_of_its_coefficients(name, degree):
     """On each golden config, the R-transform of all its variables, whose
-    terms r_transform fills itself, equals the series the constructor
-    builds from its coefficients, hashes alike and prints the same JSON
-    bytes."""
+    terms r_transform fills itself from t_cumulants, holds every term in
+    lowest terms, so that the series calculus scales it by the least lam,
+    equals the series the constructor builds from its coefficients, hashes
+    alike and prints the same JSON bytes."""
     model = cli.load_config(str(GOLDEN / f"{name}.json"))
     vars_ = list(model.variables.values())
     r = r_transform(model.functional, vars_, degree)
+    assert all(gcd(den, *nums) == 1 for den, nums in r._terms.values())
     want = BSeries(r.s, r.order, r.degree, dict(r.items()))
     assert not r.is_zero() and r == want and want == r
     assert hash(r) == hash(want)

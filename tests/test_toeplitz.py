@@ -386,14 +386,14 @@ def test_t_cumulant_validates_index_words(functional):
         ([x, y], (2, 1, 0), ValueError,
          "index 0 outside 1..2 in index word (2, 1, 0)"),
         ([x, from_bscalar(BScalar.one(2))], (1, 2),
-         DimensionMismatch, "tuple lengths differ: 1 vs 2"),
+         DimensionMismatch, "variable orders differ: 1 vs 2"),
     ]
     for vars_, idx, error, message in refused:
         with pytest.raises(error) as err:
             t_cumulant(functional, vars_, idx)
         assert str(err.value) == message
     values = t_cumulants(functional, [x, y], [(1, 2), (1, 2, 5)])
-    assert next(values) == t_cumulant(functional, [x, y], (1, 2))
+    assert next(values) == _pair(t_cumulant(functional, [x, y], (1, 2)))
     with pytest.raises(ValueError) as err:
         next(values)
     assert str(err.value) == "index 5 outside 1..2 in index word (1, 2, 5)"
@@ -476,6 +476,11 @@ WALK_WORDS = (
 )
 
 
+def _pair(value):
+    """The integers (den, nums) of a BScalar: what t_cumulants yields."""
+    return value.den, value.nums
+
+
 def _cumulant_or_refusal(compute):
     try:
         return compute()
@@ -530,7 +535,8 @@ def test_property_cumulant_walk_matches_compositions(data):
     elif walk == "again":
         words += words[::3]
     want = [
-        _cumulant_or_refusal(lambda w=w: t_cumulant_compositions(fn, vars_, w))
+        _cumulant_or_refusal(
+            lambda w=w: _pair(t_cumulant_compositions(fn, vars_, w)))
         for w in words
     ]
     got = []
@@ -562,6 +568,7 @@ def test_cumulant_walk_links_families_through_a_later_slot():
     words = [w for n in (1, 2, 3, 4) for w in itertools.product((1, 2), repeat=n)]
     want = [t_cumulant_compositions(fn, [x, z], w) for w in words]
     assert not want[words.index((1, 1, 2))].is_zero()
+    want = [_pair(value) for value in want]
     assert list(t_cumulants(fn, [x, z], sorted(words))) == [
         want[words.index(w)] for w in sorted(words)
     ]
